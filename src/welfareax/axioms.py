@@ -1,12 +1,26 @@
 """Aggregation and non-aggregation axioms as checkable instances.
 
 Each axiom variant is a frozen dataclass holding two profiles plus the
-parameters of one fully instantiated premise. ``validate_preconditions``
-verifies every hypothesis clause in exact rational arithmetic (magnitude
-orderings, threshold caps, rank conditions, unaffected-agent equality);
-``check_axiom`` then tests whether an ordering's verdict meets the
-axiom's conclusion. ``generate_instances`` yields seeded random streams
-of valid instances with deliberate boundary coverage.
+parameters of one fully instantiated premise, and it is the one place
+that knows the rules of its axiom:
+
+* ``magnitude_clauses`` checks the premise's magnitudes (threshold,
+  gain and loss orderings, m, lam); ``generate_instances`` runs the
+  same clauses on its ``params`` before drawing anything;
+* ``profile_clauses`` checks the clauses on the profiles in exact
+  rational arithmetic (rank conditions, threshold caps, unaffected-agent
+  equality);
+* ``endpoints`` returns the (worse, better) profiles and the relation
+  the conclusion asserts between them, which ``check_axiom`` and the
+  derivation chains both read;
+* ``generate`` draws one random valid instance, with deliberate boundary
+  coverage.
+
+``validate_preconditions`` runs both clause lists; ``check_axiom`` then
+tests whether an ordering's verdict meets the conclusion. Fields are
+normalized on construction and written to and read from documents by
+one codec keyed on field names (``_FIELDS``), whose order is the key
+order of instance documents and certificate lines.
 
 Reading of the rank clauses in minimal non-aggregation: the recipient i
 must be (tied for) worst-off before the change, end no higher than the
@@ -22,12 +36,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterator, Mapping
 
-from .errors import ConfigError, InfeasibleParameters
+from .errors import ConfigError, InfeasibleParameters, WelfareaxError
 from .orderings import DEFAULT_TOLERANCE, OrderingSpec, swo_compare
 from .profiles import (
     IndexSet,
@@ -44,20 +59,156 @@ from .profiles import (
 )
 
 
+class Relation(Enum):
+    """What a conclusion asserts of its better profile against its worse one."""
+
+    EQUIVALENT = "equivalent"
+    WEAK = "weak"  # better >= worse
+    STRICT = "strict"  # better > worse
+
+    def combine(self, other: "Relation") -> "Relation":
+        if Relation.STRICT in (self, other):
+            return Relation.STRICT
+        if Relation.WEAK in (self, other):
+            return Relation.WEAK
+        return Relation.EQUIVALENT
+
+    def admits(self, verdict: Verdict) -> bool:
+        """Whether the verdict of better against worse meets the relation."""
+        return verdict in _ADMITTED[self]
+
+
+_ADMITTED = {
+    Relation.EQUIVALENT: (Verdict.EQUIVALENT,),
+    Relation.WEAK: (Verdict.STRICTLY_BETTER, Verdict.EQUIVALENT),
+    Relation.STRICT: (Verdict.STRICTLY_BETTER,),
+}
+_SYMBOLS = {Relation.EQUIVALENT: "~", Relation.WEAK: ">=", Relation.STRICT: ">"}
+
+
+# ---------------------------------------------------------------------------
+# field codec
+
+
+def _profile(value) -> Profile:
+    return parse_profile_line(str(value))
+
+
 def _index_set(value) -> IndexSet:
-    if isinstance(value, IndexSet):
-        return value
     if isinstance(value, str):
         return IndexSet.parse(value)
     return IndexSet.from_indices(value)
+
+
+def _integer(value) -> int:
+    level = as_level(value)
+    if level.denominator != 1:
+        raise ValueError(f"{value!r} is not an integer")
+    return level.numerator
+
+
+def _permutation(value) -> tuple[int, ...]:
+    return tuple(int(x) for x in (value.split(",") if isinstance(value, str) else value))
+
+
+_LEVEL = (Fraction, format_level, as_level)
+_INTEGER = (int, int, _integer)
+_PROFILE = (Profile, serialize_profile, _profile)
+
+# field name -> (type, encode, decode); this order is the key order of documents
+_FIELDS = {
+    "u": _PROFILE,
+    "pi": (tuple, list, _permutation),
+    "v": _PROFILE,
+    "k": _INTEGER,
+    "i": _INTEGER,
+    "j": _INTEGER,
+    "epsilon": _LEVEL,
+    "M": (IndexSet, IndexSet.serialize, _index_set),
+    "theta_p": _LEVEL,
+    "theta_r": _LEVEL,
+    "alpha": _LEVEL,
+    "beta": _LEVEL,
+    "gamma": _LEVEL,
+    "delta": _LEVEL,
+    "lam": _LEVEL,
+    "m": _INTEGER,
+}
+
+
+def _decode(name: str, value):
+    kind, _, decode = _FIELDS[name]
+    if type(value) is kind:
+        return value
+    try:
+        return decode(value)
+    except (WelfareaxError, ValueError, TypeError) as exc:
+        raise ConfigError(f"bad value for {name}: {exc}") from exc
+
+
+def _decode_fields(doc: Mapping, names, what: str) -> dict:
+    for name in names:
+        if name not in doc:
+            raise ConfigError(f"missing {what} {name!r}")
+    return {name: _decode(name, doc[name]) for name in names}
 
 
 # ---------------------------------------------------------------------------
 # instance types
 
 
+def _failed(*clauses: tuple[bool, str]) -> list[str]:
+    """Texts of the (failed, text) clauses that failed."""
+    return [text for failed, text in clauses if failed]
+
+
+class _Axiom:
+    """Rules shared by the axiom dataclasses; each overrides what differs."""
+
+    tag = ""
+    # fields holding the (worse, better) profiles of the conclusion
+    endpoint_fields = ("u", "v")
+    # the parameters magnitude_clauses reads; generation takes them from params
+    magnitudes = ()
+
+    def __post_init__(self):
+        for name, value in list(vars(self).items()):
+            if type(value) is not _FIELDS[name][0]:
+                object.__setattr__(self, name, _decode(name, value))
+
+    @staticmethod
+    def magnitude_clauses(p) -> list[str]:
+        """Failed clauses on the magnitudes of ``p`` (an instance or decoded params)."""
+        return []
+
+    def profile_clauses(self) -> list[str]:
+        raise NotImplementedError
+
+    def relation(self) -> Relation:
+        return Relation.WEAK
+
+    def endpoints(self) -> tuple[Profile, Profile, Relation]:
+        """(worse, better, relation) asserted by a validated instance."""
+        worse, better = self.endpoint_fields
+        return getattr(self, worse), getattr(self, better), self.relation()
+
+    def conclusion(self, spec: OrderingSpec, tolerance: Fraction) -> tuple[bool, str, bool]:
+        """(holds, failure detail, numerically tied) for the ordering's verdict."""
+        worse, better, relation = self.endpoints()
+        res = swo_compare(spec, better, worse, tolerance=tolerance)
+        if relation.admits(res.verdict):
+            return True, "", res.numerically_tied
+        w, b = self.endpoint_fields
+        detail = f"conclusion {b} {_SYMBOLS[relation]} {w} fails: ordering says {res.verdict.value}"
+        return False, detail, res.numerically_tied
+
+    @classmethod
+    def generate(cls, ctx: "_GenContext") -> "_Axiom":
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class Anonymity:
+class Anonymity(_Axiom):
     u: Profile
     pi: tuple[int, ...]
     tag = "anonymity"
@@ -66,23 +217,84 @@ class Anonymity:
     def v(self) -> Profile:
         return permute(self.u, self.pi)
 
+    def relation(self) -> Relation:
+        return Relation.EQUIVALENT
+
+    def profile_clauses(self) -> list[str]:
+        try:
+            self.v  # permutation validity is checked by permute()
+        except ValueError as exc:
+            return [str(exc)]
+        return []
+
+    @classmethod
+    def generate(cls, ctx):
+        n = ctx.size(1)
+        pi = list(range(n))
+        ctx.rng.shuffle(pi)
+        return cls(_random_profile(ctx, n), tuple(pi))
+
+
+class _Pareto(_Axiom):
+    """u dominates v; ``strict`` requires it at every position."""
+
+    endpoint_fields = ("v", "u")
+    strict = False
+
+    def profile_clauses(self) -> list[str]:
+        if len(self.u) != len(self.v):
+            return ["population sizes differ"]
+        sign = "<=" if self.strict else "<"
+        for start, count, uval, vval in aligned_runs(self.u, self.v):
+            if uval < vval or (self.strict and uval == vval):
+                return [f"u {sign} v at positions {start}..{start + count - 1}"]
+        return []
+
 
 @dataclass(frozen=True)
-class StrongPareto:
+class StrongPareto(_Pareto):
     u: Profile  # the (weakly) dominating profile
     v: Profile
     tag = "strong_pareto"
 
+    def relation(self) -> Relation:
+        strict = any(uval > vval for _, _, uval, vval in aligned_runs(self.u, self.v))
+        return Relation.STRICT if strict else Relation.WEAK
+
+    @classmethod
+    def generate(cls, ctx):
+        n, rng = ctx.size(1), ctx.rng
+        v = _random_profile(ctx, n)
+        deltas = [
+            Fraction(0) if rng.random() < 0.4 else _draw_level(rng, Fraction(0), Fraction(5))
+            for _ in range(n)
+        ]
+        u = Profile.from_levels(x + d for x, d in zip(v.iter_levels(), deltas))
+        return cls(u, v)
+
 
 @dataclass(frozen=True)
-class WeakPareto:
+class WeakPareto(_Pareto):
     u: Profile  # strictly dominating everywhere
     v: Profile
     tag = "weak_pareto"
+    strict = True
+
+    def relation(self) -> Relation:
+        return Relation.STRICT
+
+    @classmethod
+    def generate(cls, ctx):
+        n = ctx.size(1)
+        v = _random_profile(ctx, n)
+        u = Profile.from_levels(
+            x + _draw_level(ctx.rng, Fraction(1, 2), Fraction(5)) for x in v.iter_levels()
+        )
+        return cls(u, v)
 
 
 @dataclass(frozen=True)
-class PigouDalton:
+class PigouDalton(_Axiom):
     """Transfer of epsilon from richer i to poorer j, order preserved."""
 
     u: Profile
@@ -91,33 +303,138 @@ class PigouDalton:
     epsilon: Fraction
     tag = "pigou_dalton"
 
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", as_level(self.epsilon))
-
     @property
     def v(self) -> Profile:
         out = self.u.with_value_at(self.i, self.u.value_at(self.i) - self.epsilon)
         return out.with_value_at(self.j, self.u.value_at(self.j) + self.epsilon)
 
+    def profile_clauses(self) -> list[str]:
+        n = len(self.u)
+        failures = [] if self.epsilon > 0 else ["epsilon must be positive"]
+        if self.i == self.j or not (0 <= self.i < n and 0 <= self.j < n):
+            failures.append("need two distinct in-range indices")
+        elif self.u.value_at(self.i) - self.epsilon < self.u.value_at(self.j) + self.epsilon:
+            failures.append("transfer would reverse the order: u_i - eps >= u_j + eps fails")
+        return failures
+
+    @classmethod
+    def generate(cls, ctx):
+        n = ctx.size(2)
+        eps_max = as_level(ctx.params.get("epsilon_max", 3))
+        epsilon = _draw_level(ctx.rng, Fraction(1, 2), eps_max)
+        slack = Fraction(0) if ctx.boundary() else _draw_level(ctx.rng, Fraction(0), Fraction(4))
+        u_j = _draw_level(ctx.rng, ctx.lo, ctx.hi - 2 * epsilon - slack)
+        u_i = u_j + 2 * epsilon + slack
+        i, j = ctx.rng.sample(range(n), 2)
+        levels = [_draw_level(ctx.rng, ctx.lo, ctx.hi) for _ in range(n)]
+        levels[i], levels[j] = u_i, u_j
+        return cls(Profile.from_levels(levels), i, j, epsilon)
+
 
 @dataclass(frozen=True)
-class ReplicationInvariance:
+class ReplicationInvariance(_Axiom):
     u: Profile
     v: Profile
     k: int
     tag = "replication_invariance"
 
+    def profile_clauses(self) -> list[str]:
+        return _failed(
+            (len(self.u) != len(self.v), "population sizes differ"),
+            (self.k < 1, "k must be a positive integer"),
+        )
 
-def _coerce(self, *names: str) -> None:
-    """Normalize magnitude fields to Fraction and M to an IndexSet."""
-    for name in names:
-        object.__setattr__(self, name, as_level(getattr(self, name)))
-    if hasattr(self, "M"):
-        object.__setattr__(self, "M", _index_set(self.M))
+    def conclusion(self, spec, tolerance):
+        base = swo_compare(spec, self.u, self.v, tolerance=tolerance)
+        lifted = swo_compare(
+            spec, replicate(self.u, self.k), replicate(self.v, self.k), tolerance=tolerance
+        )
+        ok = base.verdict is lifted.verdict
+        detail = "" if ok else (
+            f"verdict changes under {self.k}-replication: "
+            f"{base.verdict.value} vs {lifted.verdict.value}"
+        )
+        return ok, detail, base.numerically_tied or lifted.numerically_tied
+
+    @classmethod
+    def generate(cls, ctx):
+        n = ctx.size(1)
+        k_max = int(ctx.params.get("k_max", 4))
+        return cls(
+            _random_profile(ctx, n), _random_profile(ctx, n), ctx.rng.randint(1, max(1, k_max))
+        )
+
+
+class _Donors(_Axiom):
+    """One recipient i and a set M of donors (or gainers); everyone else unaffected."""
+
+    def count_clauses(self) -> list[str]:
+        """Clauses on the size of M, checked before the profiles are walked."""
+        return []
+
+    def donor_rule(self):
+        """Function (u_j, v_j) -> failed clauses of one donor run."""
+        raise NotImplementedError
+
+    def recipient_clauses(self, u_i: Fraction, v_i: Fraction) -> list[str]:
+        raise NotImplementedError
+
+    def profile_clauses(self) -> list[str]:
+        failures = self.count_clauses()
+        n, i, M = len(self.u), self.i, self.M
+        if len(self.v) != n:
+            return failures + [f"population sizes differ ({n} vs {len(self.v)})"]
+        if not 0 <= i < n:
+            return failures + [f"index i={i} out of range"]
+        if M.ranges and M.ranges[-1][1] > n:
+            return failures + ["M contains out-of-range indices"]
+        if i in M:
+            return failures + ["i must not belong to M"]
+        donor = self.donor_rule()
+        for start, count, uval, vval in aligned_runs(self.u, self.v):
+            stop = start + count
+            m_cnt = M.overlap(start, stop)
+            has_i = start <= i < stop
+            if has_i:
+                u_i, v_i = uval, vval
+            if m_cnt:
+                for clause in donor(uval, vval):
+                    failures.append(f"{clause} (positions {start}..{stop - 1})")
+            if count - m_cnt - has_i and uval != vval:
+                failures.append(
+                    f"unaffected agents change: {format_level(uval)} -> "
+                    f"{format_level(vval)} (positions {start}..{stop - 1})"
+                )
+        return failures + self.recipient_clauses(u_i, v_i)
+
+
+def _alpha_beta(p) -> list[str]:
+    return [] if p.alpha > p.beta > 0 else ["need alpha > beta > 0"]
+
+
+def _thresholds_alpha_beta(p) -> list[str]:
+    return ([] if p.theta_r > p.theta_p > 0 else ["need theta_r > theta_p > 0"]) + _alpha_beta(p)
+
+
+def _gamma_delta(p) -> list[str]:
+    return [] if p.gamma > p.delta > 0 else ["need gamma > delta > 0"]
+
+
+def _donor_pair(n: int, i: int, M, rest, recipient, donor, bystander) -> tuple:
+    """(u, v, i, M) from the recipient's (u_i, v_i), then each donor's pair
+    and each bystander's unchanged level, drawn in position order."""
+    u_levels = [None] * n
+    v_levels = [None] * n
+    u_levels[i], v_levels[i] = recipient
+    for q in M:
+        u_levels[q], v_levels[q] = donor()
+    for q in rest:
+        u_levels[q] = v_levels[q] = bystander()
+    return Profile.from_levels(u_levels), Profile.from_levels(v_levels), i, IndexSet.from_indices(M)
 
 
 @dataclass(frozen=True)
-class MinimalNonAggregation:
+class MinimalNonAggregation(_Donors):
     """Poorest below theta_p gains >= alpha; richest above theta_r each lose <= beta."""
 
     u: Profile
@@ -129,13 +446,52 @@ class MinimalNonAggregation:
     alpha: Fraction
     beta: Fraction
     tag = "minimal_non_aggregation"
+    magnitudes = ("theta_p", "theta_r", "alpha", "beta")
+    magnitude_clauses = staticmethod(_thresholds_alpha_beta)
 
-    def __post_init__(self):
-        _coerce(self, "theta_p", "theta_r", "alpha", "beta")
+    def donor_rule(self):
+        u_max, v_max = self.u.max_level(), self.v.max_level()
+        return lambda uj, vj: _failed(
+            (uj != u_max, "u_j must be (tied for) best-off in u"),
+            (uj < self.theta_r, "u_j >= theta_r fails"),
+            (vj != v_max, "v_j must be (tied for) best-off in v"),
+            (vj < uj - self.beta, "v_j >= u_j - beta fails"),
+        )
+
+    def recipient_clauses(self, u_i, v_i):
+        return _failed(
+            (u_i != self.u.min_level(), "u_i must be (tied for) worst-off in u"),
+            (v_i < u_i + self.alpha, "v_i >= u_i + alpha fails"),
+            (v_i > self.theta_p, "theta_p >= v_i fails"),
+        )
+
+    @classmethod
+    def generate(cls, ctx):
+        p, rng = ctx.p, ctx.rng
+        n = ctx.size(2)
+        i, M, rest = _positions(rng, n, rng.randint(1, n - 1))
+        u_i = _draw_level(rng, min(ctx.lo, p.theta_p - p.alpha - 5), p.theta_p - p.alpha)
+        if ctx.boundary():
+            # the two binding shapes: gain exactly alpha, or landing on theta_p
+            v_i = u_i + p.alpha if rng.random() < 0.5 else p.theta_p
+        else:
+            v_i = _draw_level(rng, u_i + p.alpha, p.theta_p)
+        u_top = _draw_level(rng, p.theta_r, max(ctx.hi, p.theta_r + 5))
+        loss_cap = min(p.beta, u_top - v_i)
+        loss = loss_cap if ctx.boundary() else _draw_level(rng, Fraction(0), loss_cap)
+        v_top = u_top - loss
+        return cls(
+            *_donor_pair(
+                n, i, M, rest, (u_i, v_i),
+                lambda: (u_top, v_top),
+                lambda: _draw_level(rng, u_i, v_top),
+            ),
+            p.theta_p, p.theta_r, p.alpha, p.beta,
+        )
 
 
 @dataclass(frozen=True)
-class StrongNonAggregation:
+class StrongNonAggregation(_Donors):
     """One person gains exactly alpha; members of M each lose exactly beta
     and stay strictly above the recipient. No thresholds."""
 
@@ -146,13 +502,42 @@ class StrongNonAggregation:
     alpha: Fraction
     beta: Fraction
     tag = "strong_non_aggregation"
+    magnitudes = ("alpha", "beta")
+    magnitude_clauses = staticmethod(_alpha_beta)
 
-    def __post_init__(self):
-        _coerce(self, "alpha", "beta")
+    def donor_rule(self):
+        v_i = self.u.value_at(self.i) + self.alpha
+        return lambda uj, vj: _failed(
+            (vj != uj - self.beta, "u_j - beta = v_j fails"),
+            (vj <= v_i, "v_j > v_i fails"),
+        )
+
+    def recipient_clauses(self, u_i, v_i):
+        return [] if v_i == u_i + self.alpha else ["v_i = u_i + alpha fails"]
+
+    @classmethod
+    def generate(cls, ctx):
+        p, rng = ctx.p, ctx.rng
+        n = ctx.size(2)
+        i, M, rest = _positions(rng, n, rng.randint(1, n - 1))
+        u_i = _draw_level(rng, ctx.lo, ctx.hi)
+        floor = u_i + p.alpha + p.beta
+
+        def donor():
+            u_j = floor + _draw_level(rng, Fraction(1, 2), Fraction(6))
+            return u_j, u_j - p.beta
+
+        return cls(
+            *_donor_pair(
+                n, i, M, rest, (u_i, u_i + p.alpha), donor,
+                lambda: _draw_level(rng, ctx.lo, ctx.hi),
+            ),
+            p.alpha, p.beta,
+        )
 
 
 @dataclass(frozen=True)
-class StrongNonAggThreshold:
+class StrongNonAggThreshold(_Donors):
     """Exact-magnitude strong non-aggregation with threshold constraints:
     the recipient ends at or below theta_p, donors end at or above theta_r."""
 
@@ -165,13 +550,45 @@ class StrongNonAggThreshold:
     alpha: Fraction
     beta: Fraction
     tag = "strong_non_aggregation_threshold"
+    magnitudes = ("theta_p", "theta_r", "alpha", "beta")
+    magnitude_clauses = staticmethod(_thresholds_alpha_beta)
 
-    def __post_init__(self):
-        _coerce(self, "theta_p", "theta_r", "alpha", "beta")
+    def donor_rule(self):
+        return lambda uj, vj: _failed(
+            (vj != uj - self.beta, "u_j - beta = v_j fails"),
+            (vj < self.theta_r, "v_j >= theta_r fails"),
+        )
+
+    def recipient_clauses(self, u_i, v_i):
+        return _failed(
+            (v_i != u_i + self.alpha, "v_i = u_i + alpha fails"),
+            (v_i > self.theta_p, "theta_p >= v_i fails"),
+        )
+
+    @classmethod
+    def generate(cls, ctx):
+        p, rng = ctx.p, ctx.rng
+        n = ctx.size(2)
+        i, M, rest = _positions(rng, n, rng.randint(1, n - 1))
+        u_i = p.theta_p - p.alpha if ctx.boundary() else _draw_level(
+            rng, min(ctx.lo, p.theta_p - p.alpha - 5), p.theta_p - p.alpha
+        )
+
+        def donor():
+            u_j = _draw_level(rng, p.theta_r + p.beta, max(ctx.hi, p.theta_r + p.beta + 5))
+            return u_j, u_j - p.beta
+
+        return cls(
+            *_donor_pair(
+                n, i, M, rest, (u_i, u_i + p.alpha), donor,
+                lambda: _draw_level(rng, ctx.lo, ctx.hi),
+            ),
+            p.theta_p, p.theta_r, p.alpha, p.beta,
+        )
 
 
 @dataclass(frozen=True)
-class StrongerNonAggregation:
+class StrongerNonAggregation(_Donors):
     """Non-aggregation without rank clauses: any recipient ending at or
     below theta_p gains >= alpha while donors lose <= beta and stay at or
     above theta_p after paying."""
@@ -184,13 +601,77 @@ class StrongerNonAggregation:
     alpha: Fraction
     beta: Fraction
     tag = "stronger_non_aggregation"
+    magnitudes = ("theta_p", "alpha", "beta")
 
-    def __post_init__(self):
-        _coerce(self, "theta_p", "alpha", "beta")
+    @staticmethod
+    def magnitude_clauses(p):
+        return ([] if p.theta_p > 0 else ["need theta_p > 0"]) + _alpha_beta(p)
+
+    def donor_rule(self):
+        return lambda uj, vj: _failed(
+            (vj < uj - self.beta, "v_j >= u_j - beta fails"),
+            (uj - self.beta < self.theta_p, "u_j - beta >= theta_p fails"),
+        )
+
+    def recipient_clauses(self, u_i, v_i):
+        return _failed(
+            (v_i < u_i + self.alpha, "v_i >= u_i + alpha fails"),
+            (v_i > self.theta_p, "theta_p >= v_i fails"),
+        )
+
+    @classmethod
+    def generate(cls, ctx):
+        p, rng = ctx.p, ctx.rng
+        n = ctx.size(2)
+        i, M, rest = _positions(rng, n, rng.randint(1, n - 1))
+        u_i = _draw_level(rng, min(ctx.lo, p.theta_p - p.alpha - 5), p.theta_p - p.alpha)
+        if ctx.boundary():
+            v_i = u_i + p.alpha if rng.random() < 0.5 else p.theta_p
+        else:
+            v_i = _draw_level(rng, u_i + p.alpha, p.theta_p)
+
+        def donor():
+            u_j = _draw_level(rng, p.theta_p + p.beta, max(ctx.hi, p.theta_p + p.beta + 5))
+            loss = p.beta if ctx.boundary() else _draw_level(rng, Fraction(0), p.beta)
+            return u_j, u_j - loss
+
+        return cls(
+            *_donor_pair(
+                n, i, M, rest, (u_i, v_i), donor, lambda: _draw_level(rng, ctx.lo, ctx.hi)
+            ),
+            p.theta_p, p.alpha, p.beta,
+        )
+
+
+def _aggregation_pair(ctx: _GenContext, n: int, m_count: int, gamma, delta):
+    i, M, rest = _positions(ctx.rng, n, m_count)
+    u_levels = [_draw_level(ctx.rng, ctx.lo, ctx.hi) for _ in range(n)]
+    v_levels = list(u_levels)
+    loss = delta if ctx.boundary() else _draw_level(ctx.rng, Fraction(0), delta)
+    v_levels[i] = u_levels[i] - loss
+    for p in M:
+        extra = Fraction(0) if ctx.boundary() else _draw_level(ctx.rng, Fraction(0), Fraction(4))
+        v_levels[p] = u_levels[p] + gamma + extra
+    return (
+        Profile.from_levels(u_levels),
+        Profile.from_levels(v_levels),
+        i,
+        IndexSet.from_indices(M),
+    )
+
+
+class _Aggregation(_Donors):
+    """Members of M each gain >= gamma while i loses <= delta."""
+
+    def donor_rule(self):
+        return lambda uj, vj: [] if vj >= uj + self.gamma else ["v_j >= u_j + gamma fails"]
+
+    def recipient_clauses(self, u_i, v_i):
+        return [] if v_i >= u_i - self.delta else ["v_i >= u_i - delta fails"]
 
 
 @dataclass(frozen=True)
-class QuantitativeAggregation:
+class QuantitativeAggregation(_Aggregation):
     """At least m persons gain >= gamma while one person loses <= delta."""
 
     u: Profile
@@ -201,13 +682,33 @@ class QuantitativeAggregation:
     gamma: Fraction
     delta: Fraction
     tag = "quantitative_aggregation"
+    magnitudes = ("m", "gamma", "delta")
 
-    def __post_init__(self):
-        _coerce(self, "gamma", "delta")
+    @staticmethod
+    def magnitude_clauses(p):
+        return _gamma_delta(p) + ([] if p.m > 2 else ["need integer m > 2"])
+
+    def count_clauses(self):
+        n, m = len(self.u), self.m
+        if m <= 2:
+            return []  # reported by magnitude_clauses
+        if n <= m:
+            return [f"need population size n > m (n={n}, m={m})"]
+        if len(self.M) < m:
+            return [f"|M| >= m fails (|M|={len(self.M)}, m={m})"]
+        return []
+
+    @classmethod
+    def generate(cls, ctx):
+        p = ctx.p
+        n = ctx.size(p.m + 1)
+        m_count = p.m if ctx.boundary() else ctx.rng.randint(p.m, n - 1)
+        u, v, i, M = _aggregation_pair(ctx, n, m_count, p.gamma, p.delta)
+        return cls(u, v, i, M, p.m, p.gamma, p.delta)
 
 
 @dataclass(frozen=True)
-class RatioAggregation:
+class RatioAggregation(_Aggregation):
     """At least ceil(lam * n) persons gain >= gamma while one loses <= delta."""
 
     u: Profile
@@ -218,13 +719,40 @@ class RatioAggregation:
     gamma: Fraction
     delta: Fraction
     tag = "ratio_aggregation"
+    magnitudes = ("lam", "gamma", "delta")
 
-    def __post_init__(self):
-        _coerce(self, "lam", "gamma", "delta")
+    @staticmethod
+    def magnitude_clauses(p):
+        return _gamma_delta(p) + ([] if 0 < p.lam < 1 else ["need lam strictly between 0 and 1"])
+
+    def count_clauses(self):
+        if not 0 < self.lam < 1:
+            return []  # reported by magnitude_clauses
+        needed = ceil_ratio(self.lam, len(self.u))
+        if len(self.M) < needed:
+            return [f"|M| >= ceil(lam*n) fails (|M|={len(self.M)}, need {needed})"]
+        return []
+
+    @classmethod
+    def generate(cls, ctx):
+        p = ctx.p
+        # ceil(lam * n) <= n - 1 holds exactly when n * (1 - lam) >= 1
+        _require(
+            ctx.p_hi * (1 - p.lam) >= 1,
+            "no population size in range leaves room for the donor set",
+        )
+        while True:
+            n = ctx.size(2)
+            needed = ceil_ratio(p.lam, n)
+            if needed <= n - 1:
+                break
+        m_count = needed if ctx.boundary() else ctx.rng.randint(needed, n - 1)
+        u, v, i, M = _aggregation_pair(ctx, n, m_count, p.gamma, p.delta)
+        return cls(u, v, i, M, p.lam, p.gamma, p.delta)
 
 
 @dataclass(frozen=True)
-class MinimalAggregation:
+class MinimalAggregation(_Axiom):
     """Everyone except i gains >= gamma while i loses <= delta."""
 
     u: Profile
@@ -233,9 +761,32 @@ class MinimalAggregation:
     gamma: Fraction
     delta: Fraction
     tag = "minimal_aggregation"
+    magnitudes = ("gamma", "delta")
+    magnitude_clauses = staticmethod(_gamma_delta)
 
-    def __post_init__(self):
-        _coerce(self, "gamma", "delta")
+    def profile_clauses(self):
+        n = len(self.u)
+        if len(self.v) != n:
+            return ["population sizes differ"]
+        if not 0 <= self.i < n:
+            return ["index i out of range"]
+        failures = []
+        for start, count, uval, vval in aligned_runs(self.u, self.v):
+            has_i = start <= self.i < start + count
+            if has_i and vval < uval - self.delta:
+                failures.append("v_i >= u_i - delta fails")
+            if count - has_i and vval < uval + self.gamma:
+                failures.append(
+                    f"v_j >= u_j + gamma fails (positions {start}..{start + count - 1})"
+                )
+        return failures
+
+    @classmethod
+    def generate(cls, ctx):
+        p = ctx.p
+        n = ctx.size(2)
+        u, v, i, _ = _aggregation_pair(ctx, n, n - 1, p.gamma, p.delta)
+        return cls(u, v, i, p.gamma, p.delta)
 
 
 AxiomInstance = (
@@ -254,8 +805,8 @@ AxiomInstance = (
 )
 
 AXIOM_TAGS = {
-    cls.tag: cls
-    for cls in (
+    axiom.tag: axiom
+    for axiom in (
         Anonymity,
         StrongPareto,
         WeakPareto,
@@ -272,6 +823,12 @@ AXIOM_TAGS = {
 }
 
 
+def _axiom_type(tag: str) -> type[_Axiom]:
+    if tag not in AXIOM_TAGS:
+        raise ConfigError(f"unknown axiom tag {tag!r}")
+    return AXIOM_TAGS[tag]
+
+
 # ---------------------------------------------------------------------------
 # precondition validation
 
@@ -286,249 +843,10 @@ class PreconditionReport:
         return "; ".join(self.failures)
 
 
-def _fail(failures: list[str], clause: str) -> None:
-    failures.append(clause)
-
-
-def _structural_pair(inst, failures: list[str], need_i: bool = True) -> bool:
-    n, m = len(inst.u), len(inst.v)
-    if n != m:
-        _fail(failures, f"population sizes differ ({n} vs {m})")
-        return False
-    if need_i and not 0 <= inst.i < n:
-        _fail(failures, f"index i={inst.i} out of range")
-        return False
-    M: IndexSet | None = getattr(inst, "M", None)
-    if M is not None:
-        if M.ranges and M.ranges[-1][1] > n:
-            _fail(failures, "M contains out-of-range indices")
-            return False
-        if inst.i in M:
-            _fail(failures, "i must not belong to M")
-            return False
-    return True
-
-
-def _walk_changes(inst, failures, m_clauses):
-    """Shared O(blocks) walk for the one-recipient / donor-set axiom shapes.
-
-    ``m_clauses(u_j, v_j)`` returns failure strings for a donor run;
-    unaffected runs must be unchanged; returns the recipient pair.
-    """
-    u_i = v_i = None
-    for start, count, uval, vval in aligned_runs(inst.u, inst.v):
-        stop = start + count
-        m_cnt = inst.M.overlap(start, stop)
-        has_i = start <= inst.i < stop
-        unaffected = count - m_cnt - (1 if has_i else 0)
-        if has_i:
-            u_i, v_i = uval, vval
-        if m_cnt:
-            for clause in m_clauses(uval, vval):
-                _fail(failures, f"{clause} (positions {start}..{stop - 1})")
-        if unaffected and uval != vval:
-            _fail(
-                failures,
-                f"unaffected agents change: {format_level(uval)} -> "
-                f"{format_level(vval)} (positions {start}..{stop - 1})",
-            )
-    return u_i, v_i
-
-
 def validate_preconditions(inst: AxiomInstance) -> PreconditionReport:
     """Exact verification of every hypothesis clause of the instance."""
-    failures: list[str] = []
-
-    if isinstance(inst, Anonymity):
-        try:
-            inst.v  # permutation validity is checked by permute()
-        except ValueError as exc:
-            _fail(failures, str(exc))
-
-    elif isinstance(inst, (StrongPareto, WeakPareto)):
-        strict = isinstance(inst, WeakPareto)
-        if len(inst.u) != len(inst.v):
-            _fail(failures, "population sizes differ")
-        else:
-            for start, count, uval, vval in aligned_runs(inst.u, inst.v):
-                if strict and uval <= vval:
-                    _fail(failures, f"u <= v at positions {start}..{start + count - 1}")
-                    break
-                if not strict and uval < vval:
-                    _fail(failures, f"u < v at positions {start}..{start + count - 1}")
-                    break
-
-    elif isinstance(inst, PigouDalton):
-        n = len(inst.u)
-        if inst.epsilon <= 0:
-            _fail(failures, "epsilon must be positive")
-        if inst.i == inst.j or not (0 <= inst.i < n and 0 <= inst.j < n):
-            _fail(failures, "need two distinct in-range indices")
-        elif inst.u.value_at(inst.i) - inst.epsilon < inst.u.value_at(inst.j) + inst.epsilon:
-            _fail(failures, "transfer would reverse the order: u_i - eps >= u_j + eps fails")
-
-    elif isinstance(inst, ReplicationInvariance):
-        if len(inst.u) != len(inst.v):
-            _fail(failures, "population sizes differ")
-        if inst.k < 1:
-            _fail(failures, "k must be a positive integer")
-
-    elif isinstance(inst, MinimalNonAggregation):
-        if not inst.theta_r > inst.theta_p > 0:
-            _fail(failures, "need theta_r > theta_p > 0")
-        if not inst.alpha > inst.beta > 0:
-            _fail(failures, "need alpha > beta > 0")
-        if _structural_pair(inst, failures):
-            u_min, u_max, v_max = inst.u.min_level(), inst.u.max_level(), inst.v.max_level()
-
-            def m_clauses(uj, vj):
-                out = []
-                if uj != u_max:
-                    out.append("u_j must be (tied for) best-off in u")
-                if uj < inst.theta_r:
-                    out.append("u_j >= theta_r fails")
-                if vj != v_max:
-                    out.append("v_j must be (tied for) best-off in v")
-                if vj < uj - inst.beta:
-                    out.append("v_j >= u_j - beta fails")
-                return out
-
-            u_i, v_i = _walk_changes(inst, failures, m_clauses)
-            if u_i is None:
-                _fail(failures, "recipient index not covered")
-            else:
-                if u_i != u_min:
-                    _fail(failures, "u_i must be (tied for) worst-off in u")
-                if v_i < u_i + inst.alpha:
-                    _fail(failures, "v_i >= u_i + alpha fails")
-                if v_i > inst.theta_p:
-                    _fail(failures, "theta_p >= v_i fails")
-
-    elif isinstance(inst, StrongNonAggregation):
-        if not inst.alpha > inst.beta > 0:
-            _fail(failures, "need alpha > beta > 0")
-        if _structural_pair(inst, failures):
-            v_i_expected = inst.u.value_at(inst.i) + inst.alpha
-
-            def m_clauses(uj, vj):
-                out = []
-                if vj != uj - inst.beta:
-                    out.append("u_j - beta = v_j fails")
-                if vj <= v_i_expected:
-                    out.append("v_j > v_i fails")
-                return out
-
-            u_i, v_i = _walk_changes(inst, failures, m_clauses)
-            if u_i is None:
-                _fail(failures, "recipient index not covered")
-            elif v_i != u_i + inst.alpha:
-                _fail(failures, "v_i = u_i + alpha fails")
-
-    elif isinstance(inst, StrongNonAggThreshold):
-        if not inst.theta_r > inst.theta_p > 0:
-            _fail(failures, "need theta_r > theta_p > 0")
-        if not inst.alpha > inst.beta > 0:
-            _fail(failures, "need alpha > beta > 0")
-        if _structural_pair(inst, failures):
-
-            def m_clauses(uj, vj):
-                out = []
-                if vj != uj - inst.beta:
-                    out.append("u_j - beta = v_j fails")
-                if vj < inst.theta_r:
-                    out.append("v_j >= theta_r fails")
-                return out
-
-            u_i, v_i = _walk_changes(inst, failures, m_clauses)
-            if u_i is None:
-                _fail(failures, "recipient index not covered")
-            else:
-                if v_i != u_i + inst.alpha:
-                    _fail(failures, "v_i = u_i + alpha fails")
-                if v_i > inst.theta_p:
-                    _fail(failures, "theta_p >= v_i fails")
-
-    elif isinstance(inst, StrongerNonAggregation):
-        if inst.theta_p <= 0:
-            _fail(failures, "need theta_p > 0")
-        if not inst.alpha > inst.beta > 0:
-            _fail(failures, "need alpha > beta > 0")
-        if _structural_pair(inst, failures):
-
-            def m_clauses(uj, vj):
-                out = []
-                if vj < uj - inst.beta:
-                    out.append("v_j >= u_j - beta fails")
-                if uj - inst.beta < inst.theta_p:
-                    out.append("u_j - beta >= theta_p fails")
-                return out
-
-            u_i, v_i = _walk_changes(inst, failures, m_clauses)
-            if u_i is None:
-                _fail(failures, "recipient index not covered")
-            else:
-                if v_i < u_i + inst.alpha:
-                    _fail(failures, "v_i >= u_i + alpha fails")
-                if v_i > inst.theta_p:
-                    _fail(failures, "theta_p >= v_i fails")
-
-    elif isinstance(inst, (QuantitativeAggregation, RatioAggregation)):
-        if not inst.gamma > inst.delta > 0:
-            _fail(failures, "need gamma > delta > 0")
-        if isinstance(inst, QuantitativeAggregation):
-            if not (isinstance(inst.m, int) and inst.m > 2):
-                _fail(failures, "need integer m > 2")
-            elif len(inst.u) <= inst.m:
-                _fail(failures, f"need population size n > m (n={len(inst.u)}, m={inst.m})")
-            elif len(inst.M) < inst.m:
-                _fail(failures, f"|M| >= m fails (|M|={len(inst.M)}, m={inst.m})")
-        else:
-            if not 0 < inst.lam < 1:
-                _fail(failures, "need lam strictly between 0 and 1")
-            else:
-                needed = ceil_ratio(inst.lam, len(inst.u))
-                if len(inst.M) < needed:
-                    _fail(
-                        failures,
-                        f"|M| >= ceil(lam*n) fails (|M|={len(inst.M)}, need {needed})",
-                    )
-        if _structural_pair(inst, failures):
-
-            def m_clauses(uj, vj):
-                if vj < uj + inst.gamma:
-                    return ["v_j >= u_j + gamma fails"]
-                return []
-
-            u_i, v_i = _walk_changes(inst, failures, m_clauses)
-            if u_i is None:
-                _fail(failures, "index i not covered")
-            elif v_i < u_i - inst.delta:
-                _fail(failures, "v_i >= u_i - delta fails")
-
-    elif isinstance(inst, MinimalAggregation):
-        if not inst.gamma > inst.delta > 0:
-            _fail(failures, "need gamma > delta > 0")
-        n = len(inst.u)
-        if len(inst.v) != n:
-            _fail(failures, "population sizes differ")
-        elif not 0 <= inst.i < n:
-            _fail(failures, "index i out of range")
-        else:
-            for start, count, uval, vval in aligned_runs(inst.u, inst.v):
-                has_i = start <= inst.i < start + count
-                others = count - (1 if has_i else 0)
-                if has_i and vval < uval - inst.delta:
-                    _fail(failures, "v_i >= u_i - delta fails")
-                if others and vval < uval + inst.gamma:
-                    _fail(
-                        failures,
-                        f"v_j >= u_j + gamma fails (positions {start}..{start + count - 1})",
-                    )
-
-    else:
-        raise ConfigError(f"unknown axiom instance {inst!r}")
-
-    return PreconditionReport(not failures, tuple(failures))
+    failures = tuple(inst.magnitude_clauses(inst) + inst.profile_clauses())
+    return PreconditionReport(not failures, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +871,6 @@ class CheckResult:
         return self.status is CheckStatus.VIOLATED
 
 
-_WEAK = (Verdict.STRICTLY_BETTER, Verdict.EQUIVALENT)
-
-
 def check_axiom(
     spec: OrderingSpec,
     inst: AxiomInstance,
@@ -570,50 +885,9 @@ def check_axiom(
     report = validate_preconditions(inst)
     if not report.ok:
         return CheckResult(CheckStatus.PRECONDITION_UNMET, inst, report.detail)
-
-    if isinstance(inst, Anonymity):
-        res = swo_compare(spec, inst.u, inst.v, tolerance=tolerance)
-        ok = res.verdict is Verdict.EQUIVALENT
-        want = "u ~ v"
-    elif isinstance(inst, StrongPareto):
-        strict = any(uval > vval for _, _, uval, vval in aligned_runs(inst.u, inst.v))
-        res = swo_compare(spec, inst.u, inst.v, tolerance=tolerance)
-        ok = res.verdict is Verdict.STRICTLY_BETTER if strict else res.verdict in _WEAK
-        want = "u > v" if strict else "u >= v"
-    elif isinstance(inst, WeakPareto):
-        res = swo_compare(spec, inst.u, inst.v, tolerance=tolerance)
-        ok = res.verdict is Verdict.STRICTLY_BETTER
-        want = "u > v"
-    elif isinstance(inst, ReplicationInvariance):
-        base = swo_compare(spec, inst.u, inst.v, tolerance=tolerance)
-        lifted = swo_compare(
-            spec,
-            replicate(inst.u, inst.k),
-            replicate(inst.v, inst.k),
-            tolerance=tolerance,
-        )
-        ok = base.verdict is lifted.verdict
-        detail = "" if ok else (
-            f"verdict changes under {inst.k}-replication: "
-            f"{base.verdict.value} vs {lifted.verdict.value}"
-        )
-        return CheckResult(
-            CheckStatus.SATISFIED if ok else CheckStatus.VIOLATED,
-            inst,
-            detail,
-            base.numerically_tied or lifted.numerically_tied,
-        )
-    else:
-        res = swo_compare(spec, inst.v, inst.u, tolerance=tolerance)
-        ok = res.verdict in _WEAK
-        want = "v >= u"
-
-    detail = "" if ok else f"conclusion {want} fails: ordering says {res.verdict.value}"
+    ok, detail, flagged = inst.conclusion(spec, tolerance)
     return CheckResult(
-        CheckStatus.SATISFIED if ok else CheckStatus.VIOLATED,
-        inst,
-        detail,
-        res.numerically_tied,
+        CheckStatus.SATISFIED if ok else CheckStatus.VIOLATED, inst, detail, flagged
     )
 
 
@@ -662,49 +936,35 @@ def generate_instances(
     """Deterministic infinite stream of valid instances of one axiom.
 
     ``params`` supplies the axiom's magnitudes (alpha, beta, gamma,
-    delta, thresholds, m, lam, epsilon_max, k_max as applicable).
-    Boundary shapes (minimal donor sets, recipients landing exactly on
-    the threshold, exact maximal losses) appear with fixed probability.
+    delta, thresholds, m, lam as the axiom needs; epsilon_max and k_max
+    optionally). They must pass the axiom's magnitude clauses. Boundary
+    shapes (minimal donor sets, recipients landing exactly on the
+    threshold, exact maximal losses) appear with fixed probability.
     """
     rng = random.Random(seed)
     lo, hi = as_level(values[0]), as_level(values[1])
     p_lo, p_hi = populations
     _require(1 <= p_lo <= p_hi, "empty population range")
     _require(lo < hi, "empty value range")
-    maker = {
-        "anonymity": _gen_anonymity,
-        "strong_pareto": _gen_strong_pareto,
-        "weak_pareto": _gen_weak_pareto,
-        "pigou_dalton": _gen_pigou_dalton,
-        "replication_invariance": _gen_replication,
-        "minimal_non_aggregation": _gen_mna,
-        "strong_non_aggregation": _gen_sna,
-        "strong_non_aggregation_threshold": _gen_snat,
-        "stronger_non_aggregation": _gen_stronger,
-        "quantitative_aggregation": _gen_qa,
-        "ratio_aggregation": _gen_ra,
-        "minimal_aggregation": _gen_minagg,
-    }.get(axiom)
-    if maker is None:
-        raise ConfigError(f"unknown axiom tag {axiom!r}")
+    cls = _axiom_type(axiom)
+    magnitudes = SimpleNamespace(**_decode_fields(params, cls.magnitudes, "axiom parameter"))
+    failures = cls.magnitude_clauses(magnitudes)
+    _require(not failures, "; ".join(failures))
 
-    ctx = _GenContext(rng, params, lo, hi, max(p_lo, 2), p_hi)
-    _validate_gen_params(axiom, ctx)
+    ctx = _GenContext(rng, params, magnitudes, lo, hi, max(p_lo, 2), p_hi)
     while True:
-        yield maker(ctx)
+        yield cls.generate(ctx)
 
 
 @dataclass
 class _GenContext:
     rng: random.Random
     params: Mapping
+    p: SimpleNamespace  # the decoded magnitudes
     lo: Fraction
     hi: Fraction
     p_lo: int
     p_hi: int
-
-    def get(self, key: str, default=None):
-        return as_level(self.params[key]) if key in self.params else default
 
     def boundary(self) -> bool:
         return self.rng.random() < BOUNDARY_PROBABILITY
@@ -715,235 +975,8 @@ class _GenContext:
         return self.rng.randint(lo, self.p_hi)
 
 
-def _validate_gen_params(axiom: str, ctx: _GenContext) -> None:
-    g = ctx.get
-    if axiom in ("minimal_non_aggregation", "strong_non_aggregation_threshold"):
-        _require(g("theta_r") > g("theta_p") > 0, "need theta_r > theta_p > 0")
-        _require(g("alpha") > g("beta") > 0, "need alpha > beta > 0")
-    if axiom == "stronger_non_aggregation":
-        _require(g("theta_p") > 0, "need theta_p > 0")
-        _require(g("alpha") > g("beta") > 0, "need alpha > beta > 0")
-    if axiom == "strong_non_aggregation":
-        _require(g("alpha") > g("beta") > 0, "need alpha > beta > 0")
-    if axiom in ("quantitative_aggregation", "ratio_aggregation", "minimal_aggregation"):
-        _require(g("gamma") > g("delta") > 0, "need gamma > delta > 0")
-    if axiom == "quantitative_aggregation":
-        m = int(ctx.params["m"])
-        _require(m > 2, "need m > 2")
-        _require(ctx.p_hi > m, "population range cannot exceed m")
-    if axiom == "ratio_aggregation":
-        lam = g("lam")
-        _require(0 < lam < 1, "need lam in (0, 1)")
-        _require(
-            any(ceil_ratio(lam, n) <= n - 1 for n in range(max(2, ctx.p_lo), ctx.p_hi + 1)),
-            "no population size in range leaves room for the donor set",
-        )
-
-
 def _random_profile(ctx: _GenContext, n: int) -> Profile:
     return Profile.from_levels(_draw_level(ctx.rng, ctx.lo, ctx.hi) for _ in range(n))
-
-
-def _gen_anonymity(ctx: _GenContext) -> Anonymity:
-    n = ctx.size(1)
-    pi = list(range(n))
-    ctx.rng.shuffle(pi)
-    return Anonymity(_random_profile(ctx, n), tuple(pi))
-
-
-def _gen_strong_pareto(ctx: _GenContext) -> StrongPareto:
-    n = ctx.size(1)
-    v = _random_profile(ctx, n)
-    deltas = [
-        Fraction(0) if ctx.rng.random() < 0.4 else _draw_level(ctx.rng, Fraction(0), Fraction(5))
-        for _ in range(n)
-    ]
-    u = Profile.from_levels(x + d for x, d in zip(v.iter_levels(), deltas))
-    return StrongPareto(u, v)
-
-
-def _gen_weak_pareto(ctx: _GenContext) -> WeakPareto:
-    n = ctx.size(1)
-    v = _random_profile(ctx, n)
-    u = Profile.from_levels(
-        x + _draw_level(ctx.rng, Fraction(1, 2), Fraction(5)) for x in v.iter_levels()
-    )
-    return WeakPareto(u, v)
-
-
-def _gen_pigou_dalton(ctx: _GenContext) -> PigouDalton:
-    n = ctx.size(2)
-    eps_max = ctx.get("epsilon_max", Fraction(3))
-    epsilon = _draw_level(ctx.rng, Fraction(1, 2), eps_max)
-    slack = Fraction(0) if ctx.boundary() else _draw_level(ctx.rng, Fraction(0), Fraction(4))
-    u_j = _draw_level(ctx.rng, ctx.lo, ctx.hi - 2 * epsilon - slack)
-    u_i = u_j + 2 * epsilon + slack
-    i, j = ctx.rng.sample(range(n), 2)
-    levels = [_draw_level(ctx.rng, ctx.lo, ctx.hi) for _ in range(n)]
-    levels[i], levels[j] = u_i, u_j
-    return PigouDalton(Profile.from_levels(levels), i, j, epsilon)
-
-
-def _gen_replication(ctx: _GenContext) -> ReplicationInvariance:
-    n = ctx.size(1)
-    k_max = int(ctx.params.get("k_max", 4))
-    return ReplicationInvariance(
-        _random_profile(ctx, n), _random_profile(ctx, n), ctx.rng.randint(1, max(1, k_max))
-    )
-
-
-def _gen_mna(ctx: _GenContext) -> MinimalNonAggregation:
-    g = ctx.get
-    theta_p, theta_r = g("theta_p"), g("theta_r")
-    alpha, beta = g("alpha"), g("beta")
-    n = ctx.size(2)
-    m_count = ctx.rng.randint(1, n - 1)
-    i, M, rest = _positions(ctx.rng, n, m_count)
-    u_i = _draw_level(ctx.rng, min(ctx.lo, theta_p - alpha - 5), theta_p - alpha)
-    if ctx.boundary():
-        # the two binding shapes: gain exactly alpha, or landing on theta_p
-        v_i = u_i + alpha if ctx.rng.random() < 0.5 else theta_p
-    else:
-        v_i = _draw_level(ctx.rng, u_i + alpha, theta_p)
-    u_top = _draw_level(ctx.rng, theta_r, max(ctx.hi, theta_r + 5))
-    loss_cap = min(beta, u_top - v_i)
-    loss = loss_cap if ctx.boundary() else _draw_level(ctx.rng, Fraction(0), loss_cap)
-    v_top = u_top - loss
-    u_levels = [None] * n
-    v_levels = [None] * n
-    u_levels[i], v_levels[i] = u_i, v_i
-    for p in M:
-        u_levels[p], v_levels[p] = u_top, v_top
-    for p in rest:
-        x = _draw_level(ctx.rng, u_i, v_top)
-        u_levels[p] = v_levels[p] = x
-    return MinimalNonAggregation(
-        Profile.from_levels(u_levels), Profile.from_levels(v_levels),
-        i, IndexSet.from_indices(M), theta_p, theta_r, alpha, beta,
-    )
-
-
-def _gen_sna(ctx: _GenContext) -> StrongNonAggregation:
-    g = ctx.get
-    alpha, beta = g("alpha"), g("beta")
-    n = ctx.size(2)
-    m_count = ctx.rng.randint(1, n - 1)
-    i, M, rest = _positions(ctx.rng, n, m_count)
-    u_i = _draw_level(ctx.rng, ctx.lo, ctx.hi)
-    u_levels = [None] * n
-    v_levels = [None] * n
-    u_levels[i], v_levels[i] = u_i, u_i + alpha
-    floor = u_i + alpha + beta
-    for p in M:
-        u_j = floor + _draw_level(ctx.rng, Fraction(1, 2), Fraction(6))
-        u_levels[p], v_levels[p] = u_j, u_j - beta
-    for p in rest:
-        x = _draw_level(ctx.rng, ctx.lo, ctx.hi)
-        u_levels[p] = v_levels[p] = x
-    return StrongNonAggregation(
-        Profile.from_levels(u_levels), Profile.from_levels(v_levels),
-        i, IndexSet.from_indices(M), alpha, beta,
-    )
-
-
-def _gen_snat(ctx: _GenContext) -> StrongNonAggThreshold:
-    g = ctx.get
-    theta_p, theta_r = g("theta_p"), g("theta_r")
-    alpha, beta = g("alpha"), g("beta")
-    n = ctx.size(2)
-    m_count = ctx.rng.randint(1, n - 1)
-    i, M, rest = _positions(ctx.rng, n, m_count)
-    u_i = theta_p - alpha if ctx.boundary() else _draw_level(
-        ctx.rng, min(ctx.lo, theta_p - alpha - 5), theta_p - alpha
-    )
-    u_levels = [None] * n
-    v_levels = [None] * n
-    u_levels[i], v_levels[i] = u_i, u_i + alpha
-    for p in M:
-        u_j = _draw_level(ctx.rng, theta_r + beta, max(ctx.hi, theta_r + beta + 5))
-        u_levels[p], v_levels[p] = u_j, u_j - beta
-    for p in rest:
-        x = _draw_level(ctx.rng, ctx.lo, ctx.hi)
-        u_levels[p] = v_levels[p] = x
-    return StrongNonAggThreshold(
-        Profile.from_levels(u_levels), Profile.from_levels(v_levels),
-        i, IndexSet.from_indices(M), theta_p, theta_r, alpha, beta,
-    )
-
-
-def _gen_stronger(ctx: _GenContext) -> StrongerNonAggregation:
-    g = ctx.get
-    theta_p, alpha, beta = g("theta_p"), g("alpha"), g("beta")
-    n = ctx.size(2)
-    m_count = ctx.rng.randint(1, n - 1)
-    i, M, rest = _positions(ctx.rng, n, m_count)
-    u_i = _draw_level(ctx.rng, min(ctx.lo, theta_p - alpha - 5), theta_p - alpha)
-    if ctx.boundary():
-        v_i = u_i + alpha if ctx.rng.random() < 0.5 else theta_p
-    else:
-        v_i = _draw_level(ctx.rng, u_i + alpha, theta_p)
-    u_levels = [None] * n
-    v_levels = [None] * n
-    u_levels[i], v_levels[i] = u_i, v_i
-    for p in M:
-        u_j = _draw_level(ctx.rng, theta_p + beta, max(ctx.hi, theta_p + beta + 5))
-        loss = beta if ctx.boundary() else _draw_level(ctx.rng, Fraction(0), beta)
-        u_levels[p], v_levels[p] = u_j, u_j - loss
-    for p in rest:
-        x = _draw_level(ctx.rng, ctx.lo, ctx.hi)
-        u_levels[p] = v_levels[p] = x
-    return StrongerNonAggregation(
-        Profile.from_levels(u_levels), Profile.from_levels(v_levels),
-        i, IndexSet.from_indices(M), theta_p, alpha, beta,
-    )
-
-
-def _aggregation_pair(ctx: _GenContext, n: int, m_count: int, gamma, delta):
-    i, M, rest = _positions(ctx.rng, n, m_count)
-    u_levels = [_draw_level(ctx.rng, ctx.lo, ctx.hi) for _ in range(n)]
-    v_levels = list(u_levels)
-    loss = delta if ctx.boundary() else _draw_level(ctx.rng, Fraction(0), delta)
-    v_levels[i] = u_levels[i] - loss
-    for p in M:
-        extra = Fraction(0) if ctx.boundary() else _draw_level(ctx.rng, Fraction(0), Fraction(4))
-        v_levels[p] = u_levels[p] + gamma + extra
-    return (
-        Profile.from_levels(u_levels),
-        Profile.from_levels(v_levels),
-        i,
-        IndexSet.from_indices(M),
-    )
-
-
-def _gen_qa(ctx: _GenContext) -> QuantitativeAggregation:
-    g = ctx.get
-    m = int(ctx.params["m"])
-    gamma, delta = g("gamma"), g("delta")
-    n = ctx.size(m + 1)
-    m_count = m if ctx.boundary() else ctx.rng.randint(m, n - 1)
-    u, v, i, M = _aggregation_pair(ctx, n, m_count, gamma, delta)
-    return QuantitativeAggregation(u, v, i, M, m, gamma, delta)
-
-
-def _gen_ra(ctx: _GenContext) -> RatioAggregation:
-    g = ctx.get
-    lam, gamma, delta = g("lam"), g("gamma"), g("delta")
-    while True:
-        n = ctx.size(2)
-        needed = ceil_ratio(lam, n)
-        if needed <= n - 1:
-            break
-    m_count = needed if ctx.boundary() else ctx.rng.randint(needed, n - 1)
-    u, v, i, M = _aggregation_pair(ctx, n, m_count, gamma, delta)
-    return RatioAggregation(u, v, i, M, lam, gamma, delta)
-
-
-def _gen_minagg(ctx: _GenContext) -> MinimalAggregation:
-    g = ctx.get
-    gamma, delta = g("gamma"), g("delta")
-    n = ctx.size(2)
-    u, v, i, _ = _aggregation_pair(ctx, n, n - 1, gamma, delta)
-    return MinimalAggregation(u, v, i, gamma, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -1002,57 +1035,17 @@ def run_suite(
 
 
 def instance_to_config(inst: AxiomInstance) -> dict:
+    values = vars(inst)
     doc: dict = {"axiom": inst.tag}
-    doc["u"] = serialize_profile(inst.u)
-    if isinstance(inst, Anonymity):
-        doc["pi"] = list(inst.pi)
-        return doc
-    if isinstance(inst, PigouDalton):
-        doc.update(i=inst.i, j=inst.j, epsilon=format_level(inst.epsilon))
-        return doc
-    doc["v"] = serialize_profile(inst.v)
-    if isinstance(inst, ReplicationInvariance):
-        doc["k"] = inst.k
-        return doc
-    if isinstance(inst, (StrongPareto, WeakPareto)):
-        return doc
-    doc["i"] = inst.i
-    if hasattr(inst, "M"):
-        doc["M"] = inst.M.serialize()
-    for name in ("theta_p", "theta_r", "alpha", "beta", "gamma", "delta", "lam"):
-        if hasattr(inst, name):
-            doc[name] = format_level(getattr(inst, name))
-    if isinstance(inst, QuantitativeAggregation):
-        doc["m"] = inst.m
+    for name, (_, encode, _) in _FIELDS.items():
+        if name in values:
+            doc[name] = encode(values[name])
     return doc
 
 
 def instance_from_config(doc: Mapping) -> AxiomInstance:
+    """Instance from a document; keys the axiom does not use are ignored."""
     if "axiom" not in doc:
         raise ConfigError("instance config must carry an 'axiom' tag")
-    tag = doc["axiom"]
-    cls = AXIOM_TAGS.get(tag)
-    if cls is None:
-        raise ConfigError(f"unknown axiom tag {tag!r}")
-    try:
-        u = parse_profile_line(str(doc["u"]))
-        if cls is Anonymity:
-            return Anonymity(u, tuple(int(x) for x in doc["pi"]))
-        if cls is PigouDalton:
-            return PigouDalton(u, int(doc["i"]), int(doc["j"]), as_level(doc["epsilon"]))
-        v = parse_profile_line(str(doc["v"]))
-        if cls is ReplicationInvariance:
-            return ReplicationInvariance(u, v, int(doc["k"]))
-        if cls in (StrongPareto, WeakPareto):
-            return cls(u, v)
-        kwargs = {"u": u, "v": v, "i": int(doc["i"])}
-        if cls is not MinimalAggregation:
-            kwargs["M"] = _index_set(doc["M"])
-        for name in ("theta_p", "theta_r", "alpha", "beta", "gamma", "delta", "lam"):
-            if name in cls.__annotations__:
-                kwargs[name] = as_level(doc[name])
-        if cls is QuantitativeAggregation:
-            kwargs["m"] = int(doc["m"])
-        return cls(**kwargs)
-    except KeyError as exc:
-        raise ConfigError(f"missing instance field {exc}") from exc
+    cls = _axiom_type(doc["axiom"])
+    return cls(**_decode_fields(doc, [f.name for f in fields(cls)], "instance field"))

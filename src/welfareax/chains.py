@@ -19,8 +19,12 @@ re-verifies every hypothesis clause and the linkage, and, given an
 ordering, locates every step whose asserted relation the ordering
 denies.
 
-Certificates serialize one step per line and re-parse to identical
-values.
+Every step reads what it asserts from its axiom instance: ``endpoints``
+gives the (worse, better) profiles and the relation between them, and
+the instance's ``endpoint_fields`` say which of its fields the step's
+from- and to-profiles fill when a certificate is parsed. Certificates
+serialize one step per line, with the instance's other fields written
+by the axiom field codec, and re-parse to identical values.
 """
 
 from __future__ import annotations
@@ -31,51 +35,23 @@ from fractions import Fraction
 
 from .axioms import (
     AXIOM_TAGS,
-    Anonymity,
     AxiomInstance,
-    PigouDalton,
+    Relation,
     StrongPareto,
     WeakPareto,
     instance_from_config,
     instance_to_config,
     validate_preconditions,
 )
-from .errors import CertificateError
+from .errors import CertificateError, ConfigError
 from .orderings import DEFAULT_TOLERANCE, OrderingSpec, swo_compare
 from .profiles import (
     Profile,
     Verdict,
-    aligned_runs,
     parse_profile_line,
     replicate,
     serialize_profile,
 )
-
-
-class Relation(Enum):
-    EQUIVALENT = "equivalent"
-    WEAK = "weak"  # to >= from
-    STRICT = "strict"  # to > from
-
-    def combine(self, other: "Relation") -> "Relation":
-        if Relation.STRICT in (self, other):
-            return Relation.STRICT
-        if Relation.WEAK in (self, other):
-            return Relation.WEAK
-        return Relation.EQUIVALENT
-
-
-def instance_endpoints(inst: AxiomInstance) -> tuple[Profile, Profile, Relation]:
-    """(worse, better, relation) asserted by a validated instance."""
-    if isinstance(inst, Anonymity):
-        return inst.u, inst.v, Relation.EQUIVALENT
-    if isinstance(inst, WeakPareto):
-        return inst.v, inst.u, Relation.STRICT
-    if isinstance(inst, StrongPareto):
-        strict = any(uv > vv for _, _, uv, vv in aligned_runs(inst.u, inst.v))
-        return inst.v, inst.u, Relation.STRICT if strict else Relation.WEAK
-    # the v >= u family (transfers, aggregation, non-aggregation)
-    return inst.u, inst.v, Relation.WEAK
 
 
 @dataclass(frozen=True)
@@ -148,14 +124,6 @@ class ChainReport:
         return denied[0] if denied else None
 
 
-def _meets(verdict: Verdict, required: Relation) -> bool:
-    if required is Relation.EQUIVALENT:
-        return verdict is Verdict.EQUIVALENT
-    if required is Relation.WEAK:
-        return verdict in (Verdict.STRICTLY_BETTER, Verdict.EQUIVALENT)
-    return verdict is Verdict.STRICTLY_BETTER
-
-
 def validate_chain(
     chain: DerivationChain,
     spec: OrderingSpec | None = None,
@@ -176,7 +144,7 @@ def validate_chain(
     relation = Relation.EQUIVALENT
 
     def check_instance(idx: int, inst: AxiomInstance, frm: Profile, to: Profile) -> Relation:
-        worse, better, rel = instance_endpoints(inst)
+        worse, better, rel = inst.endpoints()
         if worse != frm:
             pre_failures.append((idx, "instance does not describe the step's from-profile"))
         if better != to:
@@ -188,17 +156,17 @@ def validate_chain(
 
     for idx, step in enumerate(chain.steps):
         if isinstance(step, AxiomStep):
-            rel = check_instance(idx, step.instance, step.from_profile, step.to_profile)
+            required = check_instance(idx, step.instance, step.from_profile, step.to_profile)
             if head is None:
                 start = step.from_profile
             elif step.from_profile != head:
                 link_failures.append((idx, "from-profile differs from the previous head"))
             head = step.to_profile
-            relation = relation.combine(rel)
+            relation = relation.combine(required)
         elif isinstance(step, LiftStep):
             if head is not None:
                 link_failures.append((idx, "lift step must open the chain"))
-            worse, better, rel = instance_endpoints(step.base)
+            worse, better, required = step.base.endpoints()
             if replicate(worse, step.k) != step.from_profile:
                 pre_failures.append((idx, "from-profile is not the k-replicated base"))
             if replicate(better, step.k) != step.to_profile:
@@ -208,8 +176,9 @@ def validate_chain(
                 pre_failures.append((idx, report.detail))
             start = step.from_profile
             head = step.to_profile
-            relation = relation.combine(rel)
+            relation = relation.combine(required)
         elif isinstance(step, DescentStep):
+            required = relation
             if head is None or start is None:
                 link_failures.append((idx, "descent without an established segment"))
             else:
@@ -226,14 +195,11 @@ def validate_chain(
             raise CertificateError(f"unknown step {step!r}")
 
         if spec is not None:
-            required = relation if isinstance(step, DescentStep) else (
-                instance_endpoints(step.instance if isinstance(step, AxiomStep) else step.base)[2]
-            )
             res = swo_compare(spec, step.to_profile, step.from_profile, tolerance=tolerance)
             verdicts.append(
                 StepVerdict(
                     idx, required, res.verdict,
-                    not _meets(res.verdict, required), res.numerically_tied,
+                    not required.admits(res.verdict), res.numerically_tied,
                 )
             )
 
@@ -244,22 +210,22 @@ def validate_chain(
         elif start is None:
             link_failures.append((n_steps, "empty chain"))
         else:
-            if chain.terminal.u != start:
+            worse, better, rel = chain.terminal.endpoints()
+            if better != start:
                 link_failures.append((n_steps, "terminal must dominate the segment start"))
-            if chain.terminal.v != head:
+            if worse != head:
                 link_failures.append((n_steps, "terminal must rank against the segment head"))
             report = validate_preconditions(chain.terminal)
             if not report.ok:
                 pre_failures.append((n_steps, report.detail))
-            _, _, rel = instance_endpoints(chain.terminal)
             if rel is not Relation.STRICT:
                 pre_failures.append((n_steps, "terminal Pareto step must be strict"))
             if spec is not None:
-                res = swo_compare(spec, chain.terminal.u, chain.terminal.v, tolerance=tolerance)
+                res = swo_compare(spec, better, worse, tolerance=tolerance)
                 verdicts.append(
                     StepVerdict(
                         n_steps, Relation.STRICT, res.verdict,
-                        not _meets(res.verdict, Relation.STRICT), res.numerically_tied,
+                        not Relation.STRICT.admits(res.verdict), res.numerically_tied,
                     )
                 )
     else:
@@ -314,10 +280,11 @@ def serialize_chain(chain: DerivationChain) -> str:
             lines.append(f"{line} {fields}".rstrip())
         elif isinstance(step, LiftStep):
             base = step.base
+            base_from, base_to, _ = base.endpoints()
             fields = _format_fields(_instance_fields(base))
             line = (
                 f"lift k={step.k} axiom={base.tag} from={frm} to={to} "
-                f"base_from={serialize_profile(base.u)} base_to={serialize_profile(base.v)}"
+                f"base_from={serialize_profile(base_from)} base_to={serialize_profile(base_to)}"
             )
             lines.append(f"{line} {fields}".rstrip())
         else:
@@ -342,20 +309,11 @@ def _parse_tokens(line: str) -> dict:
 
 
 def _step_instance(tag: str, frm: str, to: str, fields: dict) -> AxiomInstance:
-    cls = AXIOM_TAGS.get(tag)
-    if cls is None:
+    if tag not in AXIOM_TAGS:
         raise CertificateError(f"unknown axiom tag {tag!r}")
-    doc = dict(fields)
-    doc["axiom"] = tag
-    if cls is Anonymity:
-        doc["u"] = frm
-        doc["pi"] = [int(x) for x in fields["pi"].split(",")]
-    elif cls is PigouDalton:
-        doc["u"] = frm
-    elif cls in (StrongPareto, WeakPareto):
-        doc["u"], doc["v"] = to, frm  # the to-profile dominates
-    else:
-        doc["u"], doc["v"] = frm, to
+    doc = dict(fields, axiom=tag)
+    # from is the worse endpoint; a derived endpoint (a property) is ignored
+    doc.update(zip(AXIOM_TAGS[tag].endpoint_fields, (frm, to)))
     return instance_from_config(doc)
 
 
@@ -404,17 +362,15 @@ def parse_chain(text: str) -> DerivationChain:
                     )
                 )
             elif word == "terminal":
-                tag = fields.pop("axiom")
-                cls = AXIOM_TAGS.get(tag)
-                if cls not in (WeakPareto, StrongPareto):
+                if fields["axiom"] not in (WeakPareto.tag, StrongPareto.tag):
                     raise CertificateError("terminal must be a Pareto instance")
-                terminal = cls(
-                    parse_profile_line(fields["u"]), parse_profile_line(fields["v"])
-                )
+                terminal = instance_from_config(fields)
             else:
                 raise CertificateError(f"unknown certificate line {word!r}")
         except KeyError as exc:
             raise CertificateError(f"missing field {exc} in line {line!r}") from exc
+        except ConfigError as exc:
+            raise CertificateError(f"{exc} in line {line!r}") from exc
     if kind is None:
         raise CertificateError("certificate lacks a chain header line")
     return DerivationChain(tuple(steps), terminal, kind)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .axioms import (
     run_suite,
 )
 from .chains import parse_chain, serialize_chain, validate_chain
-from .errors import WelfareaxError
+from .errors import ConfigError, WelfareaxError
 from .gfunctions import g_from_config
 from .orderings import (
     DEFAULT_TOLERANCE,
@@ -49,9 +50,18 @@ from .propositions import (
 from .search import SearchBudget, find_counterexample
 
 
-def _load_yaml(path: str):
+def _load_yaml(path: str) -> Mapping:
+    """The YAML mapping in a file; an empty file is an empty mapping."""
     with open(path, "r", encoding="utf-8") as handle:
-        return yaml.safe_load(handle)
+        try:
+            doc = yaml.safe_load(handle)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: " + " ".join(str(exc).split())) from exc
+    if doc is None:
+        return {}
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{path}: expected a YAML mapping")
+    return doc
 
 
 def _load_ordering(path: str):
@@ -168,25 +178,32 @@ def cmd_axiom_suite(args) -> int:
     return exit_code
 
 
+_COMMON_PARAMS = ("theta_p", "theta_r", "alpha", "beta", "gamma", "delta")
+
+
+def _builder_params(params, *names) -> list:
+    """The named chain-builder parameters: the counts m, h and n as integers,
+    the rest as levels."""
+    try:
+        return [
+            int(params[name]) if name in ("m", "h", "n") else as_level(params[name])
+            for name in names
+        ]
+    except KeyError as exc:
+        raise ConfigError(f"missing builder parameter {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad builder parameter: {exc}") from exc
+
+
 def cmd_replay(args) -> int:
     params = _load_yaml(args.params) if args.params else {}
     if args.id == 1:
-        chain = build_prop1_chain(
-            params["theta_p"], params["theta_r"], params["alpha"], params["beta"],
-            params["gamma"], params["delta"], int(params["m"]),
-        )
+        chain = build_prop1_chain(*_builder_params(params, *_COMMON_PARAMS, "m"))
     elif args.id == 2:
-        chain = build_prop2_chain(
-            params["theta_p"], params["theta_r"], params["alpha"], params["beta"],
-            params["gamma"], params["delta"], params["lam"],
-            int(params["n"]) if "n" in params else None,
-        )
+        n = _builder_params(params, "n")[0] if "n" in params else None
+        chain = build_prop2_chain(*_builder_params(params, *_COMMON_PARAMS, "lam"), n)
     elif args.id == 3:
-        chain = build_prop3_chain(
-            params["theta_p"], params["theta_r"], params["alpha"], params["beta"],
-            params["gamma"], params["delta"], params["lam"],
-            int(params["h"]), int(params["n"]),
-        )
+        chain = build_prop3_chain(*_builder_params(params, *_COMMON_PARAMS, "lam", "h", "n"))
     else:
         profiles = _load_profiles(args.profiles)
         if len(profiles) != 2:
@@ -314,14 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Social welfare orderings, axiom checks, and ranking certificates.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument(
         "--tolerance",
         type=as_level,
         default=DEFAULT_TOLERANCE,
         help="relative tolerance for floating comparisons (rational, default 1/10^12)",
     )
-    common.add_argument("--format", choices=("human", "tsv", "cert"), default="human")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -348,6 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--populations", type=_int_pair, default=(2, 10))
     p.add_argument("--values", type=_level_pair, default=(as_level(-20), as_level(20)))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=("human", "tsv"), default="human")
     p.set_defaults(func=cmd_axiom_suite)
 
     p = sub.add_parser("replay", parents=[common], help="build and validate a chain")
@@ -390,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--populations", type=_int_pair, default=(2, 10))
     p.add_argument("--values", type=_level_pair, default=(as_level(-20), as_level(20)))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the witness instance to this path")
     p.set_defaults(func=cmd_search)
 

@@ -512,13 +512,38 @@ def ratio_coefficient(rho: Fraction, lam: Fraction, n: int) -> Fraction:
     return (r ** (n - q + 1) - r ** (n + 1)) / (rho - 1)
 
 
+def _ratio_coefficients(rho: Fraction, lam: Fraction, n_from: int, step: int = 1):
+    """Endless (n, ratio_coefficient(rho, lam, n)) for n = n_from, n_from + step, ...
+
+    Exact and incremental: with r = 1/rho and q = ceil(lam n) the
+    coefficient is A * (rho^q - 1) / (rho - 1) for A = r^(n+1), and A and
+    rho^q are carried from one n to the next instead of recomputed.
+    """
+    r = 1 / rho
+    r_step = r**step
+    n = n_from
+    A = r ** (n + 1)
+    q = ceil_ratio(lam, n)
+    IQ = rho**q
+    while True:
+        yield n, A * (IQ - 1) / (rho - 1)
+        n += step
+        A *= r_step
+        new_q = ceil_ratio(lam, n)
+        if new_q != q:
+            IQ *= rho ** (new_q - q)
+            q = new_q
+
+
 def scan_ratio_coefficients(rho, lam, n_from: int, n_to: int, step: int = 1):
     """Yield (n, coefficient) over a range, exact and incrementally."""
     rho, lam = as_level(rho), as_level(lam)
     _guard(rho > 1, "need rho > 1")
-    r = 1 / rho
-    for n in range(n_from, n_to + 1, step):
-        yield n, ratio_coefficient(rho, lam, n)
+    _guard(step >= 1, "need step >= 1")
+    for n, coefficient in _ratio_coefficients(rho, lam, n_from, step):
+        if n > n_to:
+            return
+        yield n, coefficient
 
 
 @dataclass(frozen=True)
@@ -562,26 +587,11 @@ def prop5_ratio_failure(
         lhs = Fraction(g.value(u1) - g.value(float(u1 - delta)))
         gain = Fraction(g.value(float(u1 + gamma)) - g.value(u1))
 
-    r = 1 / rho
-    n_star = None
-    # incremental exact powers: A = r^(n+1), IQ = rho^q with q = ceil(lam n)
-    n = 2
-    A = r ** (n + 1)
-    q = ceil_ratio(lam, n)
-    IQ = rho**q
-    while n <= n_max:
-        coefficient = A * (IQ - 1) / (rho - 1)  # (r^(n-q+1) - r^(n+1)) / (rho-1)
+    for n_star, coefficient in _ratio_coefficients(rho, lam, 2):
+        if n_star > n_max:
+            raise InfeasibleParameters(f"no failure found up to n_max={n_max}")
         if lhs > coefficient * gain:
-            n_star = n
             break
-        n += 1
-        A *= r
-        new_q = ceil_ratio(lam, n)
-        if new_q != q:
-            IQ *= rho ** (new_q - q)
-            q = new_q
-    if n_star is None:
-        raise InfeasibleParameters(f"no failure found up to n_max={n_max}")
 
     spec = Rdu(rho, g)
     witness_n = n_star

@@ -16,17 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .axioms import (
-    Anonymity,
-    AxiomInstance,
-    CheckResult,
-    MinimalAggregation,
-    PigouDalton,
-    ReplicationInvariance,
-    check_axiom,
-    generate_instances,
-    validate_preconditions,
-)
+from .axioms import AxiomInstance, CheckResult, check_axiom, generate_instances
 from .orderings import DEFAULT_TOLERANCE, OrderingSpec
 from .profiles import IndexSet, Profile
 
@@ -56,9 +46,7 @@ class Witness:
 
 def _metric(inst: AxiomInstance) -> tuple[int, Fraction]:
     total = sum(abs(x) * c for x, c in inst.u.blocks)
-    v = getattr(inst, "v", None)
-    if isinstance(v, Profile):
-        total += sum(abs(x) * c for x, c in v.blocks)
+    total += sum(abs(x) * c for x, c in inst.v.blocks)
     return len(inst.u), total
 
 
@@ -66,48 +54,44 @@ def _reindex(index: int, dropped: int) -> int:
     return index - 1 if index > dropped else index
 
 
+def _without(profile: Profile, p: int) -> Profile:
+    levels = list(profile.levels())
+    del levels[p]
+    return Profile.from_levels(levels)
+
+
+# Shrink edits read an instance's fields by name: the profiles u and v
+# (v is derived, not a field, for anonymity and transfers), the indices i
+# and j, the donor set M and the permutation pi.
+
+
 def _drop_position(inst: AxiomInstance, p: int) -> AxiomInstance | None:
     """Instance with person p removed, or None when p is structurally needed."""
-    n = len(inst.u)
-    if n <= 2:
+    if len(inst.u) <= 2:
         return None
-    u_levels = list(inst.u.levels())
-    del u_levels[p]
-    u = Profile.from_levels(u_levels)
-
-    if isinstance(inst, Anonymity):
-        target = inst.pi[p]
-        pi = [t - 1 if t > target else t for idx, t in enumerate(inst.pi) if idx != p]
-        return Anonymity(u, tuple(pi))
-    if isinstance(inst, PigouDalton):
-        if p in (inst.i, inst.j):
-            return None
-        return PigouDalton(u, _reindex(inst.i, p), _reindex(inst.j, p), inst.epsilon)
-
-    v_levels = list(inst.v.levels())
-    del v_levels[p]
-    v = Profile.from_levels(v_levels)
-    if isinstance(inst, ReplicationInvariance):
-        return replace(inst, u=u, v=v)
-    if isinstance(inst, MinimalAggregation):
-        if p == inst.i:
-            return None
-        return replace(inst, u=u, v=v, i=_reindex(inst.i, p))
-    if hasattr(inst, "i") and hasattr(inst, "M"):
-        if p == inst.i:
-            return None
-        M = IndexSet.from_indices(_reindex(m, p) for m in inst.M if m != p)
+    fields = vars(inst)
+    changes = {name: _without(fields[name], p) for name in ("u", "v") if name in fields}
+    for name in ("i", "j"):
+        if name in fields:
+            if fields[name] == p:
+                return None
+            changes[name] = _reindex(fields[name], p)
+    if "M" in fields:
+        M = IndexSet.from_indices(_reindex(m, p) for m in fields["M"] if m != p)
         if len(M) == 0:
             return None
-        return replace(inst, u=u, v=v, i=_reindex(inst.i, p), M=M)
-    return replace(inst, u=u, v=v)  # plain Pareto pairs
+        changes["M"] = M
+    if "pi" in fields:
+        target = fields["pi"][p]
+        changes["pi"] = tuple(
+            t - 1 if t > target else t for idx, t in enumerate(fields["pi"]) if idx != p
+        )
+    return replace(inst, **changes)
 
 
 def _revert_donor(inst: AxiomInstance, j: int) -> AxiomInstance | None:
     """Move donor j out of M, reverting its post-change level."""
-    if not hasattr(inst, "M") or j not in inst.M:
-        return None
-    M = IndexSet.from_indices(m for m in inst.M if m != j)
+    M = IndexSet.from_indices(m for m in vars(inst)["M"] if m != j)
     if len(M) == 0:
         return None
     v = inst.v.with_value_at(j, inst.u.value_at(j))
@@ -115,17 +99,16 @@ def _revert_donor(inst: AxiomInstance, j: int) -> AxiomInstance | None:
 
 
 def _simplify_values(inst: AxiomInstance, p: int) -> Iterator[AxiomInstance]:
+    fields = vars(inst)
     u_p = inst.u.value_at(p)
-    if isinstance(inst, (Anonymity, PigouDalton)):
-        special = (inst.i, inst.j) if isinstance(inst, PigouDalton) else ()
-        if p in special:
+    if "v" not in fields:  # v follows from u: only u moves, never at i or j
+        if p in (fields.get("i"), fields.get("j")):
             return
         for candidate in (Fraction(0), Fraction(u_p.__floor__())):
             if candidate != u_p:
                 yield replace(inst, u=inst.u.with_value_at(p, candidate))
         return
     v_p = inst.v.value_at(p)
-    pairs = []
     if u_p == v_p:
         pairs = [(Fraction(0), Fraction(0)), (Fraction(u_p.__floor__()),) * 2]
     else:
@@ -143,11 +126,10 @@ def _candidates(inst: AxiomInstance) -> Iterator[AxiomInstance]:
         candidate = _drop_position(inst, p)
         if candidate is not None:
             yield candidate
-    if hasattr(inst, "M"):
-        for j in list(inst.M):
-            candidate = _revert_donor(inst, j)
-            if candidate is not None:
-                yield candidate
+    for j in vars(inst).get("M", ()):
+        candidate = _revert_donor(inst, j)
+        if candidate is not None:
+            yield candidate
     for p in range(n):
         yield from _simplify_values(inst, p)
 
@@ -162,8 +144,6 @@ def _shrink(
         improved = False
         for candidate in _candidates(current):
             if _metric(candidate) >= current_metric:
-                continue
-            if not validate_preconditions(candidate).ok:
                 continue
             if not check_axiom(spec, candidate, tolerance).violated:
                 continue

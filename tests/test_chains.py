@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -264,3 +265,33 @@ class TestSerialization:
         tampered = parse_chain("\n".join(lines) + "\n")
         report = validate_chain(tampered)
         assert not report.ok
+
+
+# Certificates written by the v1 serializer for the parameter sets above.
+# They pin the format byte for byte: regenerate them only together with a
+# deliberate change of the certificate format version.
+CERTIFICATES = Path(__file__).parent / "data" / "certificates"
+PROP4_PAIRS = [([1, 2, 3], [1, 1, 5]), ([9, 9], [1, 2]), ([2, 2], [1, 9])]
+PINNED = (
+    [(f"chain1_{k}", build_prop1_chain, params) for k, params in enumerate(PROP1_SETS)]
+    + [(f"chain2_{k}", build_prop2_chain, params) for k, params in enumerate(PROP2_SETS)]
+    + [(f"chain3_{k}", build_prop3_chain, params) for k, params in enumerate(PROP3_SETS)]
+    + [
+        (f"chain4_{k}", build_prop4_chain, dict(u=P(u), v=P(v)))
+        for k, (u, v) in enumerate(PROP4_PAIRS)
+    ]
+)
+
+
+class TestPinnedCertificates:
+    @pytest.mark.parametrize("name,builder,params", PINNED, ids=[name for name, *_ in PINNED])
+    def test_v1_bytes(self, name, builder, params):
+        pinned = (CERTIFICATES / f"{name}.cert").read_bytes()
+        assert serialize_chain(builder(**params)).encode() == pinned
+        assert serialize_chain(parse_chain(pinned.decode())).encode() == pinned
+
+    def test_fixtures_cover_every_field_kind(self):
+        text = "".join(path.read_text() for path in sorted(CERTIFICATES.glob("*.cert")))
+        tokens = (" m=", " lam=", " epsilon=", " pi=", " M=", " theta_r=", "\nlift ", "\ndescent ")
+        for token in tokens:
+            assert token in text, token

@@ -254,6 +254,70 @@ def test_plot_data_ratio_coefficient_deterministic(workdir, capsys):
     assert out1 == out2
 
 
+QA_INSTANCE = (
+    "axiom: quantitative_aggregation\nu: 0,5,5,5\nv: -1,7,7,7\ni: 0\nm: 3\ngamma: 2\ndelta: 1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "files,argv",
+    [
+        pytest.param(
+            {},
+            ["axiom-suite", "--ordering", "leximin.yaml", "--axiom", "quantitative_aggregation",
+             "--count", "5"],
+            id="axiom-suite-without-params",
+        ),
+        pytest.param(
+            {"p1.yaml": "theta_p: 10\nalpha: 2\nbeta: 1\ngamma: 2\ndelta: 1\nm: 3\n"},
+            ["replay", "--id", "1", "--params", "p1.yaml"],
+            id="replay-parameter-missing",
+        ),
+        pytest.param(
+            {"p1.yaml": "theta_p:\ntheta_r: 20\nalpha: 2\nbeta: 1\ngamma: 2\ndelta: 1\nm: 3\n"},
+            ["replay", "--id", "1", "--params", "p1.yaml"],
+            id="replay-parameter-empty",
+        ),
+        pytest.param(
+            {"p1.yaml": "theta_p: [10\ntheta_r: 20\n"},
+            ["replay", "--id", "1", "--params", "p1.yaml"],
+            id="malformed-yaml",
+        ),
+        pytest.param(
+            {"p1.yaml": "- 10\n- 20\n"},
+            ["replay", "--id", "1", "--params", "p1.yaml"],
+            id="yaml-not-a-mapping",
+        ),
+        pytest.param(
+            {"inst.yaml": QA_INSTANCE + "M: x\n"},
+            ["check-axiom", "--ordering", "leximin.yaml", "--instance", "inst.yaml"],
+            id="bad-field-value",
+        ),
+    ],
+)
+def test_malformed_input_exits_2_with_one_error_line(workdir, capsys, files, argv):
+    for name, text in files.items():
+        (workdir / name).write_text(text)
+    code, _, err = run(capsys, [workdir / a if a.endswith(".yaml") else a for a in argv])
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+def test_seed_and_format_only_where_honoured(workdir, capsys):
+    profiles = workdir / "p.txt"
+    profiles.write_text("1,2\n2,1\n")
+    for flag in (["--seed", "1"], ["--format", "tsv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--ordering", str(workdir / "leximin.yaml"),
+                  "--profiles", str(profiles), *flag])
+        assert exc.value.code == 2
+    with pytest.raises(SystemExit):
+        main(["axiom-suite", "--ordering", str(workdir / "leximin.yaml"),
+              "--axiom", "anonymity", "--format", "cert"])
+    capsys.readouterr()
+
+
 def test_console_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "welfareax", "--help"], capture_output=True, text=True

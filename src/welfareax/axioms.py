@@ -42,7 +42,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Iterator, Mapping
 
-from .errors import ConfigError, InfeasibleParameters, WelfareaxError
+from .codec import INTEGER, LEVEL, PROFILE, decode
+from .errors import ConfigError, InfeasibleParameters
 from .orderings import DEFAULT_TOLERANCE, OrderingSpec, swo_compare
 from .profiles import (
     IndexSet,
@@ -52,10 +53,8 @@ from .profiles import (
     as_level,
     ceil_ratio,
     format_level,
-    parse_profile_line,
     permute,
     replicate,
-    serialize_profile,
 )
 
 
@@ -90,67 +89,42 @@ _SYMBOLS = {Relation.EQUIVALENT: "~", Relation.WEAK: ">=", Relation.STRICT: ">"}
 # field codec
 
 
-def _profile(value) -> Profile:
-    return parse_profile_line(str(value))
-
-
 def _index_set(value) -> IndexSet:
     if isinstance(value, str):
         return IndexSet.parse(value)
     return IndexSet.from_indices(value)
 
 
-def _integer(value) -> int:
-    level = as_level(value)
-    if level.denominator != 1:
-        raise ValueError(f"{value!r} is not an integer")
-    return level.numerator
-
-
 def _permutation(value) -> tuple[int, ...]:
     return tuple(int(x) for x in (value.split(",") if isinstance(value, str) else value))
 
 
-_LEVEL = (Fraction, format_level, as_level)
-_INTEGER = (int, int, _integer)
-_PROFILE = (Profile, serialize_profile, _profile)
-
 # field name -> (type, encode, decode); this order is the key order of documents
 _FIELDS = {
-    "u": _PROFILE,
+    "u": PROFILE,
     "pi": (tuple, list, _permutation),
-    "v": _PROFILE,
-    "k": _INTEGER,
-    "i": _INTEGER,
-    "j": _INTEGER,
-    "epsilon": _LEVEL,
+    "v": PROFILE,
+    "k": INTEGER,
+    "i": INTEGER,
+    "j": INTEGER,
+    "epsilon": LEVEL,
     "M": (IndexSet, IndexSet.serialize, _index_set),
-    "theta_p": _LEVEL,
-    "theta_r": _LEVEL,
-    "alpha": _LEVEL,
-    "beta": _LEVEL,
-    "gamma": _LEVEL,
-    "delta": _LEVEL,
-    "lam": _LEVEL,
-    "m": _INTEGER,
+    "theta_p": LEVEL,
+    "theta_r": LEVEL,
+    "alpha": LEVEL,
+    "beta": LEVEL,
+    "gamma": LEVEL,
+    "delta": LEVEL,
+    "lam": LEVEL,
+    "m": INTEGER,
 }
-
-
-def _decode(name: str, value):
-    kind, _, decode = _FIELDS[name]
-    if type(value) is kind:
-        return value
-    try:
-        return decode(value)
-    except (WelfareaxError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad value for {name}: {exc}") from exc
 
 
 def _decode_fields(doc: Mapping, names, what: str) -> dict:
     for name in names:
         if name not in doc:
             raise ConfigError(f"missing {what} {name!r}")
-    return {name: _decode(name, doc[name]) for name in names}
+    return {name: decode(name, _FIELDS[name], doc[name]) for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +144,12 @@ class _Axiom:
     endpoint_fields = ("u", "v")
     # the parameters magnitude_clauses reads; generation takes them from params
     magnitudes = ()
+    # whether the conclusion ranks its two profiles, so that it can justify a chain step
+    ranks_profiles = True
 
     def __post_init__(self):
         for name, value in list(vars(self).items()):
-            if type(value) is not _FIELDS[name][0]:
-                object.__setattr__(self, name, _decode(name, value))
+            object.__setattr__(self, name, decode(name, _FIELDS[name], value))
 
     @staticmethod
     def magnitude_clauses(p) -> list[str]:
@@ -337,6 +312,7 @@ class ReplicationInvariance(_Axiom):
     v: Profile
     k: int
     tag = "replication_invariance"
+    ranks_profiles = False  # it justifies the lift and descent steps themselves
 
     def profile_clauses(self) -> list[str]:
         return _failed(

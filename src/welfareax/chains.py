@@ -143,15 +143,20 @@ def validate_chain(
     head: Profile | None = None
     relation = Relation.EQUIVALENT
 
+    def check_preconditions(idx: int, inst: AxiomInstance) -> None:
+        if not inst.ranks_profiles:
+            pre_failures.append((idx, f"{inst.tag} justifies only lift and descent steps"))
+        report = validate_preconditions(inst)
+        if not report.ok:
+            pre_failures.append((idx, report.detail))
+
     def check_instance(idx: int, inst: AxiomInstance, frm: Profile, to: Profile) -> Relation:
         worse, better, rel = inst.endpoints()
         if worse != frm:
             pre_failures.append((idx, "instance does not describe the step's from-profile"))
         if better != to:
             pre_failures.append((idx, "instance does not describe the step's to-profile"))
-        report = validate_preconditions(inst)
-        if not report.ok:
-            pre_failures.append((idx, report.detail))
+        check_preconditions(idx, inst)
         return rel
 
     for idx, step in enumerate(chain.steps):
@@ -171,9 +176,7 @@ def validate_chain(
                 pre_failures.append((idx, "from-profile is not the k-replicated base"))
             if replicate(better, step.k) != step.to_profile:
                 pre_failures.append((idx, "to-profile is not the k-replicated base"))
-            report = validate_preconditions(step.base)
-            if not report.ok:
-                pre_failures.append((idx, report.detail))
+            check_preconditions(idx, step.base)
             start = step.from_profile
             head = step.to_profile
             relation = relation.combine(required)
@@ -215,9 +218,7 @@ def validate_chain(
                 link_failures.append((n_steps, "terminal must dominate the segment start"))
             if worse != head:
                 link_failures.append((n_steps, "terminal must rank against the segment head"))
-            report = validate_preconditions(chain.terminal)
-            if not report.ok:
-                pre_failures.append((n_steps, report.detail))
+            check_preconditions(n_steps, chain.terminal)
             if rel is not Relation.STRICT:
                 pre_failures.append((n_steps, "terminal Pareto step must be strict"))
             if spec is not None:

@@ -30,8 +30,6 @@ from .errors import ConfigError, WelfareaxError
 from .gfunctions import g_from_config
 from .orderings import (
     DEFAULT_TOLERANCE,
-    ExactValue,
-    Leximin,
     evaluate,
     lambda_feasible_interval,
     ordering_from_config,
@@ -50,13 +48,16 @@ from .propositions import (
 from .search import SearchBudget, find_counterexample
 
 
+def _parse_yaml(text: str, where: str):
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{where}: " + " ".join(str(exc).split())) from exc
+
+
 def _load_yaml(path: str) -> Mapping:
     """The YAML mapping in a file; an empty file is an empty mapping."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = yaml.safe_load(handle)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: " + " ".join(str(exc).split())) from exc
+    doc = _parse_yaml(Path(path).read_text(encoding="utf-8"), path)
     if doc is None:
         return {}
     if not isinstance(doc, Mapping):
@@ -70,13 +71,6 @@ def _load_ordering(path: str):
 
 def _load_profiles(path: str):
     return parse_profiles(Path(path).read_text(encoding="utf-8"))
-
-
-def _print_value(tagline: str, valuation) -> None:
-    if isinstance(valuation, ExactValue):
-        print(f"{tagline} = {format_level(valuation.value)} (exact)")
-    else:
-        print(f"{tagline} = {valuation.value!r} (error bound {valuation.bound:.3e})")
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -104,22 +98,18 @@ def cmd_compare(args) -> int:
         print("warning: numerically tied within the combined error bound")
     if result.note:
         print(f"note: {result.note}")
-    if not isinstance(spec, Leximin):
-        try:
-            _print_value("value(u)", evaluate(spec, u))
-            _print_value("value(v)", evaluate(spec, v))
-        except WelfareaxError:
-            pass
+    try:
+        print(f"value(u) = {evaluate(spec, u)}")
+        print(f"value(v) = {evaluate(spec, v)}")
+    except WelfareaxError:
+        pass  # leximin, or a level outside the transform's domain
     return 0
 
 
 def cmd_value(args) -> int:
     spec = _load_ordering(args.ordering)
-    if isinstance(spec, Leximin):
-        print("leximin is not value-based; use compare", file=sys.stderr)
-        return 2
     for idx, profile in enumerate(_load_profiles(args.profiles)):
-        _print_value(f"value[{idx}]", evaluate(spec, profile))
+        print(f"value[{idx}] = {evaluate(spec, profile)}")
     return 0
 
 
@@ -205,6 +195,8 @@ def cmd_replay(args) -> int:
     elif args.id == 3:
         chain = build_prop3_chain(*_builder_params(params, *_COMMON_PARAMS, "lam", "h", "n"))
     else:
+        if not args.profiles:
+            raise ConfigError("replay --id 4 needs --profiles")
         profiles = _load_profiles(args.profiles)
         if len(profiles) != 2:
             print("replay 4 needs a profile file with exactly two profiles", file=sys.stderr)
@@ -257,7 +249,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_prop5(args) -> int:
-    g = g_from_config(yaml.safe_load(args.g))
+    g = g_from_config(_parse_yaml(args.g, "--g"))
     if args.mode == "condition":
         report = prop5_nonagg_condition(
             g, args.rho, args.theta_p, args.theta_r, args.alpha, args.beta

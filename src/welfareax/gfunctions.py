@@ -1,10 +1,17 @@
 """Increasing concave transforms applied to well-being levels.
 
-Each transform reports whether it can be evaluated in exact rational
-arithmetic (identity and piecewise-linear tables can; square root,
-shifted log and the saturating exponential cannot) and validates its
-own shape: builtins are increasing and concave analytically, tables are
-checked exactly through their slopes.
+Each transform is a frozen dataclass that owns its rules:
+
+* ``value`` evaluates it in floating point and ``exact`` in exact
+  rational arithmetic, which identity and piecewise-linear tables
+  support (``is_exact``) and square root, shifted log and the saturating
+  exponential refuse;
+* ``check_domain`` refuses levels outside its domain, and construction
+  validates its shape: builtins are increasing and concave analytically,
+  tables are checked exactly through their slopes;
+* ``config_fields`` names its parameters for the field codec in
+  :mod:`welfareax.codec`, so ``g_to_config`` and ``g_from_config`` read
+  and write every transform the same way, keyed by its ``kind``.
 """
 
 from __future__ import annotations
@@ -13,18 +20,25 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .codec import LEVEL, Record
 from .errors import ConfigError, DomainError
 from .profiles import as_level, format_level
 
 
-@dataclass(frozen=True)
-class Identity:
-    kind = "identity"
-    is_exact = True
+class _Transform(Record):
+    """Base of the transforms; ``kind`` is the tag of its config document."""
+
+    kind = ""
     upper_bound = None
 
     def check_domain(self, x: Fraction) -> None:
         pass
+
+
+@dataclass(frozen=True)
+class Identity(_Transform):
+    kind = "identity"
+    is_exact = True
 
     def exact(self, x: Fraction) -> Fraction:
         return x
@@ -34,10 +48,9 @@ class Identity:
 
 
 @dataclass(frozen=True)
-class Sqrt:
+class Sqrt(_Transform):
     kind = "sqrt"
     is_exact = False
-    upper_bound = None
 
     def check_domain(self, x: Fraction) -> None:
         if x < 0:
@@ -52,13 +65,14 @@ class Sqrt:
 
 
 @dataclass(frozen=True)
-class LogShifted:
+class LogShifted(_Transform):
     """g(x) = log(x + shift), defined for x > -shift."""
 
     shift: Fraction
     kind = "log_shifted"
     is_exact = False
-    upper_bound = None
+    config_fields = {"shift": LEVEL}
+    config_defaults = {"shift": 1}
 
     def check_domain(self, x: Fraction) -> None:
         if x + self.shift <= 0:
@@ -76,7 +90,7 @@ class LogShifted:
 
 
 @dataclass(frozen=True)
-class SaturatingExp:
+class SaturatingExp(_Transform):
     """Bounded concave transform: cap * (1 - exp(-x / scale)) for x >= 0.
 
     Extended linearly below zero with the matching slope cap / scale, so
@@ -88,17 +102,16 @@ class SaturatingExp:
     scale: Fraction
     kind = "saturating_exp"
     is_exact = False
+    config_fields = {"cap": LEVEL, "scale": LEVEL}
 
     def __post_init__(self):
+        super().__post_init__()
         if self.cap <= 0 or self.scale <= 0:
             raise ConfigError("saturating_exp needs cap > 0 and scale > 0")
 
     @property
     def upper_bound(self) -> Fraction:
         return self.cap
-
-    def check_domain(self, x: Fraction) -> None:
-        pass
 
     def exact(self, x: Fraction) -> Fraction:
         raise DomainError("saturating_exp has no exact rational evaluation")
@@ -111,8 +124,15 @@ class SaturatingExp:
         return -cap * math.expm1(-xf / scale)
 
 
+_POINTS = (
+    tuple,
+    lambda points: [[format_level(x), format_level(y)] for x, y in points],
+    lambda points: tuple((as_level(x), as_level(y)) for x, y in points),
+)
+
+
 @dataclass(frozen=True)
-class PiecewiseLinear:
+class PiecewiseLinear(_Transform):
     """Exact table transform: linear interpolation through (x, y) knots.
 
     Valid only on [x_0, x_last]. Construction verifies, exactly, that
@@ -122,9 +142,10 @@ class PiecewiseLinear:
     points: tuple[tuple[Fraction, Fraction], ...]
     kind = "piecewise_linear"
     is_exact = True
-    upper_bound = None
+    config_fields = {"points": _POINTS}
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.points) < 2:
             raise ConfigError("piecewise_linear needs at least two knots")
         xs = [x for x, _ in self.points]
@@ -141,7 +162,7 @@ class PiecewiseLinear:
 
     @staticmethod
     def from_pairs(pairs) -> "PiecewiseLinear":
-        return PiecewiseLinear(tuple((as_level(x), as_level(y)) for x, y in pairs))
+        return PiecewiseLinear(_POINTS[2](pairs))
 
     def check_domain(self, x: Fraction) -> None:
         if not (self.points[0][0] <= x <= self.points[-1][0]):
@@ -164,25 +185,13 @@ class PiecewiseLinear:
 GFunction = Identity | Sqrt | LogShifted | SaturatingExp | PiecewiseLinear
 
 
+_TRANSFORMS = {
+    cls.kind: cls for cls in (Identity, Sqrt, LogShifted, SaturatingExp, PiecewiseLinear)
+}
+
+
 def g_to_config(g: GFunction) -> dict:
-    if isinstance(g, Identity):
-        return {"kind": "identity"}
-    if isinstance(g, Sqrt):
-        return {"kind": "sqrt"}
-    if isinstance(g, LogShifted):
-        return {"kind": "log_shifted", "shift": format_level(g.shift)}
-    if isinstance(g, SaturatingExp):
-        return {
-            "kind": "saturating_exp",
-            "cap": format_level(g.cap),
-            "scale": format_level(g.scale),
-        }
-    if isinstance(g, PiecewiseLinear):
-        return {
-            "kind": "piecewise_linear",
-            "points": [[format_level(x), format_level(y)] for x, y in g.points],
-        }
-    raise ConfigError(f"unknown transform {g!r}")
+    return g.encode_fields({"kind": g.kind})
 
 
 def g_from_config(doc) -> GFunction:
@@ -190,15 +199,11 @@ def g_from_config(doc) -> GFunction:
         doc = {"kind": doc}
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError("transform config must be a mapping with a 'kind'")
-    kind = doc["kind"]
-    if kind == "identity":
-        return Identity()
-    if kind == "sqrt":
-        return Sqrt()
-    if kind == "log_shifted":
-        return LogShifted(as_level(doc.get("shift", 1)))
-    if kind == "saturating_exp":
-        return SaturatingExp(as_level(doc["cap"]), as_level(doc["scale"]))
-    if kind == "piecewise_linear":
-        return PiecewiseLinear.from_pairs(doc["points"])
-    raise ConfigError(f"unknown transform kind {kind!r}")
+    cls = _TRANSFORMS.get(str(doc["kind"]))
+    if cls is None:
+        raise ConfigError(f"unknown transform kind {doc['kind']!r}")
+    return cls.from_fields(doc, "transform parameter")
+
+
+#: the codec field of an ordering's transform
+TRANSFORM = (_Transform, g_to_config, g_from_config)

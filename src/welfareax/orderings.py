@@ -14,10 +14,20 @@ Implemented families:
   second term, a bounded concave transform of the average, and a
   concave transform of the shortfall term.
 
-Piecewise-linear rules evaluate in exact rational arithmetic. RDU uses
-compensated float summation with an a-posteriori error bound and falls
-back to exact arithmetic (rational rho, exact transform) when a float
-comparison cannot separate the two sides.
+Each ordering is a frozen dataclass that owns its rules: ``value`` gives
+a profile's valuation through the family's kernel (``suffavg_value``,
+``rdu_value``, ...; leximin refuses), and ``compare`` gives the verdict
+on two profiles, refusing different population sizes unless asked
+(leximin always refuses, RDU never does). Each weight schedule answers
+``value_for(n)``. ``config_fields`` names the parameters that the field
+codec in :mod:`welfareax.codec` reads and writes.
+
+Piecewise-linear rules evaluate in exact rational arithmetic; RDU and
+the transformed variants use float sums with an a-posteriori error
+bound. One function, ``_resolve``, decides every verdict on two
+valuations: exactly when both are exact, else by the float difference
+against the combined bound, then by an exact fallback where one exists
+(RDU with an exact transform), else as a flagged numerical tie.
 """
 
 from __future__ import annotations
@@ -28,8 +38,9 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Mapping
 
+from .codec import LEVEL, LEVELS, Record, table
 from .errors import ConfigError, MissingLambda
-from .gfunctions import GFunction, g_from_config, g_to_config
+from .gfunctions import TRANSFORM, GFunction
 from .profiles import (
     CompareResult,
     Profile,
@@ -37,7 +48,6 @@ from .profiles import (
     as_level,
     ceil_ratio,
     format_level,
-    rank,
 )
 
 DEFAULT_TOLERANCE = Fraction(1, 10**12)
@@ -55,18 +65,27 @@ _EPS = 2.0**-52
 @dataclass(frozen=True)
 class ExactValue:
     value: Fraction
+    is_exact = True
+    bound = 0.0
 
     def __float__(self) -> float:
         return float(self.value)
+
+    def __str__(self) -> str:
+        return f"{format_level(self.value)} (exact)"
 
 
 @dataclass(frozen=True)
 class FloatValue:
     value: float
     bound: float
+    is_exact = False
 
     def __float__(self) -> float:
         return self.value
+
+    def __str__(self) -> str:
+        return f"{self.value!r} (error bound {self.bound:.3e})"
 
 
 Valuation = ExactValue | FloatValue
@@ -76,22 +95,36 @@ Valuation = ExactValue | FloatValue
 # per-population weight schedules
 
 
+def _tabulated(table, n: int, what: str):
+    """The entry of a ((n, entry), ...) table for population size n."""
+    for size, entry in table:
+        if size == n:
+            return entry
+    raise MissingLambda(f"no {what} tabulated for population size {n}")
+
+
 @dataclass(frozen=True)
 class ConstantLambda:
     value: Fraction
+
+    def value_for(self, n: int) -> Fraction:
+        return self.value
 
 
 @dataclass(frozen=True)
 class TableLambda:
     table: tuple[tuple[int, Fraction], ...]
 
+    def value_for(self, n: int) -> Fraction:
+        return _tabulated(self.table, n, "weight")
+
     @staticmethod
     def from_mapping(mapping: Mapping[int, object]) -> "TableLambda":
-        return TableLambda(tuple(sorted((int(n), as_level(v)) for n, v in mapping.items())))
+        return TableLambda(tuple(sorted(_LEVEL_TABLE[2](mapping))))
 
 
 @dataclass(frozen=True)
-class MidpointLambda:
+class MidpointLambda(Record):
     """Midpoint of the per-n feasibility interval, clamped into (0, 1).
 
     alpha > beta > 0 are the non-aggregation gain/loss magnitudes,
@@ -105,6 +138,7 @@ class MidpointLambda:
     delta: Fraction
     ratio: Fraction
     _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    config_fields = dict.fromkeys(("alpha", "beta", "gamma", "delta", "ratio"), LEVEL)
 
     def value_for(self, n: int) -> Fraction:
         if n not in self._cache:
@@ -122,18 +156,20 @@ class MidpointLambda:
 
 LambdaSchedule = ConstantLambda | TableLambda | MidpointLambda
 
+_LEVEL_TABLE = table(LEVEL)
 
-def lambda_for(schedule: LambdaSchedule, n: int) -> Fraction:
-    if isinstance(schedule, ConstantLambda):
-        return schedule.value
-    if isinstance(schedule, TableLambda):
-        for size, value in schedule.table:
-            if size == n:
-                return value
-        raise MissingLambda(f"no weight tabulated for population size {n}")
-    if isinstance(schedule, MidpointLambda):
-        return schedule.value_for(n)
-    raise ConfigError(f"unknown schedule {schedule!r}")
+# codec choice: a schedule is written under the document key of its type
+_SCHEDULE = {
+    "lambda": (
+        ConstantLambda, lambda s: format_level(s.value), lambda x: ConstantLambda(as_level(x))
+    ),
+    "lambda_table": (TableLambda, lambda s: _LEVEL_TABLE[1](s.table), TableLambda.from_mapping),
+    "lambda_midpoint": (
+        MidpointLambda,
+        lambda s: s.encode_fields({}),
+        lambda doc: MidpointLambda.from_fields(doc, "lambda_midpoint parameter"),
+    ),
+}
 
 
 def lambda_feasible_interval(
@@ -164,22 +200,53 @@ def lambda_feasible_interval(
 
 
 # ---------------------------------------------------------------------------
-# ordering parameter records
+# orderings
+
+
+class _Ordering(Record):
+    """Rules shared by the ordering dataclasses; each overrides what differs."""
+
+    tag = ""
+
+    def value(self, u: Profile) -> Valuation:
+        raise NotImplementedError
+
+    def compare(
+        self, u: Profile, v: Profile, cross_size: bool, tolerance: Fraction
+    ) -> CompareResult:
+        """Verdict on u against v; value rules depend on the population size."""
+        if len(u) != len(v) and not cross_size:
+            return CompareResult(
+                Verdict.INCOMPARABLE,
+                note=(
+                    "value function is population-size dependent; "
+                    "pass cross_size=True to compare raw values"
+                ),
+            )
+        return _resolve(evaluate(self, u), evaluate(self, v), tolerance)
 
 
 @dataclass(frozen=True)
-class Leximin:
+class Leximin(_Ordering):
     tag = "leximin"
 
+    def value(self, u):
+        raise ConfigError("leximin is not value-based")
+
+    def compare(self, u, v, cross_size, tolerance):
+        return leximin_compare(u, v)
+
 
 @dataclass(frozen=True)
-class Rdu:
+class Rdu(_Ordering):
     rho: Fraction
     g: GFunction
     tag = "rdu"
+    config_fields = {"rho": LEVEL, "g": TRANSFORM}
+    config_defaults = {"g": "identity"}
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", as_level(self.rho))
+        super().__post_init__()
         if self.rho <= 0:
             raise ConfigError("discount factor rho must be positive")
 
@@ -189,31 +256,42 @@ class Rdu:
             return ("rho <= 1: rank discounting is reversed or absent",)
         return ()
 
+    def value(self, u):
+        return rdu_value(u, self)
 
-def _check_lambda(lam: Fraction, allow_degenerate: bool) -> Fraction:
-    if allow_degenerate:
-        if not 0 <= lam < 1:
-            raise ConfigError(f"weight {format_level(lam)} outside [0, 1)")
-    elif not 0 < lam < 1:
-        raise ConfigError(f"weight {format_level(lam)} outside (0, 1)")
-    return lam
+    def compare(self, u, v, cross_size, tolerance):
+        return rdu_compare(u, v, self, tolerance)
 
 
 @dataclass(frozen=True)
-class SuffAvg:
+class _Shortfall(_Ordering):
+    """A shortfall term below theta_p weighted by the schedule's lambda_n."""
+
+    theta_p: Fraction
+    schedule: LambdaSchedule
+    allow_degenerate = False
+    config_fields = {"theta_p": LEVEL, "schedule": _SCHEDULE}
+
+    def lambda_for(self, n: int) -> Fraction:
+        lam = self.schedule.value_for(n)
+        if self.allow_degenerate:
+            if not 0 <= lam < 1:
+                raise ConfigError(f"weight {format_level(lam)} outside [0, 1)")
+        elif not 0 < lam < 1:
+            raise ConfigError(f"weight {format_level(lam)} outside (0, 1)")
+        return lam
+
+
+@dataclass(frozen=True)
+class SuffAvg(_Shortfall):
     """Shortfall-plus-average rule with threshold theta_p.
 
     ``allow_degenerate`` admits a weight of exactly 0 (plain average
     utilitarianism), used as a test extension only.
     """
 
-    theta_p: Fraction
-    schedule: LambdaSchedule
     allow_degenerate: bool = False
     tag = "suffavg"
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta_p", as_level(self.theta_p))
 
     @property
     def warnings(self) -> tuple[str, ...]:
@@ -221,50 +299,46 @@ class SuffAvg:
             return ("theta_p <= 0: the rule is defined with a positive threshold",)
         return ()
 
-    def lambda_for(self, n: int) -> Fraction:
-        return _check_lambda(lambda_for(self.schedule, n), self.allow_degenerate)
+    def value(self, u):
+        return ExactValue(suffavg_value(u, self))
+
+
+_WEIGHTS_TABLE = table(LEVELS)
 
 
 @dataclass(frozen=True)
-class MultiThreshold:
+class MultiThreshold(_Ordering):
     """Several nested shortfall terms below increasing thresholds."""
 
     thetas: tuple[Fraction, ...]
     weights: tuple[Fraction, ...] | None = None
     weights_table: tuple[tuple[int, tuple[Fraction, ...]], ...] | None = None
     tag = "multithreshold"
+    config_fields = {"thetas": LEVELS, "weights": LEVELS, "weights_table": _WEIGHTS_TABLE}
+    config_defaults = {"weights": None, "weights_table": None}
 
     def __post_init__(self):
-        object.__setattr__(self, "thetas", tuple(as_level(t) for t in self.thetas))
+        super().__post_init__()
         if any(b <= a for a, b in zip(self.thetas, self.thetas[1:])):
             raise ConfigError("thresholds must be strictly increasing")
         if (self.weights is None) == (self.weights_table is None):
             raise ConfigError("give exactly one of weights / weights_table")
-        if self.weights is not None:
-            object.__setattr__(self, "weights", self._validated(self.weights))
-        else:
-            object.__setattr__(
-                self,
-                "weights_table",
-                tuple((int(n), self._validated(w)) for n, w in self.weights_table),
-            )
+        for w in self._weight_vectors():
+            if len(w) != len(self.thetas) + 1:
+                raise ConfigError("need one weight per threshold plus the average weight")
+            if any(not 0 < x < 1 for x in w):
+                raise ConfigError("weights must lie in (0, 1)")
+            if sum(w) != 1:
+                raise ConfigError("weights must sum to 1 exactly")
 
-    def _validated(self, weights) -> tuple[Fraction, ...]:
-        w = tuple(as_level(x) for x in weights)
-        if len(w) != len(self.thetas) + 1:
-            raise ConfigError("need one weight per threshold plus the average weight")
-        if any(not 0 < x < 1 for x in w):
-            raise ConfigError("weights must lie in (0, 1)")
-        if sum(w) != 1:
-            raise ConfigError("weights must sum to 1 exactly")
-        return w
+    def _weight_vectors(self) -> list[tuple[Fraction, ...]]:
+        if self.weights is not None:
+            return [self.weights]
+        return [w for _, w in self.weights_table]
 
     @property
     def warnings(self) -> tuple[str, ...]:
-        tables = [self.weights] if self.weights is not None else [
-            w for _, w in self.weights_table
-        ]
-        for w in tables:
+        for w in self._weight_vectors():
             if any(b >= a for a, b in zip(w, w[1:])):
                 return (
                     "weights are not strictly decreasing: deeper-poverty terms "
@@ -275,27 +349,24 @@ class MultiThreshold:
     def weights_for(self, n: int) -> tuple[Fraction, ...]:
         if self.weights is not None:
             return self.weights
-        for size, w in self.weights_table:
-            if size == n:
-                return w
-        raise MissingLambda(f"no weights tabulated for population size {n}")
+        return _tabulated(self.weights_table, n, "weights")
+
+    def value(self, u):
+        return ExactValue(multithreshold_value(u, self))
 
 
 @dataclass(frozen=True)
-class RankWeighted:
+class RankWeighted(_Shortfall):
     """Shortfall term plus a rank-weighted average (worst-off weighted most)."""
 
-    theta_p: Fraction
-    schedule: LambdaSchedule
     weights_table: tuple[tuple[int, tuple[Fraction, ...]], ...]
     tag = "rankweighted"
+    config_fields = {**_Shortfall.config_fields, "weights_table": _WEIGHTS_TABLE}
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_p", as_level(self.theta_p))
-        table = []
+        super().__post_init__()
         for n, w in self.weights_table:
-            w = tuple(as_level(x) for x in w)
-            if len(w) != int(n):
+            if len(w) != n:
                 raise ConfigError(f"need {n} rank weights for population size {n}")
             if any(x <= 0 for x in w):
                 raise ConfigError("rank weights must be positive")
@@ -303,30 +374,21 @@ class RankWeighted:
                 raise ConfigError("rank weights must sum to 1 exactly")
             if any(b > a for a, b in zip(w, w[1:])):
                 raise ConfigError("rank weights must be nonincreasing in rank")
-            table.append((int(n), w))
-        object.__setattr__(self, "weights_table", tuple(table))
 
     def weights_for(self, n: int) -> tuple[Fraction, ...]:
-        for size, w in self.weights_table:
-            if size == n:
-                return w
-        raise MissingLambda(f"no rank weights tabulated for population size {n}")
+        return _tabulated(self.weights_table, n, "rank weights")
 
-    def lambda_for(self, n: int) -> Fraction:
-        return _check_lambda(lambda_for(self.schedule, n), False)
+    def value(self, u):
+        return ExactValue(rankweighted_value(u, self))
 
 
 @dataclass(frozen=True)
-class BoundedG:
+class BoundedG(_Shortfall):
     """Shortfall term plus the average of a bounded concave transform."""
 
-    theta_p: Fraction
-    schedule: LambdaSchedule
     g: GFunction
     tag = "boundedg"
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta_p", as_level(self.theta_p))
+    config_fields = {**_Shortfall.config_fields, "g": TRANSFORM}
 
     @property
     def warnings(self) -> tuple[str, ...]:
@@ -334,27 +396,25 @@ class BoundedG:
             return ("transform has no upper bound: large gains are not capped",)
         return ()
 
-    def lambda_for(self, n: int) -> Fraction:
-        return _check_lambda(lambda_for(self.schedule, n), False)
+    def value(self, u):
+        return boundedg_value(u, self)
 
 
 @dataclass(frozen=True)
-class ConcavePoor:
+class ConcavePoor(_Shortfall):
     """Concave transform applied to the shortfall term, plain average kept."""
 
-    theta_p: Fraction
-    schedule: LambdaSchedule
     g: GFunction
     tag = "concavepoor"
+    config_fields = {**_Shortfall.config_fields, "g": TRANSFORM}
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta_p", as_level(self.theta_p))
-
-    def lambda_for(self, n: int) -> Fraction:
-        return _check_lambda(lambda_for(self.schedule, n), False)
+    def value(self, u):
+        return concavepoor_value(u, self)
 
 
 OrderingSpec = Leximin | Rdu | SuffAvg | MultiThreshold | RankWeighted | BoundedG | ConcavePoor
+
+_ORDERINGS = {cls.tag: cls for cls in OrderingSpec.__args__}
 
 
 # ---------------------------------------------------------------------------
@@ -483,30 +543,16 @@ def rdu_compare(
 ) -> CompareResult:
     """Compare by RDU value; sizes may differ (the sum is well defined).
 
-    Float differences inside the combined error bound (or the relative
-    tolerance) are retried exactly when the transform allows it and the
-    populations are moderate; otherwise the result is flagged as
-    numerically tied and reported as equivalent.
+    With an exact transform and moderate populations both values are
+    exact. Otherwise float values are compared, and a difference inside
+    the combined error bound (or the relative tolerance) is retried
+    exactly when the transform allows it; failing that, the result is
+    flagged as numerically tied and reported as equivalent.
     """
-    exact_capable = p.g.is_exact
-    small = len(u) + len(v) <= RDU_EXACT_LIMIT
-    if exact_capable and small:
-        diff = _rdu_exact(u, p) - _rdu_exact(v, p)
-        return CompareResult(_sign_verdict(diff), margin=float(diff))
-    a, b = _rdu_float(u, p), _rdu_float(v, p)
-    diff = a.value - b.value
-    threshold = a.bound + b.bound + float(tolerance) * max(abs(a.value), abs(b.value))
-    if abs(diff) > threshold:
-        return CompareResult(_sign_verdict(diff), margin=diff)
-    if exact_capable:
-        exact_diff = _rdu_exact(u, p) - _rdu_exact(v, p)
-        return CompareResult(_sign_verdict(exact_diff), margin=float(exact_diff))
-    return CompareResult(
-        Verdict.EQUIVALENT,
-        margin=diff,
-        numerically_tied=True,
-        note="difference within combined error bound",
-    )
+    if p.g.is_exact and len(u) + len(v) <= RDU_EXACT_LIMIT:
+        return _resolve(ExactValue(_rdu_exact(u, p)), ExactValue(_rdu_exact(v, p)), tolerance)
+    exact = (lambda: _rdu_exact(u, p) - _rdu_exact(v, p)) if p.g.is_exact else None
+    return _resolve(_rdu_float(u, p), _rdu_float(v, p), tolerance, exact)
 
 
 def _sign_verdict(diff) -> Verdict:
@@ -555,10 +601,9 @@ def rankweighted_value(u: Profile, p: RankWeighted) -> Fraction:
     n = len(u)
     lam = p.lambda_for(n)
     weights = p.weights_for(n)
-    ranked = rank(u)
     weighted = Fraction(0)
     position = 0
-    for value, count in ranked.blocks:
+    for value, count in u.sorted_blocks():
         weighted += value * sum(weights[position : position + count])
         position += count
     return lam * _shortfall(u, p.theta_p) + (1 - lam) * weighted
@@ -610,37 +655,30 @@ def concavepoor_value(u: Profile, p: ConcavePoor) -> Valuation:
 
 def evaluate(spec: OrderingSpec, u: Profile) -> Valuation:
     """Value of a profile under a value-based ordering."""
-    if isinstance(spec, Leximin):
-        raise ConfigError("leximin is not value-based")
-    if isinstance(spec, Rdu):
-        return rdu_value(u, spec)
-    if isinstance(spec, SuffAvg):
-        return ExactValue(suffavg_value(u, spec))
-    if isinstance(spec, MultiThreshold):
-        return ExactValue(multithreshold_value(u, spec))
-    if isinstance(spec, RankWeighted):
-        return ExactValue(rankweighted_value(u, spec))
-    if isinstance(spec, BoundedG):
-        return boundedg_value(u, spec)
-    if isinstance(spec, ConcavePoor):
-        return concavepoor_value(u, spec)
-    raise ConfigError(f"unknown ordering {spec!r}")
+    return spec.value(u)
 
 
-def _compare_valuations(
-    a: Valuation, b: Valuation, tolerance: Fraction
+def _resolve(
+    a: Valuation, b: Valuation, tolerance: Fraction, exact=None
 ) -> CompareResult:
-    if isinstance(a, ExactValue) and isinstance(b, ExactValue):
+    """The verdict on two valuations, and the one place a float near-tie is decided.
+
+    Exact valuations compare exactly. Float ones are separated when their
+    difference exceeds the combined error bound plus the relative
+    tolerance; otherwise ``exact()``, when given, supplies the exact
+    difference; otherwise the result is a flagged numerical tie.
+    """
+    if a.is_exact and b.is_exact:
         diff = a.value - b.value
         return CompareResult(_sign_verdict(diff), margin=float(diff))
     af, bf = float(a), float(b)
-    bound = (a.bound if isinstance(a, FloatValue) else 0.0) + (
-        b.bound if isinstance(b, FloatValue) else 0.0
-    )
     diff = af - bf
-    threshold = bound + float(tolerance) * max(abs(af), abs(bf))
+    threshold = a.bound + b.bound + float(tolerance) * max(abs(af), abs(bf))
     if abs(diff) > threshold:
         return CompareResult(_sign_verdict(diff), margin=diff)
+    if exact is not None:
+        exact_diff = exact()
+        return CompareResult(_sign_verdict(exact_diff), margin=float(exact_diff))
     return CompareResult(
         Verdict.EQUIVALENT,
         margin=diff,
@@ -663,137 +701,21 @@ def swo_compare(
     unless the ``cross_size`` opt-in is set; RDU compares any sizes
     directly; leximin never compares across sizes.
     """
-    if isinstance(spec, Leximin):
-        return leximin_compare(u, v)
-    if isinstance(spec, Rdu):
-        return rdu_compare(u, v, spec, tolerance)
-    if len(u) != len(v) and not cross_size:
-        return CompareResult(
-            Verdict.INCOMPARABLE,
-            note=(
-                "value function is population-size dependent; "
-                "pass cross_size=True to compare raw values"
-            ),
-        )
-    return _compare_valuations(evaluate(spec, u), evaluate(spec, v), tolerance)
+    return spec.compare(u, v, cross_size, tolerance)
 
 
 # ---------------------------------------------------------------------------
 # configuration documents
 
 
-def _schedule_to_config(schedule: LambdaSchedule, doc: dict) -> None:
-    if isinstance(schedule, ConstantLambda):
-        doc["lambda"] = format_level(schedule.value)
-    elif isinstance(schedule, TableLambda):
-        doc["lambda_table"] = {str(n): format_level(v) for n, v in schedule.table}
-    elif isinstance(schedule, MidpointLambda):
-        doc["lambda_midpoint"] = {
-            "alpha": format_level(schedule.alpha),
-            "beta": format_level(schedule.beta),
-            "gamma": format_level(schedule.gamma),
-            "delta": format_level(schedule.delta),
-            "ratio": format_level(schedule.ratio),
-        }
-    else:
-        raise ConfigError(f"unknown schedule {schedule!r}")
-
-
-def _schedule_from_config(doc: Mapping) -> LambdaSchedule:
-    given = [k for k in ("lambda", "lambda_table", "lambda_midpoint") if k in doc]
-    if len(given) != 1:
-        raise ConfigError("give exactly one of lambda / lambda_table / lambda_midpoint")
-    key = given[0]
-    if key == "lambda":
-        return ConstantLambda(as_level(doc["lambda"]))
-    if key == "lambda_table":
-        return TableLambda.from_mapping(doc["lambda_table"])
-    m = doc["lambda_midpoint"]
-    return MidpointLambda(
-        as_level(m["alpha"]),
-        as_level(m["beta"]),
-        as_level(m["gamma"]),
-        as_level(m["delta"]),
-        as_level(m["ratio"]),
-    )
-
-
 def ordering_to_config(spec: OrderingSpec) -> dict:
-    doc: dict = {"ordering": spec.tag}
-    if isinstance(spec, Rdu):
-        doc["rho"] = format_level(spec.rho)
-        doc["g"] = g_to_config(spec.g)
-    elif isinstance(spec, SuffAvg):
-        doc["theta_p"] = format_level(spec.theta_p)
-        _schedule_to_config(spec.schedule, doc)
-    elif isinstance(spec, MultiThreshold):
-        doc["thetas"] = [format_level(t) for t in spec.thetas]
-        if spec.weights is not None:
-            doc["weights"] = [format_level(w) for w in spec.weights]
-        else:
-            doc["weights_table"] = {
-                str(n): [format_level(x) for x in w] for n, w in spec.weights_table
-            }
-    elif isinstance(spec, RankWeighted):
-        doc["theta_p"] = format_level(spec.theta_p)
-        _schedule_to_config(spec.schedule, doc)
-        doc["weights_table"] = {
-            str(n): [format_level(x) for x in w] for n, w in spec.weights_table
-        }
-    elif isinstance(spec, (BoundedG, ConcavePoor)):
-        doc["theta_p"] = format_level(spec.theta_p)
-        _schedule_to_config(spec.schedule, doc)
-        doc["g"] = g_to_config(spec.g)
-    elif not isinstance(spec, Leximin):
-        raise ConfigError(f"unknown ordering {spec!r}")
-    return doc
+    return spec.encode_fields({"ordering": spec.tag})
 
 
 def ordering_from_config(doc: Mapping) -> OrderingSpec:
     if not isinstance(doc, Mapping) or "ordering" not in doc:
         raise ConfigError("ordering config must be a mapping with an 'ordering' tag")
-    tag = doc["ordering"]
-    try:
-        if tag == "leximin":
-            return Leximin()
-        if tag == "rdu":
-            return Rdu(as_level(doc["rho"]), g_from_config(doc.get("g", "identity")))
-        if tag == "suffavg":
-            return SuffAvg(as_level(doc["theta_p"]), _schedule_from_config(doc))
-        if tag == "multithreshold":
-            if "weights" in doc:
-                return MultiThreshold(
-                    tuple(as_level(t) for t in doc["thetas"]),
-                    weights=tuple(as_level(w) for w in doc["weights"]),
-                )
-            return MultiThreshold(
-                tuple(as_level(t) for t in doc["thetas"]),
-                weights_table=tuple(
-                    (int(n), tuple(as_level(x) for x in w))
-                    for n, w in doc["weights_table"].items()
-                ),
-            )
-        if tag == "rankweighted":
-            return RankWeighted(
-                as_level(doc["theta_p"]),
-                _schedule_from_config(doc),
-                tuple(
-                    (int(n), tuple(as_level(x) for x in w))
-                    for n, w in doc["weights_table"].items()
-                ),
-            )
-        if tag == "boundedg":
-            return BoundedG(
-                as_level(doc["theta_p"]),
-                _schedule_from_config(doc),
-                g_from_config(doc["g"]),
-            )
-        if tag == "concavepoor":
-            return ConcavePoor(
-                as_level(doc["theta_p"]),
-                _schedule_from_config(doc),
-                g_from_config(doc["g"]),
-            )
-    except KeyError as exc:
-        raise ConfigError(f"missing ordering parameter {exc}") from exc
-    raise ConfigError(f"unknown ordering tag {tag!r}")
+    cls = _ORDERINGS.get(str(doc["ordering"]))
+    if cls is None:
+        raise ConfigError(f"unknown ordering tag {doc['ordering']!r}")
+    return cls.from_fields(doc, "ordering parameter")

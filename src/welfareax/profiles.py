@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Iterable, Iterator, Sequence
 
-from .errors import MaterializeError, ProfileParseError, SizeMismatch
+from .errors import InfeasibleParameters, MaterializeError, ProfileParseError, SizeMismatch
 
 Level = Fraction
 
@@ -236,45 +236,8 @@ class Profile:
         return serialize_profile(self)
 
 
-@dataclass(frozen=True)
-class RankedProfile:
-    """Ascending rearrangement of a profile.
-
-    ``provenance`` maps rank position r to the source index whose level
-    occupies it (stable: ties keep original order); it is None when the
-    source was too large to materialize, in which case only the ranked
-    blocks are available.
-    """
-
-    blocks: tuple[tuple[Fraction, int], ...]
-    provenance: tuple[int, ...] | None = None
-
-    def __len__(self) -> int:
-        return sum(c for _, c in self.blocks)
-
-    def levels(self) -> tuple[Fraction, ...]:
-        return Profile(self.blocks).levels()
-
-    def as_profile(self) -> Profile:
-        return Profile(self.blocks)
-
-    def value_at_rank(self, rank: int) -> Fraction:
-        """0-based rank; rank 0 is the worst-off."""
-        return Profile(self.blocks).value_at(rank)
-
-
 # ---------------------------------------------------------------------------
 # core operations
-
-
-def rank(u: Profile) -> RankedProfile:
-    """Ascending multiset-preserving sort, stable in the provenance."""
-    sorted_blocks = u.sorted_blocks()
-    provenance: tuple[int, ...] | None = None
-    if len(u) <= MATERIALIZE_LIMIT:
-        levels = u.levels()
-        provenance = tuple(sorted(range(len(levels)), key=lambda i: (levels[i], i)))
-    return RankedProfile(sorted_blocks, provenance)
 
 
 def replicate(u: Profile, k: int) -> Profile:
@@ -296,12 +259,24 @@ def permute(u: Profile, pi: Sequence[int]) -> Profile:
     return Profile.from_levels(out)
 
 
+def argsort(u: Profile) -> tuple[int, ...]:
+    """Stable ascending argsort: the index of the entry at each rank.
+
+    It is also the scatter permutation pi with permute(ranked u, pi) == u.
+    """
+    if len(u) > MATERIALIZE_LIMIT:
+        raise MaterializeError(
+            f"profile with {len(u)} entries exceeds the materialization limit"
+        )
+    starts = list(itertools.accumulate((c for _, c in u.blocks), initial=0))
+    order = sorted(range(len(u.blocks)), key=lambda b: u.blocks[b][0])
+    return tuple(i for b in order for i in range(starts[b], starts[b + 1]))
+
+
 def sorting_permutation(u: Profile) -> tuple[int, ...]:
     """Scatter permutation pi with permute(u, pi) ranked ascending (stable)."""
-    levels = u.levels()
-    order = sorted(range(len(levels)), key=lambda i: (levels[i], i))
-    pi = [0] * len(levels)
-    for position, source in enumerate(order):
+    pi = [0] * len(u)
+    for position, source in enumerate(argsort(u)):
         pi[source] = position
     return tuple(pi)
 
@@ -310,9 +285,9 @@ def ceil_ratio(lam: Fraction, n: int) -> int:
     """Smallest integer m with m >= lam * n, in exact arithmetic."""
     lam = as_level(lam)
     if not (0 < lam < 1):
-        raise ValueError("ratio must lie strictly between 0 and 1")
+        raise InfeasibleParameters("ratio must lie strictly between 0 and 1")
     if n < 1:
-        raise ValueError("population size must be positive")
+        raise InfeasibleParameters("population size must be positive")
     return ceil(lam * n)
 
 

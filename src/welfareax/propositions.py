@@ -53,9 +53,9 @@ from .profiles import (
     IndexSet,
     Profile,
     Verdict,
+    argsort,
     as_level,
     ceil_ratio,
-    rank,
     replicate,
     sorting_permutation,
 )
@@ -360,12 +360,6 @@ def build_prop3_chain(
 # chain 4: leximin dominance
 
 
-def _unsorting_permutation(x: Profile) -> tuple[int, ...]:
-    """pi with permute(sorted(x), pi) == x: the stable ascending argsort."""
-    levels = x.levels()
-    return tuple(sorted(range(len(levels)), key=lambda i: (levels[i], i)))
-
-
 def build_prop4_chain(u: Profile, v: Profile, beta_of_alpha=None) -> DerivationChain:
     """Dominance chain certifying u > v for leximin-ranked same-size pairs.
 
@@ -381,8 +375,8 @@ def build_prop4_chain(u: Profile, v: Profile, beta_of_alpha=None) -> DerivationC
         f"leximin must rank u strictly above v (got {res.verdict.value})",
     )
     n = len(u)
-    ru = list(rank(u).levels())
-    rv = list(rank(v).levels())
+    ru = list(Profile(u.sorted_blocks()).levels())
+    rv = list(Profile(v.sorted_blocks()).levels())
     h = next(idx for idx in range(n) if ru[idx] != rv[idx])
 
     u_sorted = Profile.from_levels(ru)
@@ -393,7 +387,7 @@ def build_prop4_chain(u: Profile, v: Profile, beta_of_alpha=None) -> DerivationC
         steps = (
             AxiomStep(v, v_sorted, Anonymity(v, sorting_permutation(v))),
             AxiomStep(v_sorted, u_sorted, StrongPareto(u_sorted, v_sorted)),
-            AxiomStep(u_sorted, u, Anonymity(u_sorted, _unsorting_permutation(u))),
+            AxiomStep(u_sorted, u, Anonymity(u_sorted, argsort(u))),
         )
         return DerivationChain(steps, None, ChainKind.DOMINANCE)
 
@@ -440,7 +434,7 @@ def build_prop4_chain(u: Profile, v: Profile, beta_of_alpha=None) -> DerivationC
             )
         )
     steps.append(AxiomStep(w_profile(k), grouped_u, StrongPareto(grouped_u, w_profile(k))))
-    steps.append(AxiomStep(grouped_u, big_u, Anonymity(grouped_u, _unsorting_permutation(big_u))))
+    steps.append(AxiomStep(grouped_u, big_u, Anonymity(grouped_u, argsort(big_u))))
     steps.append(DescentStep(v, u, k))
     return DerivationChain(tuple(steps), None, ChainKind.DOMINANCE)
 

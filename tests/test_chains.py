@@ -266,6 +266,21 @@ class TestSerialization:
         report = validate_chain(tampered)
         assert not report.ok
 
+    def test_replication_invariance_cannot_justify_a_step(self):
+        # a same-size pair meets the axiom's clauses, but its conclusion ranks
+        # no pair of profiles: without the refusal this "proves" 0,1 > 5,5
+        text = (
+            "# welfareax certificate v1\n"
+            "chain kind=dominance\n"
+            "step axiom=replication_invariance from=5,5 to=0,0 k=1\n"
+            "step axiom=strong_pareto from=0,0 to=0,1\n"
+        )
+        report = validate_chain(parse_chain(text))
+        assert not report.ok
+        assert report.precondition_failures == (
+            (0, "replication_invariance justifies only lift and descent steps"),
+        )
+
 
 # Certificates written by the v1 serializer for the parameter sets above.
 # They pin the format byte for byte: regenerate them only together with a

@@ -293,12 +293,41 @@ QA_INSTANCE = (
             ["check-axiom", "--ordering", "leximin.yaml", "--instance", "inst.yaml"],
             id="bad-field-value",
         ),
+        *[
+            pytest.param(
+                {"bad.yaml": config, "pair.txt": "1,2\n2,1\n"},
+                ["compare", "--ordering", "bad.yaml", "--profiles", "pair.txt"],
+                id=name,
+            )
+            for name, config in [
+                ("ordering-bad-level", "ordering: rdu\nrho: abc\n"),
+                ("ordering-zero-denominator", "ordering: suffavg\ntheta_p: 0\nlambda: 1/0\n"),
+                (
+                    "ordering-table-not-a-mapping",
+                    "ordering: multithreshold\nthetas: [0]\nweights_table: [1, 2]\n",
+                ),
+                (
+                    "ordering-midpoint-not-a-mapping",
+                    "ordering: suffavg\ntheta_p: 0\nlambda_midpoint: 3\n",
+                ),
+                (
+                    "transform-bad-points",
+                    "ordering: rdu\nrho: 2\ng: {kind: piecewise_linear, points: [[0]]}\n",
+                ),
+            ]
+        ],
+        pytest.param({}, ["replay", "--id", "4"], id="replay-4-without-profiles"),
+        pytest.param(
+            {},
+            ["plot-data", "--kind", "ratio-coefficient", "--n-from", "0"],
+            id="plot-data-population-zero",
+        ),
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(workdir, capsys, files, argv):
     for name, text in files.items():
         (workdir / name).write_text(text)
-    code, _, err = run(capsys, [workdir / a if a.endswith(".yaml") else a for a in argv])
+    code, _, err = run(capsys, [workdir / a if a.endswith(".yaml") or a in files else a for a in argv])
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err

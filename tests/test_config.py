@@ -34,6 +34,41 @@ SPECS = [
     ConcavePoor(4, ConstantLambda(Fraction(1, 2)), Sqrt()),
 ]
 
+# the documents ordering_to_config wrote for SPECS before the ordering
+# types owned their config fields; repr compares nested key order too
+DOCS = [
+    {"ordering": "leximin"},
+    {"ordering": "rdu", "rho": "101/100", "g": {"kind": "sqrt"}},
+    {"ordering": "suffavg", "theta_p": "0", "lambda": "1/5"},
+    {"ordering": "suffavg", "theta_p": "10", "lambda_table": {"2": "1/3", "5": "2/5"}},
+    {
+        "ordering": "suffavg",
+        "theta_p": "10",
+        "lambda_midpoint": {"alpha": "10", "beta": "1", "gamma": "10", "delta": "1", "ratio": "1/2"},
+    },
+    {"ordering": "multithreshold", "thetas": ["0", "5"], "weights": ["1/2", "1/3", "1/6"]},
+    {"ordering": "multithreshold", "thetas": ["0"], "weights_table": {"3": ["2/3", "1/3"]}},
+    {
+        "ordering": "rankweighted",
+        "theta_p": "0",
+        "lambda": "1/2",
+        "weights_table": {"2": ["3/4", "1/4"]},
+    },
+    {
+        "ordering": "boundedg",
+        "theta_p": "0",
+        "lambda": "1/4",
+        "g": {"kind": "saturating_exp", "cap": "5", "scale": "2"},
+    },
+    {"ordering": "concavepoor", "theta_p": "4", "lambda": "1/2", "g": {"kind": "sqrt"}},
+]
+
+
+@pytest.mark.parametrize("spec,doc", zip(SPECS, DOCS), ids=[s.tag for s in SPECS])
+def test_ordering_to_config_pinned(spec, doc):
+    assert repr(ordering_to_config(spec)) == repr(doc)
+    assert ordering_from_config(doc) == spec
+
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.tag)
 def test_ordering_config_roundtrip(spec):

@@ -8,13 +8,16 @@ that knows the rules of its axiom:
   gain and loss orderings, m, lam); ``generate_instances`` runs the
   same clauses on its ``params`` before drawing anything;
 * ``profile_clauses`` checks the clauses on the profiles in exact
-  rational arithmetic (rank conditions, threshold caps, unaffected-agent
-  equality);
+  arithmetic (rank conditions, threshold caps, unaffected-agent
+  equality), on int numerators over one common denominator of the
+  instance's profiles and magnitudes;
 * ``endpoints`` returns the (worse, better) profiles and the relation
   the conclusion asserts between them, which ``check_axiom`` and the
   derivation chains both read;
 * ``generate`` draws one random valid instance, with deliberate boundary
-  coverage.
+  coverage; levels are drawn and combined as int numerators over one
+  denominator per stream, and each profile is built once from merged
+  blocks.
 
 ``validate_preconditions`` runs both clause lists; ``check_axiom`` then
 tests whether an ordering's verdict meets the conclusion. Fields are
@@ -43,14 +46,14 @@ from types import SimpleNamespace
 from typing import Iterator, Mapping
 
 from .codec import INTEGER, LEVEL, PROFILE, decode
-from .errors import ConfigError, InfeasibleParameters
+from .errors import ConfigError, InfeasibleParameters, SizeMismatch
 from .orderings import DEFAULT_TOLERANCE, OrderingSpec, swo_compare
 from .profiles import (
     IndexSet,
     Profile,
     Verdict,
-    aligned_runs,
     as_level,
+    block_runs,
     ceil_ratio,
     format_level,
     permute,
@@ -136,6 +139,34 @@ def _failed(*clauses: tuple[bool, str]) -> list[str]:
     return [text for failed, text in clauses if failed]
 
 
+class _Scale:
+    """An instance's levels as int numerators over one common denominator.
+
+    The denominator covers both profiles and every magnitude; ``s(x)`` is
+    the numerator of the level x, ``s.u`` and ``s.v`` the numerators of
+    the blocks of the profiles.
+    """
+
+    def __init__(self, inst: "_Axiom"):
+        self.profiles = u, v = inst.u, inst.v
+        if len(u) != len(v):
+            raise SizeMismatch(f"profiles have sizes {len(u)} and {len(v)}")
+        self.den = math.lcm(
+            u.scaled[0], v.scaled[0], *(getattr(inst, name).denominator for name in inst.magnitudes)
+        )
+        self.u, self.v = u.scaled_to(self.den), v.scaled_to(self.den)
+
+    def __call__(self, x: Fraction) -> int:
+        return x.numerator * (self.den // x.denominator)
+
+    def runs(self):
+        """Maximal runs (start, count, u numerator, v numerator)."""
+        u, v = self.profiles
+        return block_runs(
+            zip(self.u, (c for _, c in u.blocks)), zip(self.v, (c for _, c in v.blocks))
+        )
+
+
 class _Axiom:
     """Rules shared by the axiom dataclasses; each overrides what differs."""
 
@@ -146,6 +177,8 @@ class _Axiom:
     magnitudes = ()
     # whether the conclusion ranks its two profiles, so that it can justify a chain step
     ranks_profiles = True
+    # optional level parameters of generation, with their defaults
+    options = {}
 
     def __post_init__(self):
         for name, value in list(vars(self).items()):
@@ -207,7 +240,7 @@ class Anonymity(_Axiom):
         n = ctx.size(1)
         pi = list(range(n))
         ctx.rng.shuffle(pi)
-        return cls(_random_profile(ctx, n), tuple(pi))
+        return cls(ctx.profile(ctx.draws(n)), tuple(pi))
 
 
 class _Pareto(_Axiom):
@@ -220,7 +253,7 @@ class _Pareto(_Axiom):
         if len(self.u) != len(self.v):
             return ["population sizes differ"]
         sign = "<=" if self.strict else "<"
-        for start, count, uval, vval in aligned_runs(self.u, self.v):
+        for start, count, uval, vval in _Scale(self).runs():
             if uval < vval or (self.strict and uval == vval):
                 return [f"u {sign} v at positions {start}..{start + count - 1}"]
         return []
@@ -233,19 +266,15 @@ class StrongPareto(_Pareto):
     tag = "strong_pareto"
 
     def relation(self) -> Relation:
-        strict = any(uval > vval for _, _, uval, vval in aligned_runs(self.u, self.v))
+        strict = any(uval > vval for _, _, uval, vval in _Scale(self).runs())
         return Relation.STRICT if strict else Relation.WEAK
 
     @classmethod
     def generate(cls, ctx):
         n, rng = ctx.size(1), ctx.rng
-        v = _random_profile(ctx, n)
-        deltas = [
-            Fraction(0) if rng.random() < 0.4 else _draw_level(rng, Fraction(0), Fraction(5))
-            for _ in range(n)
-        ]
-        u = Profile.from_levels(x + d for x, d in zip(v.iter_levels(), deltas))
-        return cls(u, v)
+        v = ctx.draws(n)
+        u = [x + (0 if rng.random() < 0.4 else ctx.draw(0, 5 * ctx.den)) for x in v]
+        return cls(ctx.profile(u), ctx.profile(v))
 
 
 @dataclass(frozen=True)
@@ -261,11 +290,9 @@ class WeakPareto(_Pareto):
     @classmethod
     def generate(cls, ctx):
         n = ctx.size(1)
-        v = _random_profile(ctx, n)
-        u = Profile.from_levels(
-            x + _draw_level(ctx.rng, Fraction(1, 2), Fraction(5)) for x in v.iter_levels()
-        )
-        return cls(u, v)
+        v = ctx.draws(n)
+        u = [x + ctx.draw(ctx.den // 2, 5 * ctx.den) for x in v]
+        return cls(ctx.profile(u), ctx.profile(v))
 
 
 @dataclass(frozen=True)
@@ -277,6 +304,7 @@ class PigouDalton(_Axiom):
     j: int
     epsilon: Fraction
     tag = "pigou_dalton"
+    options = {"epsilon_max": 3}
 
     @property
     def v(self) -> Profile:
@@ -295,15 +323,14 @@ class PigouDalton(_Axiom):
     @classmethod
     def generate(cls, ctx):
         n = ctx.size(2)
-        eps_max = as_level(ctx.params.get("epsilon_max", 3))
-        epsilon = _draw_level(ctx.rng, Fraction(1, 2), eps_max)
-        slack = Fraction(0) if ctx.boundary() else _draw_level(ctx.rng, Fraction(0), Fraction(4))
-        u_j = _draw_level(ctx.rng, ctx.lo, ctx.hi - 2 * epsilon - slack)
+        epsilon = ctx.draw(ctx.den // 2, ctx.s.epsilon_max)
+        slack = 0 if ctx.boundary() else ctx.draw(0, 4 * ctx.den)
+        u_j = ctx.draw(ctx.lo, ctx.hi - 2 * epsilon - slack)
         u_i = u_j + 2 * epsilon + slack
         i, j = ctx.rng.sample(range(n), 2)
-        levels = [_draw_level(ctx.rng, ctx.lo, ctx.hi) for _ in range(n)]
+        levels = ctx.draws(n)
         levels[i], levels[j] = u_i, u_j
-        return cls(Profile.from_levels(levels), i, j, epsilon)
+        return cls(ctx.profile(levels), i, j, Fraction(epsilon, ctx.den))
 
 
 @dataclass(frozen=True)
@@ -337,7 +364,7 @@ class ReplicationInvariance(_Axiom):
         n = ctx.size(1)
         k_max = int(ctx.params.get("k_max", 4))
         return cls(
-            _random_profile(ctx, n), _random_profile(ctx, n), ctx.rng.randint(1, max(1, k_max))
+            ctx.profile(ctx.draws(n)), ctx.profile(ctx.draws(n)), ctx.rng.randint(1, max(1, k_max))
         )
 
 
@@ -348,11 +375,11 @@ class _Donors(_Axiom):
         """Clauses on the size of M, checked before the profiles are walked."""
         return []
 
-    def donor_rule(self):
-        """Function (u_j, v_j) -> failed clauses of one donor run."""
+    def donor_rule(self, s: _Scale):
+        """Function (u_j, v_j) -> failed clauses of one donor run, on numerators over s."""
         raise NotImplementedError
 
-    def recipient_clauses(self, u_i: Fraction, v_i: Fraction) -> list[str]:
+    def recipient_clauses(self, s: _Scale, u_i: int, v_i: int) -> list[str]:
         raise NotImplementedError
 
     def profile_clauses(self) -> list[str]:
@@ -366,8 +393,9 @@ class _Donors(_Axiom):
             return failures + ["M contains out-of-range indices"]
         if i in M:
             return failures + ["i must not belong to M"]
-        donor = self.donor_rule()
-        for start, count, uval, vval in aligned_runs(self.u, self.v):
+        s = _Scale(self)
+        donor = self.donor_rule(s)
+        for start, count, uval, vval in s.runs():
             stop = start + count
             m_cnt = M.overlap(start, stop)
             has_i = start <= i < stop
@@ -378,10 +406,10 @@ class _Donors(_Axiom):
                     failures.append(f"{clause} (positions {start}..{stop - 1})")
             if count - m_cnt - has_i and uval != vval:
                 failures.append(
-                    f"unaffected agents change: {format_level(uval)} -> "
-                    f"{format_level(vval)} (positions {start}..{stop - 1})"
+                    f"unaffected agents change: {format_level(Fraction(uval, s.den))} -> "
+                    f"{format_level(Fraction(vval, s.den))} (positions {start}..{stop - 1})"
                 )
-        return failures + self.recipient_clauses(u_i, v_i)
+        return failures + self.recipient_clauses(s, u_i, v_i)
 
 
 def _alpha_beta(p) -> list[str]:
@@ -396,17 +424,17 @@ def _gamma_delta(p) -> list[str]:
     return [] if p.gamma > p.delta > 0 else ["need gamma > delta > 0"]
 
 
-def _donor_pair(n: int, i: int, M, rest, recipient, donor, bystander) -> tuple:
+def _donor_pair(ctx, n: int, i: int, M, rest, recipient, donor, bystander) -> tuple:
     """(u, v, i, M) from the recipient's (u_i, v_i), then each donor's pair
     and each bystander's unchanged level, drawn in position order."""
-    u_levels = [None] * n
-    v_levels = [None] * n
+    u_levels = [0] * n
+    v_levels = [0] * n
     u_levels[i], v_levels[i] = recipient
     for q in M:
         u_levels[q], v_levels[q] = donor()
     for q in rest:
         u_levels[q] = v_levels[q] = bystander()
-    return Profile.from_levels(u_levels), Profile.from_levels(v_levels), i, IndexSet.from_indices(M)
+    return ctx.profile(u_levels), ctx.profile(v_levels), i, IndexSet.from_indices(M)
 
 
 @dataclass(frozen=True)
@@ -425,42 +453,43 @@ class MinimalNonAggregation(_Donors):
     magnitudes = ("theta_p", "theta_r", "alpha", "beta")
     magnitude_clauses = staticmethod(_thresholds_alpha_beta)
 
-    def donor_rule(self):
-        u_max, v_max = self.u.max_level(), self.v.max_level()
+    def donor_rule(self, s):
+        u_max, v_max = max(s.u), max(s.v)
+        theta_r, beta = s(self.theta_r), s(self.beta)
         return lambda uj, vj: _failed(
             (uj != u_max, "u_j must be (tied for) best-off in u"),
-            (uj < self.theta_r, "u_j >= theta_r fails"),
+            (uj < theta_r, "u_j >= theta_r fails"),
             (vj != v_max, "v_j must be (tied for) best-off in v"),
-            (vj < uj - self.beta, "v_j >= u_j - beta fails"),
+            (vj < uj - beta, "v_j >= u_j - beta fails"),
         )
 
-    def recipient_clauses(self, u_i, v_i):
+    def recipient_clauses(self, s, u_i, v_i):
         return _failed(
-            (u_i != self.u.min_level(), "u_i must be (tied for) worst-off in u"),
-            (v_i < u_i + self.alpha, "v_i >= u_i + alpha fails"),
-            (v_i > self.theta_p, "theta_p >= v_i fails"),
+            (u_i != min(s.u), "u_i must be (tied for) worst-off in u"),
+            (v_i < u_i + s(self.alpha), "v_i >= u_i + alpha fails"),
+            (v_i > s(self.theta_p), "theta_p >= v_i fails"),
         )
 
     @classmethod
     def generate(cls, ctx):
-        p, rng = ctx.p, ctx.rng
+        p, s, rng, unit = ctx.p, ctx.s, ctx.rng, ctx.den
         n = ctx.size(2)
         i, M, rest = _positions(rng, n, rng.randint(1, n - 1))
-        u_i = _draw_level(rng, min(ctx.lo, p.theta_p - p.alpha - 5), p.theta_p - p.alpha)
+        u_i = ctx.draw(min(ctx.lo, s.theta_p - s.alpha - 5 * unit), s.theta_p - s.alpha)
         if ctx.boundary():
             # the two binding shapes: gain exactly alpha, or landing on theta_p
-            v_i = u_i + p.alpha if rng.random() < 0.5 else p.theta_p
+            v_i = u_i + s.alpha if rng.random() < 0.5 else s.theta_p
         else:
-            v_i = _draw_level(rng, u_i + p.alpha, p.theta_p)
-        u_top = _draw_level(rng, p.theta_r, max(ctx.hi, p.theta_r + 5))
-        loss_cap = min(p.beta, u_top - v_i)
-        loss = loss_cap if ctx.boundary() else _draw_level(rng, Fraction(0), loss_cap)
+            v_i = ctx.draw(u_i + s.alpha, s.theta_p)
+        u_top = ctx.draw(s.theta_r, max(ctx.hi, s.theta_r + 5 * unit))
+        loss_cap = min(s.beta, u_top - v_i)
+        loss = loss_cap if ctx.boundary() else ctx.draw(0, loss_cap)
         v_top = u_top - loss
         return cls(
             *_donor_pair(
-                n, i, M, rest, (u_i, v_i),
+                ctx, n, i, M, rest, (u_i, v_i),
                 lambda: (u_top, v_top),
-                lambda: _draw_level(rng, u_i, v_top),
+                lambda: ctx.draw(u_i, v_top),
             ),
             p.theta_p, p.theta_r, p.alpha, p.beta,
         )
@@ -481,32 +510,33 @@ class StrongNonAggregation(_Donors):
     magnitudes = ("alpha", "beta")
     magnitude_clauses = staticmethod(_alpha_beta)
 
-    def donor_rule(self):
-        v_i = self.u.value_at(self.i) + self.alpha
+    def donor_rule(self, s):
+        v_i = s(self.u.value_at(self.i)) + s(self.alpha)
+        beta = s(self.beta)
         return lambda uj, vj: _failed(
-            (vj != uj - self.beta, "u_j - beta = v_j fails"),
+            (vj != uj - beta, "u_j - beta = v_j fails"),
             (vj <= v_i, "v_j > v_i fails"),
         )
 
-    def recipient_clauses(self, u_i, v_i):
-        return [] if v_i == u_i + self.alpha else ["v_i = u_i + alpha fails"]
+    def recipient_clauses(self, s, u_i, v_i):
+        return [] if v_i == u_i + s(self.alpha) else ["v_i = u_i + alpha fails"]
 
     @classmethod
     def generate(cls, ctx):
-        p, rng = ctx.p, ctx.rng
+        p, s, rng, unit = ctx.p, ctx.s, ctx.rng, ctx.den
         n = ctx.size(2)
         i, M, rest = _positions(rng, n, rng.randint(1, n - 1))
-        u_i = _draw_level(rng, ctx.lo, ctx.hi)
-        floor = u_i + p.alpha + p.beta
+        u_i = ctx.draw(ctx.lo, ctx.hi)
+        floor = u_i + s.alpha + s.beta
 
         def donor():
-            u_j = floor + _draw_level(rng, Fraction(1, 2), Fraction(6))
-            return u_j, u_j - p.beta
+            u_j = floor + ctx.draw(unit // 2, 6 * unit)
+            return u_j, u_j - s.beta
 
         return cls(
             *_donor_pair(
-                n, i, M, rest, (u_i, u_i + p.alpha), donor,
-                lambda: _draw_level(rng, ctx.lo, ctx.hi),
+                ctx, n, i, M, rest, (u_i, u_i + s.alpha), donor,
+                lambda: ctx.draw(ctx.lo, ctx.hi),
             ),
             p.alpha, p.beta,
         )
@@ -529,35 +559,36 @@ class StrongNonAggThreshold(_Donors):
     magnitudes = ("theta_p", "theta_r", "alpha", "beta")
     magnitude_clauses = staticmethod(_thresholds_alpha_beta)
 
-    def donor_rule(self):
+    def donor_rule(self, s):
+        beta, theta_r = s(self.beta), s(self.theta_r)
         return lambda uj, vj: _failed(
-            (vj != uj - self.beta, "u_j - beta = v_j fails"),
-            (vj < self.theta_r, "v_j >= theta_r fails"),
+            (vj != uj - beta, "u_j - beta = v_j fails"),
+            (vj < theta_r, "v_j >= theta_r fails"),
         )
 
-    def recipient_clauses(self, u_i, v_i):
+    def recipient_clauses(self, s, u_i, v_i):
         return _failed(
-            (v_i != u_i + self.alpha, "v_i = u_i + alpha fails"),
-            (v_i > self.theta_p, "theta_p >= v_i fails"),
+            (v_i != u_i + s(self.alpha), "v_i = u_i + alpha fails"),
+            (v_i > s(self.theta_p), "theta_p >= v_i fails"),
         )
 
     @classmethod
     def generate(cls, ctx):
-        p, rng = ctx.p, ctx.rng
+        p, s, rng, unit = ctx.p, ctx.s, ctx.rng, ctx.den
         n = ctx.size(2)
         i, M, rest = _positions(rng, n, rng.randint(1, n - 1))
-        u_i = p.theta_p - p.alpha if ctx.boundary() else _draw_level(
-            rng, min(ctx.lo, p.theta_p - p.alpha - 5), p.theta_p - p.alpha
+        u_i = s.theta_p - s.alpha if ctx.boundary() else ctx.draw(
+            min(ctx.lo, s.theta_p - s.alpha - 5 * unit), s.theta_p - s.alpha
         )
 
         def donor():
-            u_j = _draw_level(rng, p.theta_r + p.beta, max(ctx.hi, p.theta_r + p.beta + 5))
-            return u_j, u_j - p.beta
+            u_j = ctx.draw(s.theta_r + s.beta, max(ctx.hi, s.theta_r + s.beta + 5 * unit))
+            return u_j, u_j - s.beta
 
         return cls(
             *_donor_pair(
-                n, i, M, rest, (u_i, u_i + p.alpha), donor,
-                lambda: _draw_level(rng, ctx.lo, ctx.hi),
+                ctx, n, i, M, rest, (u_i, u_i + s.alpha), donor,
+                lambda: ctx.draw(ctx.lo, ctx.hi),
             ),
             p.theta_p, p.theta_r, p.alpha, p.beta,
         )
@@ -583,67 +614,66 @@ class StrongerNonAggregation(_Donors):
     def magnitude_clauses(p):
         return ([] if p.theta_p > 0 else ["need theta_p > 0"]) + _alpha_beta(p)
 
-    def donor_rule(self):
+    def donor_rule(self, s):
+        beta, theta_p = s(self.beta), s(self.theta_p)
         return lambda uj, vj: _failed(
-            (vj < uj - self.beta, "v_j >= u_j - beta fails"),
-            (uj - self.beta < self.theta_p, "u_j - beta >= theta_p fails"),
+            (vj < uj - beta, "v_j >= u_j - beta fails"),
+            (uj - beta < theta_p, "u_j - beta >= theta_p fails"),
         )
 
-    def recipient_clauses(self, u_i, v_i):
+    def recipient_clauses(self, s, u_i, v_i):
         return _failed(
-            (v_i < u_i + self.alpha, "v_i >= u_i + alpha fails"),
-            (v_i > self.theta_p, "theta_p >= v_i fails"),
+            (v_i < u_i + s(self.alpha), "v_i >= u_i + alpha fails"),
+            (v_i > s(self.theta_p), "theta_p >= v_i fails"),
         )
 
     @classmethod
     def generate(cls, ctx):
-        p, rng = ctx.p, ctx.rng
+        p, s, rng, unit = ctx.p, ctx.s, ctx.rng, ctx.den
         n = ctx.size(2)
         i, M, rest = _positions(rng, n, rng.randint(1, n - 1))
-        u_i = _draw_level(rng, min(ctx.lo, p.theta_p - p.alpha - 5), p.theta_p - p.alpha)
+        u_i = ctx.draw(min(ctx.lo, s.theta_p - s.alpha - 5 * unit), s.theta_p - s.alpha)
         if ctx.boundary():
-            v_i = u_i + p.alpha if rng.random() < 0.5 else p.theta_p
+            v_i = u_i + s.alpha if rng.random() < 0.5 else s.theta_p
         else:
-            v_i = _draw_level(rng, u_i + p.alpha, p.theta_p)
+            v_i = ctx.draw(u_i + s.alpha, s.theta_p)
 
         def donor():
-            u_j = _draw_level(rng, p.theta_p + p.beta, max(ctx.hi, p.theta_p + p.beta + 5))
-            loss = p.beta if ctx.boundary() else _draw_level(rng, Fraction(0), p.beta)
+            u_j = ctx.draw(s.theta_p + s.beta, max(ctx.hi, s.theta_p + s.beta + 5 * unit))
+            loss = s.beta if ctx.boundary() else ctx.draw(0, s.beta)
             return u_j, u_j - loss
 
         return cls(
             *_donor_pair(
-                n, i, M, rest, (u_i, v_i), donor, lambda: _draw_level(rng, ctx.lo, ctx.hi)
+                ctx, n, i, M, rest, (u_i, v_i), donor, lambda: ctx.draw(ctx.lo, ctx.hi)
             ),
             p.theta_p, p.alpha, p.beta,
         )
 
 
-def _aggregation_pair(ctx: _GenContext, n: int, m_count: int, gamma, delta):
+def _aggregation_pair(ctx: _GenContext, n: int, m_count: int):
+    """(u, v, i, M): M gains gamma or more and i loses delta or less."""
+    gamma, delta = ctx.s.gamma, ctx.s.delta
     i, M, rest = _positions(ctx.rng, n, m_count)
-    u_levels = [_draw_level(ctx.rng, ctx.lo, ctx.hi) for _ in range(n)]
+    u_levels = ctx.draws(n)
     v_levels = list(u_levels)
-    loss = delta if ctx.boundary() else _draw_level(ctx.rng, Fraction(0), delta)
+    loss = delta if ctx.boundary() else ctx.draw(0, delta)
     v_levels[i] = u_levels[i] - loss
     for p in M:
-        extra = Fraction(0) if ctx.boundary() else _draw_level(ctx.rng, Fraction(0), Fraction(4))
+        extra = 0 if ctx.boundary() else ctx.draw(0, 4 * ctx.den)
         v_levels[p] = u_levels[p] + gamma + extra
-    return (
-        Profile.from_levels(u_levels),
-        Profile.from_levels(v_levels),
-        i,
-        IndexSet.from_indices(M),
-    )
+    return ctx.profile(u_levels), ctx.profile(v_levels), i, IndexSet.from_indices(M)
 
 
 class _Aggregation(_Donors):
     """Members of M each gain >= gamma while i loses <= delta."""
 
-    def donor_rule(self):
-        return lambda uj, vj: [] if vj >= uj + self.gamma else ["v_j >= u_j + gamma fails"]
+    def donor_rule(self, s):
+        gamma = s(self.gamma)
+        return lambda uj, vj: [] if vj >= uj + gamma else ["v_j >= u_j + gamma fails"]
 
-    def recipient_clauses(self, u_i, v_i):
-        return [] if v_i >= u_i - self.delta else ["v_i >= u_i - delta fails"]
+    def recipient_clauses(self, s, u_i, v_i):
+        return [] if v_i >= u_i - s(self.delta) else ["v_i >= u_i - delta fails"]
 
 
 @dataclass(frozen=True)
@@ -679,7 +709,7 @@ class QuantitativeAggregation(_Aggregation):
         p = ctx.p
         n = ctx.size(p.m + 1)
         m_count = p.m if ctx.boundary() else ctx.rng.randint(p.m, n - 1)
-        u, v, i, M = _aggregation_pair(ctx, n, m_count, p.gamma, p.delta)
+        u, v, i, M = _aggregation_pair(ctx, n, m_count)
         return cls(u, v, i, M, p.m, p.gamma, p.delta)
 
 
@@ -723,7 +753,7 @@ class RatioAggregation(_Aggregation):
             if needed <= n - 1:
                 break
         m_count = needed if ctx.boundary() else ctx.rng.randint(needed, n - 1)
-        u, v, i, M = _aggregation_pair(ctx, n, m_count, p.gamma, p.delta)
+        u, v, i, M = _aggregation_pair(ctx, n, m_count)
         return cls(u, v, i, M, p.lam, p.gamma, p.delta)
 
 
@@ -747,11 +777,13 @@ class MinimalAggregation(_Axiom):
         if not 0 <= self.i < n:
             return ["index i out of range"]
         failures = []
-        for start, count, uval, vval in aligned_runs(self.u, self.v):
+        s = _Scale(self)
+        gamma, delta = s(self.gamma), s(self.delta)
+        for start, count, uval, vval in s.runs():
             has_i = start <= self.i < start + count
-            if has_i and vval < uval - self.delta:
+            if has_i and vval < uval - delta:
                 failures.append("v_i >= u_i - delta fails")
-            if count - has_i and vval < uval + self.gamma:
+            if count - has_i and vval < uval + gamma:
                 failures.append(
                     f"v_j >= u_j + gamma fails (positions {start}..{start + count - 1})"
                 )
@@ -761,7 +793,7 @@ class MinimalAggregation(_Axiom):
     def generate(cls, ctx):
         p = ctx.p
         n = ctx.size(2)
-        u, v, i, _ = _aggregation_pair(ctx, n, n - 1, p.gamma, p.delta)
+        u, v, i, _ = _aggregation_pair(ctx, n, n - 1)
         return cls(u, v, i, p.gamma, p.delta)
 
 
@@ -874,20 +906,6 @@ def check_axiom(
 BOUNDARY_PROBABILITY = 0.25
 
 
-def _draw_level(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
-    """Uniform draw on a halves grid inside [lo, hi]."""
-    if hi < lo:
-        raise InfeasibleParameters(f"empty draw range [{lo}, {hi}]")
-    den = 2 if rng.random() < 0.25 else 1
-    if den == 1 and lo.denominator == 1 and hi.denominator == 1:
-        return Fraction(rng.randint(lo.numerator, hi.numerator))
-    lo_n = math.ceil(lo * den)
-    hi_n = math.floor(hi * den)
-    if hi_n < lo_n:
-        return lo  # grid too coarse, fall back to the endpoint
-    return Fraction(rng.randint(lo_n, hi_n), den)
-
-
 def _positions(rng: random.Random, n: int, m_count: int, i_pos: int | None = None):
     if i_pos is None:
         i_pos = rng.randrange(n)
@@ -927,7 +945,18 @@ def generate_instances(
     failures = cls.magnitude_clauses(magnitudes)
     _require(not failures, "; ".join(failures))
 
-    ctx = _GenContext(rng, params, magnitudes, lo, hi, max(p_lo, 2), p_hi)
+    # every level of the stream is an int numerator over one even denominator
+    levels = {name: x for name, x in vars(magnitudes).items() if _FIELDS[name] is LEVEL}
+    levels.update((name, as_level(params.get(name, x))) for name, x in cls.options.items())
+    den = math.lcm(2, lo.denominator, hi.denominator, *(x.denominator for x in levels.values()))
+
+    def numerator(x: Fraction) -> int:
+        return x.numerator * (den // x.denominator)
+
+    s = SimpleNamespace(**{name: numerator(x) for name, x in levels.items()})
+    ctx = _GenContext(
+        rng, params, magnitudes, s, den, numerator(lo), numerator(hi), max(p_lo, 2), p_hi
+    )
     while True:
         yield cls.generate(ctx)
 
@@ -937,8 +966,10 @@ class _GenContext:
     rng: random.Random
     params: Mapping
     p: SimpleNamespace  # the decoded magnitudes
-    lo: Fraction
-    hi: Fraction
+    s: SimpleNamespace  # the level magnitudes and level options as numerators over den
+    den: int
+    lo: int
+    hi: int
     p_lo: int
     p_hi: int
 
@@ -950,9 +981,24 @@ class _GenContext:
         _require(lo <= self.p_hi, f"population range cannot reach size {minimum}")
         return self.rng.randint(lo, self.p_hi)
 
+    def draw(self, lo: int, hi: int) -> int:
+        """Uniform draw on a halves grid inside [lo, hi] (numerators over den)."""
+        if hi < lo:
+            raise InfeasibleParameters(
+                f"empty draw range [{Fraction(lo, self.den)}, {Fraction(hi, self.den)}]"
+            )
+        step = self.den // 2 if self.rng.random() < 0.25 else self.den
+        lo_k, hi_k = -(-lo // step), hi // step
+        if hi_k < lo_k:
+            return lo  # grid too coarse, fall back to the endpoint
+        return self.rng.randint(lo_k, hi_k) * step
 
-def _random_profile(ctx: _GenContext, n: int) -> Profile:
-    return Profile.from_levels(_draw_level(ctx.rng, ctx.lo, ctx.hi) for _ in range(n))
+    def draws(self, n: int) -> list[int]:
+        """n draws from the stream's value range."""
+        return [self.draw(self.lo, self.hi) for _ in range(n)]
+
+    def profile(self, levels: list[int]) -> Profile:
+        return Profile.from_numerators(self.den, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -986,6 +1032,7 @@ def run_suite(
     tolerance: Fraction = DEFAULT_TOLERANCE,
 ) -> SuiteResult:
     """Run ``count`` generated instances of one axiom against an ordering."""
+    _require(count >= 0, "instance count must be non-negative")
     satisfied = violated = unmet = flagged = 0
     first_violation = None
     stream = generate_instances(

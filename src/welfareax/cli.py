@@ -26,7 +26,7 @@ from .axioms import (
     run_suite,
 )
 from .chains import parse_chain, serialize_chain, validate_chain
-from .errors import ConfigError, WelfareaxError
+from .errors import ConfigError, InfeasibleParameters, WelfareaxError
 from .gfunctions import g_from_config
 from .orderings import (
     DEFAULT_TOLERANCE,
@@ -297,6 +297,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
+    if args.n_step < 1:
+        raise InfeasibleParameters("need step >= 1")
     if args.kind == "ratio-coefficient":
         print("n\tcoefficient")
         for n, coeff in scan_ratio_coefficients(

@@ -26,8 +26,12 @@ class MissingLambda(WelfareaxError):
     """No weight defined for the requested population size."""
 
 
-class InfeasibleParameters(WelfareaxError):
-    """Parameters violate a guard (magnitude ordering, proposition hypothesis, ...)."""
+class InfeasibleParameters(WelfareaxError, ValueError):
+    """Parameters violate a guard (magnitude ordering, proposition hypothesis, ...).
+
+    Also a ``ValueError``, so a caller that catches the ``ValueError`` of a
+    bad argument catches it too.
+    """
 
 
 class SizeMismatch(WelfareaxError):

@@ -22,10 +22,12 @@ on two profiles, refusing different population sizes unless asked
 ``value_for(n)``. ``config_fields`` names the parameters that the field
 codec in :mod:`welfareax.codec` reads and writes.
 
-Piecewise-linear rules evaluate in exact rational arithmetic; RDU and
-the transformed variants use float sums with an a-posteriori error
-bound. One function, ``_resolve``, decides every verdict on two
-valuations: exactly when both are exact, else by the float difference
+Piecewise-linear rules evaluate in exact rational arithmetic, on int
+numerators over a common denominator (the profile's ``scaled`` view, or
+one running denominator for transformed levels), and build one
+``Fraction`` per sum; RDU and the transformed variants use float sums
+with an a-posteriori error bound. One function, ``_resolve``, decides
+every verdict on two valuations: exactly when both are exact, else by the float difference
 against the combined bound, then by an exact fallback where one exists
 (RDU with an exact transform), else as a flagged numerical tie.
 """
@@ -34,9 +36,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from fractions import Fraction
-from typing import Mapping
+from functools import lru_cache
+from itertools import accumulate
+from typing import Iterable, Mapping
 
 from .codec import LEVEL, LEVELS, Record, table
 from .errors import ConfigError, MissingLambda
@@ -492,27 +495,44 @@ _CUM_TABLE_LIMIT = 64
 
 
 @lru_cache(maxsize=512)
-def _weight_prefix_sums(rho: Fraction, n: int) -> tuple[Fraction, ...]:
-    """cum[i] = sum of rho**(-j) for j < i; cached for small populations."""
-    r = 1 / rho
-    cum = [Fraction(0)]
-    weight = Fraction(1)
-    for _ in range(n):
-        cum.append(cum[-1] + weight)
-        weight *= r
-    return tuple(cum)
+def _weight_prefix_sums(rho: Fraction, n: int) -> tuple[int, ...]:
+    """cum[i] = a**(n-1) * (sum of rho**(-j) for j < i), rho = a/b, in integers.
+
+    Each scaled weight a**(n-1) * rho**(-j) = a**(n-1-j) * b**j is an
+    integer; cached for small populations.
+    """
+    a, b = rho.numerator, rho.denominator
+    return tuple(accumulate((a ** (n - 1 - j) * b**j for j in range(n)), initial=0))
+
+
+def _exact_sum(pairs: Iterable[tuple[Fraction, int]], scale: int = 1) -> Fraction:
+    """Sum of x * w over (level x, int w) pairs, divided by scale, normalized once.
+
+    The numerators accumulate over one running common denominator.
+    """
+    num, den = 0, 1
+    for x, w in pairs:
+        d = x.denominator
+        if d != den:
+            common = math.lcm(den, d)
+            num *= common // den
+            den = common
+        num += x.numerator * (den // d) * w
+    return Fraction(num, den * scale)
 
 
 def _rdu_exact(u: Profile, p: Rdu) -> Fraction:
+    n = len(u)
+    if n <= _CUM_TABLE_LIMIT:
+        cum = _weight_prefix_sums(p.rho, n)
+        pairs = []
+        start = 0
+        for value, count in u.sorted_blocks():
+            pairs.append((p.g.exact(value), cum[start + count] - cum[start]))
+            start += count
+        return _exact_sum(pairs, p.rho.numerator ** (n - 1))
     total = Fraction(0)
     start = 0
-    n = len(u)
-    if p.rho != 1 and n <= _CUM_TABLE_LIMIT:
-        cum = _weight_prefix_sums(p.rho, n)
-        for value, count in u.sorted_blocks():
-            total += p.g.exact(value) * (cum[start + count] - cum[start])
-            start += count
-        return total
     r = 1 / p.rho
     for value, count in u.sorted_blocks():
         gv = p.g.exact(value)
@@ -569,7 +589,19 @@ def _sign_verdict(diff) -> Verdict:
 
 def _shortfall(u: Profile, theta: Fraction) -> Fraction:
     """Sum of (level - theta) over entries strictly below theta (<= 0)."""
-    return sum(((v - theta) * c for v, c in u.blocks if v < theta), Fraction(0))
+    den, numerators = u.scaled
+    q = theta.denominator
+    t = theta.numerator * den  # a / den < theta  <=>  a * q < t
+    below = sum((a * q - t) * c for a, (_, c) in zip(numerators, u.blocks) if a * q < t)
+    return Fraction(below, den * q)
+
+
+def _below(u: Profile, theta: Fraction) -> list[tuple[Fraction, int]]:
+    """The blocks of u whose level lies strictly below theta."""
+    den, numerators = u.scaled
+    q = theta.denominator
+    t = theta.numerator * den
+    return [block for block, a in zip(u.blocks, numerators) if a * q < t]
 
 
 def suffavg_value(u: Profile, p: SuffAvg) -> Fraction:
@@ -615,7 +647,7 @@ def boundedg_value(u: Profile, p: BoundedG) -> Valuation:
     lam = p.lambda_for(n)
     first = lam * _shortfall(u, p.theta_p)
     if p.g.is_exact:
-        avg = sum((p.g.exact(v) * c for v, c in u.blocks), Fraction(0)) / n
+        avg = _exact_sum(((p.g.exact(v), c) for v, c in u.blocks), n)
         return ExactValue(first + (1 - lam) * avg)
     total = err = 0.0
     for v, c in u.blocks:
@@ -633,9 +665,9 @@ def concavepoor_value(u: Profile, p: ConcavePoor) -> Valuation:
     mean_term = (1 - lam) * u.mean()
     if p.g.is_exact:
         g_theta = p.g.exact(p.theta_p)
-        short = sum(
-            ((p.g.exact(v) - g_theta) * c for v, c in u.blocks if v < p.theta_p),
-            Fraction(0),
+        below = _below(u, p.theta_p)
+        short = _exact_sum(
+            [(p.g.exact(v), c) for v, c in below] + [(g_theta, -sum(c for _, c in below))]
         )
         return ExactValue(lam * short + mean_term)
     g_theta = p.g.value(p.theta_p)

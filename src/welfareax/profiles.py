@@ -5,6 +5,9 @@ rationals (``fractions.Fraction``), so rankings, axiom preconditions and
 piecewise-linear social values are decided without rounding. Profiles
 are stored as run-length blocks ``(value, count)``, which keeps
 million-entry constant runs O(1) and mirrors the ``k*x`` text syntax.
+Each profile also caches its size and one integer view of its blocks,
+``scaled``: a common denominator and an int numerator per block, on
+which the exact kernels and the precondition walks run.
 
 Profile text format (consumed by the CLI, emitted by search and replay):
 one profile per line; entries separated by commas; an entry is either a
@@ -22,7 +25,8 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import ceil
+from functools import cached_property, lru_cache
+from math import ceil, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InfeasibleParameters, MaterializeError, ProfileParseError, SizeMismatch
@@ -118,6 +122,11 @@ class CompareResult:
 # profiles
 
 
+# Generated profiles repeat a few levels over one denominator; Fractions
+# are immutable, so they share one object per level.
+_fraction = lru_cache(maxsize=1024)(Fraction)
+
+
 def _normalize_blocks(blocks: Iterable[tuple[Fraction, int]]) -> tuple[tuple[Fraction, int], ...]:
     out: list[tuple[Fraction, int]] = []
     for value, count in blocks:
@@ -160,22 +169,44 @@ class Profile:
     def constant(value, n: int) -> "Profile":
         return Profile.from_blocks([(value, n)])
 
-    def __len__(self) -> int:
+    @staticmethod
+    def from_numerators(den: int, numerators: Iterable[int]) -> "Profile":
+        """Profile of the levels ``a / den``, merged into blocks on the integers."""
+        runs = [(a, len(list(run))) for a, run in itertools.groupby(numerators)]
+        # tuples built from lists are allocated at their final size; from a
+        # generator they are resized, which strands memory in the tuple free lists
+        profile = Profile(tuple([(_fraction(a, den), c) for a, c in runs]))
+        # the cached values, known already
+        profile.__dict__.update(n=sum(c for _, c in runs), scaled=(den, tuple([a for a, _ in runs])))
+        return profile
+
+    @cached_property
+    def n(self) -> int:
         return sum(c for _, c in self.blocks)
 
-    @property
-    def n(self) -> int:
-        return len(self)
+    def __len__(self) -> int:
+        return self.n
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """``(den, numerators)``: the level of each block as an int over one common denominator."""
+        den = lcm(*(v.denominator for v, _ in self.blocks))
+        return den, tuple([v.numerator * (den // v.denominator) for v, _ in self.blocks])
+
+    def scaled_to(self, den: int) -> tuple[int, ...]:
+        """The numerators of the blocks over ``den``, a multiple of ``scaled``'s denominator."""
+        own, numerators = self.scaled
+        if own == den:
+            return numerators
+        factor = den // own
+        return tuple([a * factor for a in numerators])
 
     def iter_levels(self) -> Iterator[Fraction]:
         for value, count in self.blocks:
             yield from itertools.repeat(value, count)
 
     def levels(self) -> tuple[Fraction, ...]:
-        if len(self) > MATERIALIZE_LIMIT:
-            raise MaterializeError(
-                f"profile with {len(self)} entries exceeds the materialization limit"
-            )
+        _materializable(self)
         return tuple(self.iter_levels())
 
     def value_at(self, index: int) -> Fraction:
@@ -194,11 +225,16 @@ class Profile:
     def max_level(self) -> Fraction:
         return max(v for v, _ in self.blocks)
 
+    def _scaled_total(self) -> tuple[int, int]:
+        den, numerators = self.scaled
+        return sum(a * c for a, (_, c) in zip(numerators, self.blocks)), den
+
     def total(self) -> Fraction:
-        return sum(v * c for v, c in self.blocks)
+        return Fraction(*self._scaled_total())
 
     def mean(self) -> Fraction:
-        return self.total() / len(self)
+        num, den = self._scaled_total()
+        return Fraction(num, den * self.n)
 
     def sorted_blocks(self) -> tuple[tuple[Fraction, int], ...]:
         merged: dict[Fraction, int] = {}
@@ -240,6 +276,13 @@ class Profile:
 # core operations
 
 
+def _materializable(u: Profile) -> int:
+    """The size of u, which must not exceed the materialization limit."""
+    if u.n > MATERIALIZE_LIMIT:
+        raise MaterializeError(f"profile with {u.n} entries exceeds the materialization limit")
+    return u.n
+
+
 def replicate(u: Profile, k: int) -> Profile:
     """Concatenate k copies of u."""
     if k < 1:
@@ -249,14 +292,15 @@ def replicate(u: Profile, k: int) -> Profile:
 
 def permute(u: Profile, pi: Sequence[int]) -> Profile:
     """Scatter permutation: result[pi[i]] = u[i]. Indices are 0-based."""
-    levels = u.levels()
-    n = len(levels)
+    n = _materializable(u)
     if len(pi) != n or sorted(pi) != list(range(n)):
         raise ValueError("pi is not a permutation of 0..n-1")
-    out: list[Fraction | None] = [None] * n
-    for i, target in enumerate(pi):
-        out[target] = levels[i]
-    return Profile.from_levels(out)
+    den, numerators = u.scaled
+    out = [0] * n
+    entries = (a for a, (_, c) in zip(numerators, u.blocks) for _ in range(c))
+    for target, a in zip(pi, entries):
+        out[target] = a
+    return Profile.from_numerators(den, out)
 
 
 def argsort(u: Profile) -> tuple[int, ...]:
@@ -264,10 +308,7 @@ def argsort(u: Profile) -> tuple[int, ...]:
 
     It is also the scatter permutation pi with permute(ranked u, pi) == u.
     """
-    if len(u) > MATERIALIZE_LIMIT:
-        raise MaterializeError(
-            f"profile with {len(u)} entries exceeds the materialization limit"
-        )
+    _materializable(u)
     starts = list(itertools.accumulate((c for _, c in u.blocks), initial=0))
     order = sorted(range(len(u.blocks)), key=lambda b: u.blocks[b][0])
     return tuple(i for b in order for i in range(starts[b], starts[b + 1]))
@@ -375,7 +416,16 @@ def aligned_runs(u: Profile, v: Profile) -> Iterator[tuple[int, int, Fraction, F
     """
     if len(u) != len(v):
         raise SizeMismatch(f"profiles have sizes {len(u)} and {len(v)}")
-    iu, iv = iter(u.blocks), iter(v.blocks)
+    yield from block_runs(u.blocks, v.blocks)
+
+
+def block_runs(ublocks, vblocks) -> Iterator[tuple[int, int, object, object]]:
+    """Maximal runs (start, count, u_value, v_value) of two block lists of equal size.
+
+    The values are whatever the blocks hold: levels, or numerators over
+    one common denominator.
+    """
+    iu, iv = iter(ublocks), iter(vblocks)
     uval, ucnt = next(iu)
     vval, vcnt = next(iv)
     position = 0

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .axioms import AxiomInstance, CheckResult, check_axiom, generate_instances
+from .errors import InfeasibleParameters
 from .orderings import DEFAULT_TOLERANCE, OrderingSpec
 from .profiles import IndexSet, Profile
 
@@ -32,9 +33,9 @@ class SearchBudget:
 
     def __post_init__(self):
         if self.max_instances < 1:
-            raise ValueError("budget must allow at least one instance")
+            raise InfeasibleParameters("budget must allow at least one instance")
         if self.populations[0] > self.populations[1]:
-            raise ValueError("empty population range")
+            raise InfeasibleParameters("empty population range")
 
 
 @dataclass(frozen=True)

@@ -322,6 +322,22 @@ QA_INSTANCE = (
             ["plot-data", "--kind", "ratio-coefficient", "--n-from", "0"],
             id="plot-data-population-zero",
         ),
+        pytest.param(
+            {},
+            ["plot-data", "--kind", "lambda-interval", "--n-step", "0"],
+            id="plot-data-step-zero",
+        ),
+        pytest.param(
+            {},
+            ["axiom-suite", "--ordering", "leximin.yaml", "--axiom", "anonymity",
+             "--count", "-1"],
+            id="axiom-suite-negative-count",
+        ),
+        pytest.param(
+            {},
+            ["search", "--ordering", "leximin.yaml", "--axiom", "anonymity", "--budget", "-1"],
+            id="search-negative-budget",
+        ),
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(workdir, capsys, files, argv):

@@ -1,0 +1,158 @@
+"""Differential test: the integer exact kernels against plain Fraction formulas.
+
+The kernels run on int numerators over a common denominator; the
+references below are the textbook sums in ``Fraction`` arithmetic. They
+must agree exactly on block profiles with mixed and large denominators
+(up to 10^12), negative levels and counts up to 10^9.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from welfareax import (
+    BoundedG,
+    ConcavePoor,
+    ConstantLambda,
+    Identity,
+    MultiThreshold,
+    PiecewiseLinear,
+    Profile,
+    RankWeighted,
+    Rdu,
+    SuffAvg,
+    TableLambda,
+    boundedg_value,
+    concavepoor_value,
+    multithreshold_value,
+    rankweighted_value,
+    rdu_value_exact,
+    suffavg_value,
+)
+from welfareax.orderings import _shortfall
+
+SEEDED = settings(max_examples=150, derandomize=True, deadline=None)
+
+denominators = st.one_of(st.integers(1, 12), st.integers(1, 10**12))
+# levels in [-50, 50]; g below is defined on [-100, 100]
+levels = denominators.flatmap(lambda q: st.integers(-50 * q, 50 * q).map(lambda k: Fraction(k, q)))
+counts = st.one_of(st.integers(1, 3), st.integers(1, 10**9))
+weights = denominators.flatmap(lambda q: st.integers(1, q).map(lambda k: Fraction(k, q + 1)))
+G = st.sampled_from(
+    [Identity(), PiecewiseLinear.from_pairs([(-100, -150), (0, 0), (Fraction(7, 3), 2), (100, 50)])]
+)
+
+
+def block_profiles(count=counts, max_blocks: int = 8):
+    return st.lists(st.tuples(levels, count), min_size=1, max_size=max_blocks).map(
+        Profile.from_blocks
+    )
+
+
+def ref_size(u: Profile) -> int:
+    return sum(c for _, c in u.blocks)
+
+
+def ref_total(u: Profile) -> Fraction:
+    return sum((v * c for v, c in u.blocks), Fraction(0))
+
+
+def ref_mean(u: Profile) -> Fraction:
+    return ref_total(u) / ref_size(u)
+
+
+def ref_shortfall(u: Profile, theta: Fraction, g=Identity()) -> Fraction:
+    return sum(
+        ((g.exact(v) - g.exact(theta)) * c for v, c in u.blocks if v < theta), Fraction(0)
+    )
+
+
+def ref_ranked(u: Profile) -> list[Fraction]:
+    return sorted(v for v, c in u.blocks for _ in range(c))
+
+
+@SEEDED
+@given(block_profiles(), levels)
+def test_shortfall_total_mean(u, theta):
+    assert _shortfall(u, theta) == ref_shortfall(u, theta)
+    assert u.total() == ref_total(u)
+    assert u.mean() == ref_mean(u)
+    assert len(u) == ref_size(u)
+
+
+@SEEDED
+@given(block_profiles(), levels, weights)
+def test_suffavg(u, theta, lam):
+    spec = SuffAvg(theta, ConstantLambda(lam))
+    assert suffavg_value(u, spec) == lam * ref_shortfall(u, theta) + (1 - lam) * ref_mean(u)
+
+
+@SEEDED
+@given(
+    block_profiles(),
+    st.lists(levels, min_size=1, max_size=3, unique=True).map(sorted),
+    st.lists(st.integers(1, 10**6), min_size=4, max_size=4),
+)
+def test_multithreshold(u, thetas, raw):
+    raw = raw[: len(thetas) + 1]
+    w = tuple(Fraction(x, sum(raw)) for x in raw)
+    want = sum(
+        (wk * ref_shortfall(u, theta) for wk, theta in zip(w, thetas)), Fraction(0)
+    ) + w[-1] * ref_mean(u)
+    assert multithreshold_value(u, MultiThreshold(tuple(thetas), weights=w)) == want
+
+
+@SEEDED
+@given(
+    block_profiles(st.integers(1, 3), max_blocks=6),
+    levels,
+    weights,
+    st.lists(st.integers(1, 10**6), min_size=18, max_size=18),
+)
+def test_rankweighted(u, theta, lam, raw):
+    n = ref_size(u)
+    raw = sorted(raw[:n], reverse=True)
+    w = tuple(Fraction(x, sum(raw)) for x in raw)
+    spec = RankWeighted(theta, ConstantLambda(lam), ((n, w),))
+    weighted = sum((wk * x for wk, x in zip(w, ref_ranked(u))), Fraction(0))
+    assert rankweighted_value(u, spec) == lam * ref_shortfall(u, theta) + (1 - lam) * weighted
+
+
+@SEEDED
+@given(block_profiles(), levels, weights, G)
+def test_boundedg_exact(u, theta, lam, g):
+    value = boundedg_value(u, BoundedG(theta, ConstantLambda(lam), g))
+    avg = sum((g.exact(v) * c for v, c in u.blocks), Fraction(0)) / ref_size(u)
+    assert value.is_exact
+    assert value.value == lam * ref_shortfall(u, theta) + (1 - lam) * avg
+
+
+@SEEDED
+@given(block_profiles(), levels, weights, G)
+def test_concavepoor_exact(u, theta, lam, g):
+    value = concavepoor_value(u, ConcavePoor(theta, TableLambda(((ref_size(u), lam),)), g))
+    assert value.is_exact
+    assert value.value == lam * ref_shortfall(u, theta, g) + (1 - lam) * ref_mean(u)
+
+
+rhos = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(101, 100), Fraction(3, 2), Fraction(99, 100),
+                     Fraction(1, 2)]),
+    st.tuples(st.integers(1, 10**12), st.integers(1, 10**12)).map(lambda ab: Fraction(*ab)),
+)
+
+
+@SEEDED
+@given(block_profiles(st.integers(1, 8), max_blocks=8), rhos, G)
+def test_rdu_exact_table(u, rho, g):
+    want = sum(
+        (rho ** (-i) * g.exact(x) for i, x in enumerate(ref_ranked(u))), Fraction(0)
+    )
+    assert ref_size(u) <= 64
+    assert rdu_value_exact(u, Rdu(rho, g)) == want
+
+
+def test_rdu_exact_table_at_rho_one_is_the_plain_sum():
+    u = Profile.from_blocks([(Fraction(-7, 3), 5), (Fraction(1, 10**12), 2), (4, 57)])
+    assert rdu_value_exact(u, Rdu(1, Identity())) == ref_total(u)

@@ -55,6 +55,7 @@ from .profiles import (
     as_level,
     block_runs,
     ceil_ratio,
+    check_permutation,
     format_level,
     permute,
     replicate,
@@ -230,7 +231,7 @@ class Anonymity(_Axiom):
 
     def profile_clauses(self) -> list[str]:
         try:
-            self.v  # permutation validity is checked by permute()
+            check_permutation(self.pi, len(self.u))
         except ValueError as exc:
             return [str(exc)]
         return []

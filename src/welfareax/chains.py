@@ -5,7 +5,7 @@ A chain is a linear walk over profiles. Each step asserts that its
 (strictly, or exactly as good, depending on the justifying axiom):
 
 * ``AxiomStep``: one axiom instance whose hypothesis clauses hold
-  exactly for (from, to);
+  exactly for (from, to); ``AxiomStep.of`` makes it from the instance;
 * ``LiftStep``: a base-population axiom instance carried through
   k-replication (replication invariance, upward);
 * ``DescentStep``: replication invariance downward; valid when the k-fold
@@ -19,12 +19,15 @@ re-verifies every hypothesis clause and the linkage, and, given an
 ordering, locates every step whose asserted relation the ordering
 denies.
 
-Every step reads what it asserts from its axiom instance: ``endpoints``
-gives the (worse, better) profiles and the relation between them, and
-the instance's ``endpoint_fields`` say which of its fields the step's
-from- and to-profiles fill when a certificate is parsed. Certificates
-serialize one step per line, with the instance's other fields written
-by the axiom field codec, and re-parse to identical values.
+Each step type owns its rules: ``check`` validates it against the
+segment walked so far and returns the relation it asserts, ``line``
+writes its certificate line and ``parse`` reads the line back. A bad
+step is a failure in the report, never an exception: an instance's
+``endpoints`` (worse, better, relation) are read only once its clauses
+hold, and a step whose clauses fail asserts no relation. A certificate
+line's fields, apart from the endpoints an instance's ``endpoint_fields``
+name, go through the field codec and re-parse to identical values; a
+malformed line is a ``CertificateError`` naming it.
 """
 
 from __future__ import annotations
@@ -43,15 +46,10 @@ from .axioms import (
     instance_to_config,
     validate_preconditions,
 )
+from .codec import INTEGER, PROFILE, decode
 from .errors import CertificateError, ConfigError
 from .orderings import DEFAULT_TOLERANCE, OrderingSpec, swo_compare
-from .profiles import (
-    Profile,
-    Verdict,
-    parse_profile_line,
-    replicate,
-    serialize_profile,
-)
+from .profiles import Profile, Verdict, replicate, serialize_profile
 
 
 @dataclass(frozen=True)
@@ -59,6 +57,30 @@ class AxiomStep:
     from_profile: Profile
     to_profile: Profile
     instance: AxiomInstance
+    word = "step"
+
+    @classmethod
+    def of(cls, inst: AxiomInstance) -> AxiomStep:
+        """The step from the instance's worse profile to its better one."""
+        worse, better, _ = inst.endpoints()
+        return cls(worse, better, inst)
+
+    def check(self, idx: int, walk: _Walk) -> Relation | None:
+        if walk.head is None:
+            walk.start = self.from_profile
+        elif self.from_profile != walk.head:
+            walk.link_failures.append((idx, "from-profile differs from the previous head"))
+        walk.head = self.to_profile
+        mismatch = "instance does not describe the step's {}-profile"
+        return _check_instance(walk, idx, self.instance, self, 1, mismatch)
+
+    def line(self) -> str:
+        return _line(self.word, _instance_fields(self.instance, _ends(self)))
+
+    @classmethod
+    def parse(cls, fields: dict) -> AxiomStep:
+        frm, to = _read(fields, "from", PROFILE), _read(fields, "to", PROFILE)
+        return cls(frm, to, _parse_instance(fields, frm, to))
 
 
 @dataclass(frozen=True)
@@ -67,6 +89,33 @@ class LiftStep:
     to_profile: Profile
     k: int
     base: AxiomInstance
+    word = "lift"
+
+    @classmethod
+    def of(cls, base: AxiomInstance, k: int) -> LiftStep:
+        """The k-replication of the step from the base's worse profile to its better one."""
+        worse, better, _ = base.endpoints()
+        return cls(replicate(worse, k), replicate(better, k), k, base)
+
+    def check(self, idx: int, walk: _Walk) -> Relation | None:
+        if walk.head is not None:
+            walk.link_failures.append((idx, "lift step must open the chain"))
+        walk.start, walk.head = self.from_profile, self.to_profile
+        mismatch = "{}-profile is not the k-replicated base"
+        return _check_instance(walk, idx, self.base, self, self.k, mismatch)
+
+    def line(self) -> str:
+        base_from, base_to, _ = self.base.endpoints()
+        ends = _ends(self)
+        ends.update(base_from=serialize_profile(base_from), base_to=serialize_profile(base_to))
+        return _line(self.word, {"k": self.k, **_instance_fields(self.base, ends)})
+
+    @classmethod
+    def parse(cls, fields: dict) -> LiftStep:
+        k = _read(fields, "k", INTEGER)
+        frm, to = _read(fields, "from", PROFILE), _read(fields, "to", PROFILE)
+        base_from, base_to = _read(fields, "base_from", PROFILE), _read(fields, "base_to", PROFILE)
+        return cls(frm, to, k, _parse_instance(fields, base_from, base_to))
 
 
 @dataclass(frozen=True)
@@ -74,9 +123,36 @@ class DescentStep:
     from_profile: Profile
     to_profile: Profile
     k: int
+    word = "descent"
+
+    def check(self, idx: int, walk: _Walk) -> Relation:
+        if walk.head is None:
+            walk.link_failures.append((idx, "descent without an established segment"))
+        elif self.k < 1:
+            walk.pre_failures.append((idx, "k must be a positive integer"))
+        else:
+            if replicate(self.from_profile, self.k) != walk.start:
+                walk.link_failures.append(
+                    (idx, "k-replication of from-profile is not the segment start")
+                )
+            if replicate(self.to_profile, self.k) != walk.head:
+                walk.link_failures.append(
+                    (idx, "k-replication of to-profile is not the segment head")
+                )
+        walk.start, walk.head = self.from_profile, self.to_profile
+        return walk.relation
+
+    def line(self) -> str:
+        return _line(self.word, {"k": self.k, **_ends(self)})
+
+    @classmethod
+    def parse(cls, fields: dict) -> DescentStep:
+        k = _read(fields, "k", INTEGER)
+        return cls(_read(fields, "from", PROFILE), _read(fields, "to", PROFILE), k)
 
 
 DerivationStep = AxiomStep | LiftStep | DescentStep
+_STEPS = {step.word: step for step in (AxiomStep, LiftStep, DescentStep)}
 
 
 class ChainKind(Enum):
@@ -124,6 +200,54 @@ class ChainReport:
         return denied[0] if denied else None
 
 
+class _Walk:
+    """The segment walked so far, and the failures and verdicts found on the way."""
+
+    def __init__(self, spec: OrderingSpec | None, tolerance: Fraction):
+        self.spec, self.tolerance = spec, tolerance
+        self.start: Profile | None = None
+        self.head: Profile | None = None
+        self.relation = Relation.EQUIVALENT
+        self.pre_failures: list[tuple[int, str]] = []
+        self.link_failures: list[tuple[int, str]] = []
+        self.verdicts: list[StepVerdict] = []
+
+    def record(self, idx: int, required: Relation, worse: Profile, better: Profile) -> None:
+        """Record the ordering's verdict of better against worse, when an ordering is given."""
+        if self.spec is not None:
+            res = swo_compare(self.spec, better, worse, tolerance=self.tolerance)
+            denied = not required.admits(res.verdict)
+            self.verdicts.append(
+                StepVerdict(idx, required, res.verdict, denied, res.numerically_tied)
+            )
+
+
+def _check_instance(
+    walk: _Walk, idx: int, inst: AxiomInstance, step: DerivationStep, k: int, mismatch: str
+) -> Relation | None:
+    """Record the failures of ``inst`` justifying ``step`` through k-replication.
+
+    Returns the relation the instance asserts, or None when its clauses
+    or k fail. ``mismatch`` words the failure of an endpoint, "from" or
+    "to", that is not the k-replicated endpoint of the instance.
+    """
+    if not inst.ranks_profiles:
+        walk.pre_failures.append((idx, f"{inst.tag} justifies only lift and descent steps"))
+    report = validate_preconditions(inst)
+    if not report.ok:
+        walk.pre_failures.append((idx, report.detail))
+        return None
+    if k < 1:
+        walk.pre_failures.append((idx, "k must be a positive integer"))
+        return None
+    worse, better, relation = inst.endpoints()
+    if replicate(worse, k) != step.from_profile:
+        walk.pre_failures.append((idx, mismatch.format("from")))
+    if replicate(better, k) != step.to_profile:
+        walk.pre_failures.append((idx, mismatch.format("to")))
+    return relation
+
+
 def validate_chain(
     chain: DerivationChain,
     spec: OrderingSpec | None = None,
@@ -135,114 +259,46 @@ def validate_chain(
     relation (and the terminal) and record which ones the ordering
     denies; the first denial is the violation locator's answer.
     """
-    pre_failures: list[tuple[int, str]] = []
-    link_failures: list[tuple[int, str]] = []
-    verdicts: list[StepVerdict] = []
-
-    start: Profile | None = None
-    head: Profile | None = None
-    relation = Relation.EQUIVALENT
-
-    def check_preconditions(idx: int, inst: AxiomInstance) -> None:
-        if not inst.ranks_profiles:
-            pre_failures.append((idx, f"{inst.tag} justifies only lift and descent steps"))
-        report = validate_preconditions(inst)
-        if not report.ok:
-            pre_failures.append((idx, report.detail))
-
-    def check_instance(idx: int, inst: AxiomInstance, frm: Profile, to: Profile) -> Relation:
-        worse, better, rel = inst.endpoints()
-        if worse != frm:
-            pre_failures.append((idx, "instance does not describe the step's from-profile"))
-        if better != to:
-            pre_failures.append((idx, "instance does not describe the step's to-profile"))
-        check_preconditions(idx, inst)
-        return rel
-
+    walk = _Walk(spec, tolerance)
     for idx, step in enumerate(chain.steps):
-        if isinstance(step, AxiomStep):
-            required = check_instance(idx, step.instance, step.from_profile, step.to_profile)
-            if head is None:
-                start = step.from_profile
-            elif step.from_profile != head:
-                link_failures.append((idx, "from-profile differs from the previous head"))
-            head = step.to_profile
-            relation = relation.combine(required)
-        elif isinstance(step, LiftStep):
-            if head is not None:
-                link_failures.append((idx, "lift step must open the chain"))
-            worse, better, required = step.base.endpoints()
-            if replicate(worse, step.k) != step.from_profile:
-                pre_failures.append((idx, "from-profile is not the k-replicated base"))
-            if replicate(better, step.k) != step.to_profile:
-                pre_failures.append((idx, "to-profile is not the k-replicated base"))
-            check_preconditions(idx, step.base)
-            start = step.from_profile
-            head = step.to_profile
-            relation = relation.combine(required)
-        elif isinstance(step, DescentStep):
-            required = relation
-            if head is None or start is None:
-                link_failures.append((idx, "descent without an established segment"))
-            else:
-                if replicate(step.from_profile, step.k) != start:
-                    link_failures.append(
-                        (idx, "k-replication of from-profile is not the segment start")
-                    )
-                if replicate(step.to_profile, step.k) != head:
-                    link_failures.append(
-                        (idx, "k-replication of to-profile is not the segment head")
-                    )
-            start, head = step.from_profile, step.to_profile
-        else:
-            raise CertificateError(f"unknown step {step!r}")
+        required = step.check(idx, walk)
+        if required is not None:
+            walk.relation = walk.relation.combine(required)
+            walk.record(idx, required, step.from_profile, step.to_profile)
 
-        if spec is not None:
-            res = swo_compare(spec, step.to_profile, step.from_profile, tolerance=tolerance)
-            verdicts.append(
-                StepVerdict(
-                    idx, required, res.verdict,
-                    not required.admits(res.verdict), res.numerically_tied,
-                )
-            )
-
-    n_steps = len(chain.steps)
+    n_steps, terminal = len(chain.steps), chain.terminal
     if chain.kind is ChainKind.CONTRADICTION:
-        if chain.terminal is None:
-            link_failures.append((n_steps, "contradiction chain needs a terminal Pareto step"))
-        elif start is None:
-            link_failures.append((n_steps, "empty chain"))
+        if terminal is None:
+            walk.link_failures.append((n_steps, "contradiction chain needs a terminal Pareto step"))
+        elif walk.start is None:
+            walk.link_failures.append((n_steps, "empty chain"))
+        elif not (report := validate_preconditions(terminal)).ok:
+            walk.pre_failures.append((n_steps, report.detail))
         else:
-            worse, better, rel = chain.terminal.endpoints()
-            if better != start:
-                link_failures.append((n_steps, "terminal must dominate the segment start"))
-            if worse != head:
-                link_failures.append((n_steps, "terminal must rank against the segment head"))
-            check_preconditions(n_steps, chain.terminal)
-            if rel is not Relation.STRICT:
-                pre_failures.append((n_steps, "terminal Pareto step must be strict"))
-            if spec is not None:
-                res = swo_compare(spec, better, worse, tolerance=tolerance)
-                verdicts.append(
-                    StepVerdict(
-                        n_steps, Relation.STRICT, res.verdict,
-                        not Relation.STRICT.admits(res.verdict), res.numerically_tied,
-                    )
-                )
+            worse, better, relation = terminal.endpoints()
+            if better != walk.start:
+                walk.link_failures.append((n_steps, "terminal must dominate the segment start"))
+            if worse != walk.head:
+                walk.link_failures.append((n_steps, "terminal must rank against the segment head"))
+            if relation is not Relation.STRICT:
+                walk.pre_failures.append((n_steps, "terminal Pareto step must be strict"))
+            walk.record(n_steps, Relation.STRICT, worse, better)
     else:
-        if chain.terminal is not None:
-            link_failures.append((n_steps, "dominance chain carries no terminal"))
-        if relation is not Relation.STRICT:
-            link_failures.append((n_steps, "dominance chain fails to establish a strict ranking"))
+        if terminal is not None:
+            walk.link_failures.append((n_steps, "dominance chain carries no terminal"))
+        if walk.relation is not Relation.STRICT:
+            walk.link_failures.append(
+                (n_steps, "dominance chain fails to establish a strict ranking")
+            )
 
     return ChainReport(
         n_steps,
-        tuple(pre_failures),
-        tuple(link_failures),
-        start,
-        head,
-        relation,
-        tuple(verdicts),
+        tuple(walk.pre_failures),
+        tuple(walk.link_failures),
+        walk.start,
+        walk.head,
+        walk.relation,
+        tuple(walk.verdicts),
     )
 
 
@@ -251,18 +307,22 @@ def validate_chain(
 
 
 _HEADER = "# welfareax certificate v1"
+_KIND = (ChainKind, lambda kind: kind.value, ChainKind)
 
 
-def _instance_fields(inst: AxiomInstance) -> dict:
+def _ends(step: DerivationStep) -> dict:
+    return {"from": serialize_profile(step.from_profile), "to": serialize_profile(step.to_profile)}
+
+
+def _instance_fields(inst: AxiomInstance, ends: dict) -> dict:
+    """``axiom``, then ``ends``, then the instance's fields other than u and v."""
     doc = instance_to_config(inst)
-    doc.pop("axiom")
-    doc.pop("u", None)
-    doc.pop("v", None)
-    return doc
+    rest = {key: value for key, value in doc.items() if key not in ("axiom", "u", "v")}
+    return {"axiom": inst.tag, **ends, **rest}
 
 
-def _format_fields(fields: dict) -> str:
-    parts = []
+def _line(word: str, fields: dict) -> str:
+    parts = [word]
     for key, value in fields.items():
         if isinstance(value, list):
             value = ",".join(str(x) for x in value)
@@ -272,50 +332,34 @@ def _format_fields(fields: dict) -> str:
 
 def serialize_chain(chain: DerivationChain) -> str:
     lines = [_HEADER, f"chain kind={chain.kind.value}"]
-    for step in chain.steps:
-        frm = serialize_profile(step.from_profile)
-        to = serialize_profile(step.to_profile)
-        if isinstance(step, AxiomStep):
-            fields = _format_fields(_instance_fields(step.instance))
-            line = f"step axiom={step.instance.tag} from={frm} to={to}"
-            lines.append(f"{line} {fields}".rstrip())
-        elif isinstance(step, LiftStep):
-            base = step.base
-            base_from, base_to, _ = base.endpoints()
-            fields = _format_fields(_instance_fields(base))
-            line = (
-                f"lift k={step.k} axiom={base.tag} from={frm} to={to} "
-                f"base_from={serialize_profile(base_from)} base_to={serialize_profile(base_to)}"
-            )
-            lines.append(f"{line} {fields}".rstrip())
-        else:
-            lines.append(f"descent k={step.k} from={frm} to={to}")
+    lines.extend(step.line() for step in chain.steps)
     if chain.terminal is not None:
-        lines.append(
-            f"terminal axiom={chain.terminal.tag} "
-            f"u={serialize_profile(chain.terminal.u)} "
-            f"v={serialize_profile(chain.terminal.v)}"
-        )
+        lines.append(_line("terminal", instance_to_config(chain.terminal)))
     return "\n".join(lines) + "\n"
+
+
+def _read(fields: dict, name: str, field):
+    """The named value of a line, decoded; a missing one is a ``KeyError``."""
+    return decode(name, field, fields.pop(name))
+
+
+def _parse_instance(fields: dict, worse: Profile, better: Profile) -> AxiomInstance:
+    """The instance a line's ``axiom`` and other fields describe, between the given endpoints."""
+    if fields["axiom"] not in AXIOM_TAGS:
+        raise ConfigError(f"unknown axiom tag {fields['axiom']!r}")
+    # a derived endpoint (a property, not a field) is ignored
+    fields.update(zip(AXIOM_TAGS[fields["axiom"]].endpoint_fields, (worse, better)))
+    return instance_from_config(fields)
 
 
 def _parse_tokens(line: str) -> dict:
     fields = {}
     for token in line.split()[1:]:
         if "=" not in token:
-            raise CertificateError(f"malformed token {token!r}")
+            raise ConfigError(f"malformed token {token!r}")
         key, _, value = token.partition("=")
         fields[key] = value
     return fields
-
-
-def _step_instance(tag: str, frm: str, to: str, fields: dict) -> AxiomInstance:
-    if tag not in AXIOM_TAGS:
-        raise CertificateError(f"unknown axiom tag {tag!r}")
-    doc = dict(fields, axiom=tag)
-    # from is the worse endpoint; a derived endpoint (a property) is ignored
-    doc.update(zip(AXIOM_TAGS[tag].endpoint_fields, (frm, to)))
-    return instance_from_config(doc)
 
 
 def parse_chain(text: str) -> DerivationChain:
@@ -327,47 +371,18 @@ def parse_chain(text: str) -> DerivationChain:
         if not line or line.startswith("#"):
             continue
         word = line.split(None, 1)[0]
-        fields = _parse_tokens(line)
         try:
+            fields = _parse_tokens(line)
             if word == "chain":
-                kind = ChainKind(fields["kind"])
-            elif word == "step":
-                frm, to = fields.pop("from"), fields.pop("to")
-                tag = fields.pop("axiom")
-                steps.append(
-                    AxiomStep(
-                        parse_profile_line(frm),
-                        parse_profile_line(to),
-                        _step_instance(tag, frm, to, fields),
-                    )
-                )
-            elif word == "lift":
-                k = int(fields.pop("k"))
-                frm, to = fields.pop("from"), fields.pop("to")
-                base_from, base_to = fields.pop("base_from"), fields.pop("base_to")
-                tag = fields.pop("axiom")
-                steps.append(
-                    LiftStep(
-                        parse_profile_line(frm),
-                        parse_profile_line(to),
-                        k,
-                        _step_instance(tag, base_from, base_to, fields),
-                    )
-                )
-            elif word == "descent":
-                steps.append(
-                    DescentStep(
-                        parse_profile_line(fields["from"]),
-                        parse_profile_line(fields["to"]),
-                        int(fields["k"]),
-                    )
-                )
+                kind = _read(fields, "kind", _KIND)
             elif word == "terminal":
                 if fields["axiom"] not in (WeakPareto.tag, StrongPareto.tag):
-                    raise CertificateError("terminal must be a Pareto instance")
+                    raise ConfigError("terminal must be a Pareto instance")
                 terminal = instance_from_config(fields)
+            elif word in _STEPS:
+                steps.append(_STEPS[word].parse(fields))
             else:
-                raise CertificateError(f"unknown certificate line {word!r}")
+                raise ConfigError(f"unknown certificate line {word!r}")
         except KeyError as exc:
             raise CertificateError(f"missing field {exc} in line {line!r}") from exc
         except ConfigError as exc:

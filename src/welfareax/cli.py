@@ -26,6 +26,7 @@ from .axioms import (
     run_suite,
 )
 from .chains import parse_chain, serialize_chain, validate_chain
+from .codec import INTEGER, LEVEL, decode
 from .errors import ConfigError, InfeasibleParameters, WelfareaxError
 from .gfunctions import g_from_config
 from .orderings import (
@@ -176,13 +177,11 @@ def _builder_params(params, *names) -> list:
     the rest as levels."""
     try:
         return [
-            int(params[name]) if name in ("m", "h", "n") else as_level(params[name])
+            decode(name, INTEGER if name in ("m", "h", "n") else LEVEL, params[name])
             for name in names
         ]
     except KeyError as exc:
         raise ConfigError(f"missing builder parameter {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad builder parameter: {exc}") from exc
 
 
 def cmd_replay(args) -> int:

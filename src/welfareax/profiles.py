@@ -290,11 +290,16 @@ def replicate(u: Profile, k: int) -> Profile:
     return Profile(_normalize_blocks(u.blocks * k))
 
 
+def check_permutation(pi: Sequence[int], n: int) -> None:
+    """Raise ``ValueError`` unless pi is a permutation of 0..n-1."""
+    if len(pi) != n or sorted(pi) != list(range(n)):
+        raise ValueError("pi is not a permutation of 0..n-1")
+
+
 def permute(u: Profile, pi: Sequence[int]) -> Profile:
     """Scatter permutation: result[pi[i]] = u[i]. Indices are 0-based."""
     n = _materializable(u)
-    if len(pi) != n or sorted(pi) != list(range(n)):
-        raise ValueError("pi is not a permutation of 0..n-1")
+    check_permutation(pi, n)
     den, numerators = u.scaled
     out = [0] * n
     entries = (a for a, (_, c) in zip(numerators, u.blocks) for _ in range(c))

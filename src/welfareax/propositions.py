@@ -71,10 +71,13 @@ def _count_exceeding(threshold: Fraction, unit: Fraction) -> int:
     return int(threshold // unit) + 1
 
 
-def _common_guards(theta_p, theta_r, alpha, beta, gamma, delta):
+def _common_guards(*params) -> list[Fraction]:
+    """theta_p, theta_r, alpha, beta, gamma and delta as exact levels, checked."""
+    theta_p, theta_r, alpha, beta, gamma, delta = levels = [as_level(x) for x in params]
     _guard(theta_r > theta_p > 0, "need theta_r > theta_p > 0")
     _guard(alpha > beta > 0, "need alpha > beta > 0")
     _guard(gamma > delta > 0, "need gamma > delta > 0")
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +93,9 @@ def build_prop1_chain(theta_p, theta_r, alpha, beta, gamma, delta, m: int) -> De
     paid for by fresh blocks of m rich; weak Pareto then ranks the start
     strictly above the end.
     """
-    theta_p, theta_r = as_level(theta_p), as_level(theta_r)
-    alpha, beta = as_level(alpha), as_level(beta)
-    gamma, delta = as_level(gamma), as_level(delta)
-    _common_guards(theta_p, theta_r, alpha, beta, gamma, delta)
+    theta_p, theta_r, alpha, beta, gamma, delta = _common_guards(
+        theta_p, theta_r, alpha, beta, gamma, delta
+    )
     _guard(isinstance(m, int) and m > 2, "need integer m > 2")
 
     h = _count_exceeding(alpha, delta)  # h * delta > alpha
@@ -115,15 +117,8 @@ def build_prop1_chain(theta_p, theta_r, alpha, beta, gamma, delta, m: int) -> De
             [(u_low + alpha, t), (u_low, l - t)],
             [(u_high - t * beta, n_rich)],
         )
-        steps.append(
-            AxiomStep(
-                current,
-                nxt,
-                MinimalNonAggregation(
-                    current, nxt, t - 1, rich_set, theta_p, theta_r, alpha, beta
-                ),
-            )
-        )
+        mna = MinimalNonAggregation(current, nxt, t - 1, rich_set, theta_p, theta_r, alpha, beta)
+        steps.append(AxiomStep.of(mna))
         current = nxt
 
     rich_low = u_high - l * beta
@@ -140,21 +135,9 @@ def build_prop1_chain(theta_p, theta_r, alpha, beta, gamma, delta, m: int) -> De
                 ],
                 [(rich_boosted, gained), (rich_low, n_rich - gained)],
             )
-            block_start = l + gained - m
+            block = IndexSet.from_ranges([(l + gained - m, l + gained)])
             steps.append(
-                AxiomStep(
-                    current,
-                    nxt,
-                    QuantitativeAggregation(
-                        current,
-                        nxt,
-                        r - 1,
-                        IndexSet.from_ranges([(block_start, block_start + m)]),
-                        m,
-                        gamma,
-                        delta,
-                    ),
-                )
+                AxiomStep.of(QuantitativeAggregation(current, nxt, r - 1, block, m, gamma, delta))
             )
             current = nxt
 
@@ -186,11 +169,10 @@ def build_prop2_chain(
     l * alpha / k < delta while the rich pay l * beta > gamma; weak
     Pareto contradicts the accumulated weak ranking.
     """
-    theta_p, theta_r = as_level(theta_p), as_level(theta_r)
-    alpha, beta = as_level(alpha), as_level(beta)
-    gamma, delta = as_level(gamma), as_level(delta)
+    theta_p, theta_r, alpha, beta, gamma, delta = _common_guards(
+        theta_p, theta_r, alpha, beta, gamma, delta
+    )
     lam = as_level(lam)
-    _common_guards(theta_p, theta_r, alpha, beta, gamma, delta)
     _guard(0 < lam < 1, "need lam strictly between 0 and 1")
     if n is None:
         n = _smallest_ratio_population(lam)
@@ -219,10 +201,9 @@ def build_prop2_chain(
             levels[poor_positions[j]] = level
         return Profile.from_levels(levels)
 
-    start = replicate(u_base, k)
-    lifted = replicate(u_boost, k)
-    steps: list = [LiftStep(start, lifted, k, base_instance)]
-    current = lifted
+    lift = LiftStep.of(base_instance, k)
+    steps: list = [lift]
+    current = lift.to_profile
 
     poor = [u_low - delta] * k
     rich = u_high + gamma
@@ -231,36 +212,18 @@ def build_prop2_chain(
         poor_up = list(poor)
         poor_up[0] = poor[0] + alpha
         nxt = assemble(poor_up, rich_next)
-        steps.append(
-            AxiomStep(
-                current,
-                nxt,
-                MinimalNonAggregation(
-                    current, nxt, 0, rich_set, theta_p, theta_r, alpha, beta
-                ),
-            )
-        )
+        mna = MinimalNonAggregation(current, nxt, 0, rich_set, theta_p, theta_r, alpha, beta)
+        steps.append(AxiomStep.of(mna))
         current = nxt
         rich = rich_next
         poor = poor_up
         for j in range(1, k):
-            donor_level = poor[0] - eps
-            recipient_level = poor[j] + eps
-            poor_next = list(poor)
-            poor_next[0] = donor_level
-            poor_next[j] = recipient_level
-            nxt = assemble(poor_next, rich)
-            steps.append(
-                AxiomStep(
-                    current,
-                    nxt,
-                    PigouDalton(current, 0, poor_positions[j], eps),
-                )
-            )
-            current = nxt
-            poor = poor_next
+            steps.append(AxiomStep.of(PigouDalton(current, 0, poor_positions[j], eps)))
+            current = steps[-1].to_profile
+            poor[0] -= eps
+            poor[j] += eps
 
-    terminal = WeakPareto(start, current)
+    terminal = WeakPareto(lift.from_profile, current)
     return DerivationChain(tuple(steps), terminal, ChainKind.CONTRADICTION)
 
 
@@ -279,11 +242,10 @@ def build_prop3_chain(
     aggregation steps (donor sets of exactly ceil(lam * n)) take back the
     poor person's gain; weak Pareto closes the contradiction.
     """
-    theta_p, theta_r = as_level(theta_p), as_level(theta_r)
-    alpha, beta = as_level(alpha), as_level(beta)
-    gamma, delta = as_level(gamma), as_level(delta)
+    theta_p, theta_r, alpha, beta, gamma, delta = _common_guards(
+        theta_p, theta_r, alpha, beta, gamma, delta
+    )
     lam = as_level(lam)
-    _common_guards(theta_p, theta_r, alpha, beta, gamma, delta)
     _guard(0 < lam < 1, "need lam strictly between 0 and 1")
     _guard(isinstance(h, int) and h >= 1, "need integer h >= 1")
     q = ceil_ratio(lam, n)
@@ -295,7 +257,6 @@ def build_prop3_chain(
     u_high = theta_r + k * beta + 1
 
     u_base = Profile.from_blocks([(u_low, 1), (u_high, n - 1)])
-    start = replicate(u_base, k)
     rich_set = IndexSet.from_ranges([(j * n + 1, (j + 1) * n) for j in range(k)])
 
     def replicated(t: int) -> Profile:
@@ -307,18 +268,13 @@ def build_prop3_chain(
         return Profile.from_blocks(blocks)
 
     steps: list = []
-    current = start
+    current = replicate(u_base, k)
     for t in range(1, k + 1):
         nxt = replicated(t)
-        steps.append(
-            AxiomStep(
-                current,
-                nxt,
-                MinimalNonAggregation(
-                    current, nxt, (t - 1) * n, rich_set, theta_p, theta_r, alpha, beta
-                ),
-            )
+        mna = MinimalNonAggregation(
+            current, nxt, (t - 1) * n, rich_set, theta_p, theta_r, alpha, beta
         )
+        steps.append(AxiomStep.of(mna))
         current = nxt
 
     w_base = Profile.from_blocks([(u_low + alpha, 1), (u_high - k * beta, n - 1)])
@@ -334,22 +290,8 @@ def build_prop3_chain(
                 (rich_low, n - 1 - s * q),
             ]
         )
-        donor_start = 1 + (s - 1) * q
-        steps.append(
-            AxiomStep(
-                current,
-                nxt,
-                RatioAggregation(
-                    current,
-                    nxt,
-                    0,
-                    IndexSet.from_ranges([(donor_start, donor_start + q)]),
-                    lam,
-                    gamma,
-                    delta,
-                ),
-            )
-        )
+        donors = IndexSet.from_ranges([(1 + (s - 1) * q, 1 + s * q)])
+        steps.append(AxiomStep.of(RatioAggregation(current, nxt, 0, donors, lam, gamma, delta)))
         current = nxt
 
     terminal = WeakPareto(u_base, current)
@@ -384,12 +326,12 @@ def build_prop4_chain(u: Profile, v: Profile, beta_of_alpha=None) -> DerivationC
 
     if ru[h] >= rv[-1]:
         # pure strong-Pareto certificate on the sorted rearrangements
-        steps = (
-            AxiomStep(v, v_sorted, Anonymity(v, sorting_permutation(v))),
-            AxiomStep(v_sorted, u_sorted, StrongPareto(u_sorted, v_sorted)),
-            AxiomStep(u_sorted, u, Anonymity(u_sorted, argsort(u))),
+        instances = (
+            Anonymity(v, sorting_permutation(v)),
+            StrongPareto(u_sorted, v_sorted),
+            Anonymity(u_sorted, argsort(u)),
         )
-        return DerivationChain(steps, None, ChainKind.DOMINANCE)
+        return DerivationChain(tuple(map(AxiomStep.of, instances)), None, ChainKind.DOMINANCE)
 
     gap = ru[h] - rv[h]
     v_star = rv[-1] + 1
@@ -420,23 +362,20 @@ def build_prop4_chain(u: Profile, v: Profile, beta_of_alpha=None) -> DerivationC
     grouped_v = Profile.from_blocks([(level, k) for level in rv])
     rich_set = IndexSet.from_ranges([((h + 1) * k, n * k)])
 
-    steps = [
-        AxiomStep(big_v, grouped_v, Anonymity(big_v, sorting_permutation(big_v))),
-        AxiomStep(grouped_v, w_profile(0), StrongPareto(w_profile(0), grouped_v)),
-    ]
-    for t in range(1, k + 1):
-        frm, to = w_profile(t - 1), w_profile(t)
-        steps.append(
-            AxiomStep(
-                frm,
-                to,
-                StrongNonAggregation(frm, to, h * k + t - 1, rich_set, alpha, beta_prime),
+    instances = [
+        Anonymity(big_v, sorting_permutation(big_v)),
+        StrongPareto(w_profile(0), grouped_v),
+        *(
+            StrongNonAggregation(
+                w_profile(t - 1), w_profile(t), h * k + t - 1, rich_set, alpha, beta_prime
             )
-        )
-    steps.append(AxiomStep(w_profile(k), grouped_u, StrongPareto(grouped_u, w_profile(k))))
-    steps.append(AxiomStep(grouped_u, big_u, Anonymity(grouped_u, argsort(big_u))))
-    steps.append(DescentStep(v, u, k))
-    return DerivationChain(tuple(steps), None, ChainKind.DOMINANCE)
+            for t in range(1, k + 1)
+        ),
+        StrongPareto(grouped_u, w_profile(k)),
+        Anonymity(grouped_u, argsort(big_u)),
+    ]
+    steps = (*map(AxiomStep.of, instances), DescentStep(v, u, k))
+    return DerivationChain(steps, None, ChainKind.DOMINANCE)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,25 @@ class TestCheckAxiom:
         result = check_axiom(spec, Anonymity(P([1, 2, 3]), (1, 2, 0)))
         assert result.status is CheckStatus.SATISFIED
 
+    def test_anonymity_check_permutes_once(self, monkeypatch):
+        from welfareax import axioms
+
+        calls = []
+        permute = axioms.permute
+
+        def counting(u, pi):
+            calls.append(pi)
+            return permute(u, pi)
+
+        monkeypatch.setattr(axioms, "permute", counting)
+        assert check_axiom(Leximin(), Anonymity(P([1, 2, 3]), (1, 2, 0))).status is CheckStatus.SATISFIED
+        assert len(calls) == 1
+        # the clause is checked without building the permuted profile
+        result = check_axiom(Leximin(), Anonymity(P([1, 2, 3]), (0, 0, 1)))
+        assert result.status is CheckStatus.PRECONDITION_UNMET
+        assert result.detail == "pi is not a permutation of 0..n-1"
+        assert len(calls) == 1
+
     def test_replication_invariance_of_leximin(self):
         inst = ReplicationInvariance(P([1, 4]), P([2, 2]), 3)
         assert check_axiom(Leximin(), inst).status is CheckStatus.SATISFIED

@@ -266,6 +266,41 @@ class TestSerialization:
         report = validate_chain(tampered)
         assert not report.ok
 
+    @pytest.mark.parametrize(
+        "fixture,old,new,index,failure",
+        [
+            ("chain2_0", "i=0 j=4", "i=99 j=4", 2, "need two distinct in-range indices"),
+            ("chain4_1", "pi=0,1", "pi=0,0", 0, "pi is not a permutation of 0..n-1"),
+            ("chain4_1", "from=1,2 to=2*9", "from=1,2 to=3*9", 1, "population sizes differ"),
+            ("chain2_0", "lift k=7", "lift k=0", 0, "k must be a positive integer"),
+            ("chain3_0", "descent k=4", "descent k=0", 4, "k must be a positive integer"),
+        ],
+        ids=["pigou-dalton-index", "anonymity-pi", "strong-pareto-sizes", "lift-k", "descent-k"],
+    )
+    def test_tampered_instances_are_step_failures(self, fixture, old, new, index, failure):
+        text = (CERTIFICATES / f"{fixture}.cert").read_text()
+        assert old in text
+        chain = parse_chain(text.replace(old, new, 1))
+        for spec in (None, Leximin()):
+            report = validate_chain(chain, spec)
+            assert not report.ok
+            assert report.precondition_failures == ((index, failure),)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "descent k=x from=1 to=2",
+            "chain kind=bogus",
+            "step axiom=strong_pareto from=1,,2 to=2,2",
+        ],
+    )
+    def test_malformed_lines_are_named(self, line):
+        from welfareax import CertificateError
+
+        text = f"# welfareax certificate v1\nchain kind=dominance\n{line}\n"
+        with pytest.raises(CertificateError, match=f"in line {line!r}"):
+            parse_chain(text)
+
     def test_replication_invariance_cannot_justify_a_step(self):
         # a same-size pair meets the axiom's clauses, but its conclusion ranks
         # no pair of profiles: without the refusal this "proves" 0,1 > 5,5

@@ -317,6 +317,30 @@ QA_INSTANCE = (
             ]
         ],
         pytest.param({}, ["replay", "--id", "4"], id="replay-4-without-profiles"),
+        *[
+            pytest.param(
+                {"p.yaml": "theta_p: 10\ntheta_r: 20\nalpha: 3\nbeta: 1\ngamma: 3\ndelta: 2\n" + counts},
+                ["replay", "--id", chain, "--params", "p.yaml"],
+                id=f"replay-{name}",
+            )
+            for name, chain, counts in [
+                ("m-not-an-integer", "1", "m: 3.5\n"),
+                ("h-not-an-integer", "3", "lam: 1/10\nh: 2.9\nn: 41\n"),
+                ("n-not-an-integer", "3", "lam: 1/10\nh: 2\nn: 41.7\n"),
+            ]
+        ],
+        *[
+            pytest.param(
+                {"c.cert": "# welfareax certificate v1\n" + body},
+                ["validate", "--certificate", "c.cert"],
+                id=f"certificate-{name}",
+            )
+            for name, body in [
+                ("k-not-an-integer", "chain kind=dominance\ndescent k=x from=1 to=2\n"),
+                ("unknown-kind", "chain kind=bogus\n"),
+                ("bad-profile", "chain kind=dominance\nstep axiom=strong_pareto from=1,,2 to=2,2\n"),
+            ]
+        ],
         pytest.param(
             {},
             ["plot-data", "--kind", "ratio-coefficient", "--n-from", "0"],

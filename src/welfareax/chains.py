@@ -27,12 +27,14 @@ step is a failure in the report, never an exception: an instance's
 hold, and a step whose clauses fail asserts no relation. A certificate
 line's fields, apart from the endpoints an instance's ``endpoint_fields``
 name, go through the field codec and re-parse to identical values; a
-malformed line is a ``CertificateError`` naming it.
+malformed line, one that repeats a key, carries a key its type does not
+read or repeats the ``chain`` header, is a ``CertificateError`` naming it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from dataclasses import fields as dataclass_fields
 from enum import Enum
 from fractions import Fraction
 
@@ -80,7 +82,7 @@ class AxiomStep:
     @classmethod
     def parse(cls, fields: dict) -> AxiomStep:
         frm, to = _read(fields, "from", PROFILE), _read(fields, "to", PROFILE)
-        return cls(frm, to, _parse_instance(fields, frm, to))
+        return cls(frm, to, _parse_instance(fields, (frm, to)))
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ class LiftStep:
         k = _read(fields, "k", INTEGER)
         frm, to = _read(fields, "from", PROFILE), _read(fields, "to", PROFILE)
         base_from, base_to = _read(fields, "base_from", PROFILE), _read(fields, "base_to", PROFILE)
-        return cls(frm, to, k, _parse_instance(fields, base_from, base_to))
+        return cls(frm, to, k, _parse_instance(fields, (base_from, base_to)))
 
 
 @dataclass(frozen=True)
@@ -343,13 +345,21 @@ def _read(fields: dict, name: str, field):
     return decode(name, field, fields.pop(name))
 
 
-def _parse_instance(fields: dict, worse: Profile, better: Profile) -> AxiomInstance:
-    """The instance a line's ``axiom`` and other fields describe, between the given endpoints."""
-    if fields["axiom"] not in AXIOM_TAGS:
-        raise ConfigError(f"unknown axiom tag {fields['axiom']!r}")
-    # a derived endpoint (a property, not a field) is ignored
-    fields.update(zip(AXIOM_TAGS[fields["axiom"]].endpoint_fields, (worse, better)))
-    return instance_from_config(fields)
+def _parse_instance(fields: dict, ends: tuple[Profile, ...] = ()) -> AxiomInstance:
+    """The instance a line's ``axiom`` and its own fields describe; the keys read are removed.
+
+    ``ends`` gives the (worse, better) endpoints when the line writes them
+    under other names; a derived endpoint (a property, not a field) is ignored.
+    """
+    tag = fields.pop("axiom")
+    if tag not in AXIOM_TAGS:
+        raise ConfigError(f"unknown axiom tag {tag!r}")
+    cls = AXIOM_TAGS[tag]
+    doc = dict(zip(cls.endpoint_fields, ends), axiom=tag)
+    for f in dataclass_fields(cls):
+        if f.name not in doc and f.name in fields:
+            doc[f.name] = fields.pop(f.name)
+    return instance_from_config(doc)
 
 
 def _parse_tokens(line: str) -> dict:
@@ -358,6 +368,8 @@ def _parse_tokens(line: str) -> dict:
         if "=" not in token:
             raise ConfigError(f"malformed token {token!r}")
         key, _, value = token.partition("=")
+        if key in fields:
+            raise ConfigError(f"repeated key {key!r}")
         fields[key] = value
     return fields
 
@@ -374,15 +386,19 @@ def parse_chain(text: str) -> DerivationChain:
         try:
             fields = _parse_tokens(line)
             if word == "chain":
+                if kind is not None:
+                    raise ConfigError("repeated chain header")
                 kind = _read(fields, "kind", _KIND)
             elif word == "terminal":
                 if fields["axiom"] not in (WeakPareto.tag, StrongPareto.tag):
                     raise ConfigError("terminal must be a Pareto instance")
-                terminal = instance_from_config(fields)
+                terminal = _parse_instance(fields)
             elif word in _STEPS:
                 steps.append(_STEPS[word].parse(fields))
             else:
                 raise ConfigError(f"unknown certificate line {word!r}")
+            if fields:
+                raise ConfigError(f"unread key {next(iter(fields))!r}")
         except KeyError as exc:
             raise CertificateError(f"missing field {exc} in line {line!r}") from exc
         except ConfigError as exc:

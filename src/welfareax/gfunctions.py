@@ -2,10 +2,10 @@
 
 Each transform is a frozen dataclass that owns its rules:
 
-* ``value`` evaluates it in floating point and ``exact`` in exact
-  rational arithmetic, which identity and piecewise-linear tables
-  support (``is_exact``) and square root, shifted log and the saturating
-  exponential refuse;
+* ``value`` evaluates it in floating point, refusing a level beyond the
+  float range, and ``exact`` in exact rational arithmetic, which
+  identity and piecewise-linear tables support (``is_exact``) and square
+  root, shifted log and the saturating exponential refuse;
 * ``check_domain`` refuses levels outside its domain, and construction
   validates its shape: builtins are increasing and concave analytically,
   tables are checked exactly through their slopes;
@@ -18,11 +18,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .codec import LEVEL, Record
 from .errors import ConfigError, DomainError
 from .profiles import as_level, format_level
+
+
+def _float(x) -> float:
+    """A level as a float; one beyond the float range is a ``DomainError`` naming it."""
+    try:
+        return float(x)
+    except OverflowError:
+        x = as_level(x)
+        level = (Decimal(x.numerator) / x.denominator).normalize()
+        raise DomainError(f"level {level:.6g} is too large for a float") from None
 
 
 class _Transform(Record):
@@ -44,7 +55,7 @@ class Identity(_Transform):
         return x
 
     def value(self, x) -> float:
-        return float(x)
+        return _float(x)
 
 
 @dataclass(frozen=True)
@@ -61,7 +72,7 @@ class Sqrt(_Transform):
 
     def value(self, x) -> float:
         self.check_domain(as_level(x) if not isinstance(x, float) else Fraction(x))
-        return math.sqrt(float(x))
+        return math.sqrt(_float(x))
 
 
 @dataclass(frozen=True)
@@ -86,7 +97,7 @@ class LogShifted(_Transform):
     def value(self, x) -> float:
         xf = as_level(x) if not isinstance(x, float) else Fraction(x)
         self.check_domain(xf)
-        return math.log(float(x) + float(self.shift))
+        return math.log(_float(x) + _float(self.shift))
 
 
 @dataclass(frozen=True)
@@ -117,8 +128,7 @@ class SaturatingExp(_Transform):
         raise DomainError("saturating_exp has no exact rational evaluation")
 
     def value(self, x) -> float:
-        xf = float(x)
-        cap, scale = float(self.cap), float(self.scale)
+        xf, cap, scale = _float(x), _float(self.cap), _float(self.scale)
         if xf < 0:
             return cap * xf / scale
         return -cap * math.expm1(-xf / scale)
@@ -179,7 +189,7 @@ class PiecewiseLinear(_Transform):
         raise AssertionError("unreachable")
 
     def value(self, x) -> float:
-        return float(self.exact(as_level(x)))
+        return _float(self.exact(as_level(x)))
 
 
 GFunction = Identity | Sqrt | LogShifted | SaturatingExp | PiecewiseLinear

@@ -25,11 +25,13 @@ codec in :mod:`welfareax.codec` reads and writes.
 Piecewise-linear rules evaluate in exact rational arithmetic, on int
 numerators over a common denominator (the profile's ``scaled`` view, or
 one running denominator for transformed levels), and build one
-``Fraction`` per sum; RDU and the transformed variants use float sums
-with an a-posteriori error bound. One function, ``_resolve``, decides
-every verdict on two valuations: exactly when both are exact, else by the float difference
-against the combined bound, then by an exact fallback where one exists
-(RDU with an exact transform), else as a flagged numerical tie.
+``Fraction`` per sum; exact RDU weighs each block of ranks by one
+integer geometric sum, ``geometric_sum``. RDU and the transformed
+variants use float sums with an a-posteriori error bound. One function,
+``_resolve``, decides every verdict on two valuations: exactly when both
+are exact, else by the float difference against the combined bound, then
+by an exact fallback where one exists (RDU with an exact transform), else
+as a flagged numerical tie.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .codec import LEVEL, LEVELS, Record, table
@@ -49,6 +49,7 @@ from .profiles import (
     Profile,
     Verdict,
     as_level,
+    block_runs,
     ceil_ratio,
     format_level,
 )
@@ -434,25 +435,10 @@ def leximin_compare(u: Profile, v: Profile) -> CompareResult:
         return CompareResult(
             Verdict.INCOMPARABLE, note="leximin compares equal population sizes only"
         )
-    ublocks = u.sorted_blocks()
-    vblocks = v.sorted_blocks()
-    iu = iv = 0
-    ucnt = vcnt = 0
-    while iu < len(ublocks):
-        uval, un = ublocks[iu]
-        vval, vn = vblocks[iv]
+    for _, _, uval, vval in block_runs(u.sorted_blocks(), v.sorted_blocks()):
         if uval != vval:
             verdict = Verdict.STRICTLY_BETTER if uval > vval else Verdict.STRICTLY_WORSE
             return CompareResult(verdict)
-        take = min(un - ucnt, vn - vcnt)
-        ucnt += take
-        vcnt += take
-        if ucnt == un:
-            iu += 1
-            ucnt = 0
-        if vcnt == vn:
-            iv += 1
-            vcnt = 0
     return CompareResult(Verdict.EQUIVALENT)
 
 
@@ -491,18 +477,12 @@ def _rdu_float(u: Profile, p: Rdu) -> FloatValue:
     return FloatValue(value, err + 4 * _EPS * abs_sum)
 
 
-_CUM_TABLE_LIMIT = 64
+def geometric_sum(a: int, b: int, k: int) -> int:
+    """G(a, b, k) = sum over t < k of a**(k-1-t) * b**t = (a**k - b**k) / (a - b).
 
-
-@lru_cache(maxsize=512)
-def _weight_prefix_sums(rho: Fraction, n: int) -> tuple[int, ...]:
-    """cum[i] = a**(n-1) * (sum of rho**(-j) for j < i), rho = a/b, in integers.
-
-    Each scaled weight a**(n-1) * rho**(-j) = a**(n-1-j) * b**j is an
-    integer; cached for small populations.
+    For rho = a/b in lowest terms, a == b only at rho = 1, where G is k.
     """
-    a, b = rho.numerator, rho.denominator
-    return tuple(accumulate((a ** (n - 1 - j) * b**j for j in range(n)), initial=0))
+    return k if a == b else (a**k - b**k) // (a - b)
 
 
 def _exact_sum(pairs: Iterable[tuple[Fraction, int]], scale: int = 1) -> Fraction:
@@ -522,26 +502,17 @@ def _exact_sum(pairs: Iterable[tuple[Fraction, int]], scale: int = 1) -> Fractio
 
 
 def _rdu_exact(u: Profile, p: Rdu) -> Fraction:
+    """With rho = a/b, rank i weighs a**(n-1-i) * b**i over a**(n-1), so c ranks
+    from rank s weigh b**s * a**(n-s-c) * G(a, b, c) over a**(n-1), all in ints."""
+    a, b = p.rho.numerator, p.rho.denominator
     n = len(u)
-    if n <= _CUM_TABLE_LIMIT:
-        cum = _weight_prefix_sums(p.rho, n)
-        pairs = []
-        start = 0
-        for value, count in u.sorted_blocks():
-            pairs.append((p.g.exact(value), cum[start + count] - cum[start]))
-            start += count
-        return _exact_sum(pairs, p.rho.numerator ** (n - 1))
-    total = Fraction(0)
+    pairs = []
     start = 0
-    r = 1 / p.rho
     for value, count in u.sorted_blocks():
-        gv = p.g.exact(value)
-        if p.rho == 1:
-            total += gv * count
-        else:
-            total += gv * r**start * (1 - r**count) / (1 - r)
+        weight = b**start * a ** (n - start - count) * geometric_sum(a, b, count)
+        pairs.append((p.g.exact(value), weight))
         start += count
-    return total
+    return _exact_sum(pairs, a ** (n - 1))
 
 
 def rdu_value(u: Profile, p: Rdu) -> FloatValue:

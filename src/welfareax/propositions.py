@@ -22,9 +22,9 @@ are deterministic and every step validates exactly.
 
 ``prop5_nonagg_condition`` evaluates the closed-form condition under
 which rank-discounted generalized utilitarianism with discount rho > 1
-satisfies minimal non-aggregation; ``prop5_ratio_failure`` scans for
-the population size at which it must violate ratio aggregation and
-returns a concrete violated instance.
+satisfies minimal non-aggregation; ``prop5_ratio_failure`` scans, on
+integers, for the population size at which it must violate ratio
+aggregation and returns a concrete violated instance.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .axioms import (
 from .chains import AxiomStep, ChainKind, DerivationChain, DescentStep, LiftStep
 from .errors import InfeasibleParameters
 from .gfunctions import GFunction
-from .orderings import Rdu, leximin_compare
+from .orderings import Rdu, geometric_sum, leximin_compare
 from .profiles import (
     IndexSet,
     Profile,
@@ -431,6 +431,27 @@ def prop5_nonagg_condition(
 # ratio-aggregation failure scan
 
 
+def _ratio_terms(rho: Fraction, lam: Fraction, n: int, step: int = 1):
+    """Endless (n, num, den) with num / den = ratio_coefficient(rho, lam, n), n += step.
+
+    With rho = a/b and q = ceil(lam n), num = b^(n+2-q) * G(a, b, q) and
+    den = a^(n+1), in lowest terms. The ints carry from n to n + step,
+    through G(a, b, q+d) = a^d * G(a, b, q) + b^q * G(a, b, d).
+    """
+    a, b = rho.numerator, rho.denominator
+    q = ceil_ratio(lam, n)
+    low, geom, den = b ** (n + 2 - q), geometric_sum(a, b, q), a ** (n + 1)
+    a_step = a**step
+    while True:
+        yield n, low * geom, den
+        n += step
+        d = ceil_ratio(lam, n) - q
+        geom = a**d * geom + b**q * geometric_sum(a, b, d)
+        low *= b ** (step - d)
+        den *= a_step
+        q += d
+
+
 def ratio_coefficient(rho: Fraction, lam: Fraction, n: int) -> Fraction:
     """Geometric coefficient (rho^(-n+q-1) - rho^(-n-1)) / (rho - 1), q = ceil(lam n).
 
@@ -439,44 +460,19 @@ def ratio_coefficient(rho: Fraction, lam: Fraction, n: int) -> Fraction:
     times larger. Both vanish as n grows, which is what the failure scan
     relies on; the reports carry both population sizes.
     """
-    rho, lam = as_level(rho), as_level(lam)
-    q = ceil_ratio(lam, n)
-    r = 1 / rho
-    return (r ** (n - q + 1) - r ** (n + 1)) / (rho - 1)
-
-
-def _ratio_coefficients(rho: Fraction, lam: Fraction, n_from: int, step: int = 1):
-    """Endless (n, ratio_coefficient(rho, lam, n)) for n = n_from, n_from + step, ...
-
-    Exact and incremental: with r = 1/rho and q = ceil(lam n) the
-    coefficient is A * (rho^q - 1) / (rho - 1) for A = r^(n+1), and A and
-    rho^q are carried from one n to the next instead of recomputed.
-    """
-    r = 1 / rho
-    r_step = r**step
-    n = n_from
-    A = r ** (n + 1)
-    q = ceil_ratio(lam, n)
-    IQ = rho**q
-    while True:
-        yield n, A * (IQ - 1) / (rho - 1)
-        n += step
-        A *= r_step
-        new_q = ceil_ratio(lam, n)
-        if new_q != q:
-            IQ *= rho ** (new_q - q)
-            q = new_q
+    _, num, den = next(_ratio_terms(as_level(rho), as_level(lam), n))
+    return Fraction(num, den)
 
 
 def scan_ratio_coefficients(rho, lam, n_from: int, n_to: int, step: int = 1):
-    """Yield (n, coefficient) over a range, exact and incrementally."""
+    """Yield (n, coefficient) over a range, exact, from ints carried from one n to the next."""
     rho, lam = as_level(rho), as_level(lam)
     _guard(rho > 1, "need rho > 1")
     _guard(step >= 1, "need step >= 1")
-    for n, coefficient in _ratio_coefficients(rho, lam, n_from, step):
+    for n, num, den in _ratio_terms(rho, lam, n_from, step):
         if n > n_to:
             return
-        yield n, coefficient
+        yield n, Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -520,10 +516,12 @@ def prop5_ratio_failure(
         lhs = Fraction(g.value(u1) - g.value(float(u1 - delta)))
         gain = Fraction(g.value(float(u1 + gamma)) - g.value(u1))
 
-    for n_star, coefficient in _ratio_coefficients(rho, lam, 2):
+    # lhs > (num / den) * gain, cross-multiplied over positive denominators
+    left, right = lhs.numerator * gain.denominator, gain.numerator * lhs.denominator
+    for n_star, num, den in _ratio_terms(rho, lam, 2):
         if n_star > n_max:
             raise InfeasibleParameters(f"no failure found up to n_max={n_max}")
-        if lhs > coefficient * gain:
+        if left * den > num * right:
             break
 
     spec = Rdu(rho, g)

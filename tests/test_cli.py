@@ -317,6 +317,11 @@ QA_INSTANCE = (
             ]
         ],
         pytest.param({}, ["replay", "--id", "4"], id="replay-4-without-profiles"),
+        pytest.param(
+            {"sqrt.yaml": "ordering: rdu\nrho: 101/100\ng: sqrt\n", "pair.txt": "1e400,1\n1,2\n"},
+            ["compare", "--ordering", "sqrt.yaml", "--profiles", "pair.txt"],
+            id="level-beyond-float-range",
+        ),
         *[
             pytest.param(
                 {"p.yaml": "theta_p: 10\ntheta_r: 20\nalpha: 3\nbeta: 1\ngamma: 3\ndelta: 2\n" + counts},
@@ -339,6 +344,16 @@ QA_INSTANCE = (
                 ("k-not-an-integer", "chain kind=dominance\ndescent k=x from=1 to=2\n"),
                 ("unknown-kind", "chain kind=bogus\n"),
                 ("bad-profile", "chain kind=dominance\nstep axiom=strong_pareto from=1,,2 to=2,2\n"),
+                (
+                    "repeated-key",
+                    "chain kind=dominance\nstep axiom=strong_pareto from=1,2 to=2,2 to=2,3\n",
+                ),
+                (
+                    "unread-key",
+                    "chain kind=dominance\n"
+                    "step axiom=anonymity from=1,2 to=1,2 pi=0,1 epsilon=zz foo=1\n",
+                ),
+                ("repeated-header", "chain kind=contradiction\nchain kind=dominance\n"),
             ]
         ],
         pytest.param(

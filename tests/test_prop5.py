@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -80,10 +81,20 @@ class TestRatioFailure:
 
 class TestCoefficientScan:
     def test_matches_direct_formula(self):
-        rho, lam = Fraction(101, 100), Fraction(1, 2)
-        scanned = dict(scan_ratio_coefficients(rho, lam, 2, 40))
-        for n in (2, 3, 17, 40):
-            assert scanned[n] == ratio_coefficient(rho, lam, n)
+        for rho, lam, step in [
+            (Fraction(101, 100), Fraction(1, 2), 1),
+            # q = ceil(2n/3) rises by 2 in every step of 3
+            (Fraction(101, 100), Fraction(2, 3), 3),
+            (Fraction(7, 3), Fraction(1, 3), 2),
+        ]:
+            r = 1 / rho
+            scanned = list(scan_ratio_coefficients(rho, lam, 2, 200, step))
+            assert [n for n, _ in scanned] == list(range(2, 201, step))
+            for n, coefficient in scanned:
+                q = math.ceil(lam * n)
+                want = (r ** (n - q + 1) - r ** (n + 1)) / (rho - 1)
+                assert coefficient == want
+                assert ratio_coefficient(rho, lam, n) == want
 
     def test_rises_to_a_peak_then_decays(self):
         # for weak discounting the donor count ceil(lam * n) grows faster

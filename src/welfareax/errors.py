@@ -34,6 +34,14 @@ class InfeasibleParameters(WelfareaxError, ValueError):
     """
 
 
+class FloatRangeError(WelfareaxError, OverflowError):
+    """A float valuation needs a number beyond the float range.
+
+    Also an ``OverflowError``, so a caller that catches the ``OverflowError``
+    of float arithmetic catches it too.
+    """
+
+
 class SizeMismatch(WelfareaxError):
     """Operation requires equal population sizes."""
 

@@ -6,6 +6,9 @@ Each transform is a frozen dataclass that owns its rules:
   float range, and ``exact`` in exact rational arithmetic, which
   identity and piecewise-linear tables support (``is_exact``) and square
   root, shifted log and the saturating exponential refuse;
+* ``error`` bounds |value(x) - g(x)|: ``ulps`` times EPS * |value| (at
+  least one ulp), or an absolute model for the shifted log, assuming libm
+  calls within one ulp and levels that are normal floats or zero;
 * ``check_domain`` refuses levels outside its domain, and construction
   validates its shape: builtins are increasing and concave analytically,
   tables are checked exactly through their slopes;
@@ -25,6 +28,8 @@ from .codec import LEVEL, Record
 from .errors import ConfigError, DomainError
 from .profiles import as_level, format_level
 
+EPS = 2.0**-52  # the spacing of floats at 1
+
 
 def _float(x) -> float:
     """A level as a float; one beyond the float range is a ``DomainError`` naming it."""
@@ -41,6 +46,11 @@ class _Transform(Record):
 
     kind = ""
     upper_bound = None
+    ulps = 1  # one rounding of the level or of g (sqrt halves the level's)
+
+    def error(self, x, gx: float) -> float:
+        """A bound on |value(x) - g(x)|, given gx = value(x)."""
+        return self.ulps * EPS * abs(gx)
 
     def check_domain(self, x: Fraction) -> None:
         pass
@@ -99,6 +109,15 @@ class LogShifted(_Transform):
         self.check_domain(xf)
         return math.log(_float(x) + _float(self.shift))
 
+    def error(self, x, gx: float) -> float:
+        """Absolute, as g's relative error is unbounded near log(1): a = float(x)
+        + float(shift) is off by d = EPS (|float(x)| + |float(shift)| + a) or
+        less, which moves log(a) by -log1p(-d / a) or less; log adds an ulp."""
+        xf, shift = _float(x), _float(self.shift)
+        a = xf + shift
+        r = EPS * (abs(xf) + abs(shift) + a) / a
+        return EPS * abs(gx) + (-math.log1p(-r) if r < 1 else math.inf)
+
 
 @dataclass(frozen=True)
 class SaturatingExp(_Transform):
@@ -113,6 +132,7 @@ class SaturatingExp(_Transform):
     scale: Fraction
     kind = "saturating_exp"
     is_exact = False
+    ulps = 4  # three conversions, a division, expm1 and a product
     config_fields = {"cap": LEVEL, "scale": LEVEL}
 
     def __post_init__(self):

@@ -27,11 +27,13 @@ numerators over a common denominator (the profile's ``scaled`` view, or
 one running denominator for transformed levels), and build one
 ``Fraction`` per sum; exact RDU weighs each block of ranks by one
 integer geometric sum, ``geometric_sum``. RDU and the transformed
-variants use float sums with an a-posteriori error bound. One function,
-``_resolve``, decides every verdict on two valuations: exactly when both
-are exact, else by the float difference against the combined bound, then
-by an exact fallback where one exists (RDU with an exact transform), else
-as a flagged numerical tie.
+variants sum floats with ``math.fsum`` in ``_float_sum``, under a bound
+derived from each block's conditioning and each transform's stated error.
+One function, ``_resolve``, decides every verdict on two valuations:
+exactly when both are exact, else by the float difference against the
+combined bound, then as equivalent when the profiles hold the same
+levels, then by an exact fallback where one exists (RDU with an exact
+transform), else as a flagged numerical tie.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .codec import LEVEL, LEVELS, Record, table
-from .errors import ConfigError, MissingLambda
-from .gfunctions import TRANSFORM, GFunction
+from .errors import ConfigError, FloatRangeError, MissingLambda
+from .gfunctions import EPS, TRANSFORM, GFunction
 from .profiles import (
     CompareResult,
     Profile,
@@ -59,7 +61,7 @@ DEFAULT_TOLERANCE = Fraction(1, 10**12)
 #: Largest total population for which an exact RDU comparison is attempted.
 RDU_EXACT_LIMIT = 20_000
 
-_EPS = 2.0**-52
+_TINY = math.ulp(0.0)  # 2**-1074, the spacing of subnormal floats
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +95,24 @@ class FloatValue:
 
 
 Valuation = ExactValue | FloatValue
+
+
+def _float_sum(terms: list[float], errors: list[float]) -> FloatValue:
+    """The sum of float terms, each within its absolute error of the true term.
+
+    ``math.fsum`` rounds the terms' exact sum once, so the result S is within
+    sum(errors) + ulp(S)/2 of the true sum. The float sum of m errors is
+    widened by (1 + m EPS) (Higham, ch. 4), and the bound by (1 + 2 EPS) for
+    its own roundings. The errors are first-order, with coefficients rounded
+    up, and assume libm calls within one ulp. An overflowing sum, or one
+    meeting inf - inf, is the plain float sum with an infinite bound.
+    """
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):
+        return FloatValue(sum(terms), math.inf)
+    bound = sum(errors) * (1 + len(errors) * EPS) + math.ulp(total) / 2
+    return FloatValue(total, bound * (1 + 2 * EPS))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +247,7 @@ class _Ordering(Record):
                     "pass cross_size=True to compare raw values"
                 ),
             )
-        return _resolve(evaluate(self, u), evaluate(self, v), tolerance)
+        return _resolve(u, v, evaluate(self, u), evaluate(self, v), tolerance)
 
 
 @dataclass(frozen=True)
@@ -446,37 +466,6 @@ def leximin_compare(u: Profile, v: Profile) -> CompareResult:
 # rank-discounted generalized utilitarianism
 
 
-def _rdu_float(u: Profile, p: Rdu) -> FloatValue:
-    rho = float(p.rho)
-    log_r = -math.log(rho)
-    total = comp = 0.0
-    err = abs_sum = 0.0
-    start = 0  # 0-based rank of the first entry of the block
-    for value, count in u.sorted_blocks():
-        gv = p.g.value(value)
-        if p.rho == 1:
-            term = gv * count
-            cond = 2.0
-        else:
-            x_s = start * log_r
-            x_c = count * log_r
-            weight = math.exp(x_s)
-            geom = -math.expm1(x_c) / -math.expm1(log_r)
-            term = gv * weight * geom
-            cond = 8.0 + abs(x_s) + abs(x_c)
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        abs_sum += abs(term)
-        err += _EPS * abs(term) * cond
-        start += count
-    value = total + comp
-    return FloatValue(value, err + 4 * _EPS * abs_sum)
-
-
 def geometric_sum(a: int, b: int, k: int) -> int:
     """G(a, b, k) = sum over t < k of a**(k-1-t) * b**t = (a**k - b**k) / (a - b).
 
@@ -501,9 +490,59 @@ def _exact_sum(pairs: Iterable[tuple[Fraction, int]], scale: int = 1) -> Fractio
     return Fraction(num, den * scale)
 
 
-def _rdu_exact(u: Profile, p: Rdu) -> Fraction:
-    """With rho = a/b, rank i weighs a**(n-1-i) * b**i over a**(n-1), so c ranks
-    from rank s weigh b**s * a**(n-s-c) * G(a, b, c) over a**(n-1), all in ints."""
+def rdu_value(u: Profile, p: Rdu) -> FloatValue:
+    """Sum over ascending ranks i (0-based) of rho**(-i) * g(level), in floats.
+
+    With L = log(1/rho), the c ranks from rank s weigh exp(s L) expm1(c L) /
+    expm1(L). L = -log1p(rho - 1) (-log(rho) below rho = 1/2) is off by dL
+    EPS relative, dL = 1 + kappa/2 with kappa the condition of log1p; L = 0
+    within 2**-1022 of rho = 1 leaves each weight within exp(2 n |rho - 1|)
+    of c. An argument x = s L or c L is then off by (1 + dL) EPS |x|, which
+    moves exp(x) by as much and expm1(x) by (1 + max(x, 0)) times as much,
+    relative. With an ulp per libm call and half an ulp per division and
+    product, a term is off by R = cond EPS relative, cond = (1 + dL)(|s L| +
+    max(c L, 0) + 1) + dL (1 + max(L, 0)) + 5, taken as R (1 + R) for the
+    second order; each product that underflows adds 2**-1074 times what
+    multiplies it later. A weight beyond the float range raises
+    ``FloatRangeError``.
+    """
+    try:
+        y = float(p.rho - 1)
+        if abs(y) < 2.0**-1022:  # flat weights, each within exp(2 n |y|) of 1
+            L, dL = 0.0, 4 * len(u) * abs(y) / EPS
+        else:
+            L = -math.log1p(y) if y > -0.5 else -math.log(float(p.rho))
+            dL = 1 + abs(y / ((1 + y) * L)) / 2
+        # cond = k_s s + k_c c + k0, as |s L| + max(c L, 0) = |L| s + max(L, 0) c
+        k_s, k_c = (1 + dL) * abs(L), (1 + dL) * max(L, 0.0)
+        k0 = 6 + dL * (2 + max(L, 0.0))
+        em1 = math.expm1(L)
+        g = p.g
+        terms, errors = [], []
+        start = 0
+        for value, count in u.sorted_blocks():
+            gv = g.value(value)
+            e = math.exp(start * L)
+            geom = math.expm1(count * L) / em1 if L else float(count)
+            rel = (k_s * start + k_c * count + k0) * EPS
+            terms.append(gv * e * geom)
+            errors.append(
+                (g.error(value, gv) + abs(gv) * rel * (1 + rel)) * e * geom
+                + (abs(gv) * geom + geom + 1) * _TINY
+            )
+            start += count
+        return _float_sum(terms, errors)
+    except OverflowError:
+        pass  # raised below, so that the error holds no frame of this call
+    raise FloatRangeError(f"RDU weights at rho {format_level(p.rho)} exceed the float range")
+
+
+def rdu_value_exact(u: Profile, p: Rdu) -> Fraction:
+    """Exact rational RDU value; requires an exact transform.
+
+    With rho = a/b, rank i weighs a**(n-1-i) * b**i over a**(n-1), so c ranks
+    from rank s weigh b**s * a**(n-s-c) * G(a, b, c) over a**(n-1), all in ints.
+    """
     a, b = p.rho.numerator, p.rho.denominator
     n = len(u)
     pairs = []
@@ -515,35 +554,20 @@ def _rdu_exact(u: Profile, p: Rdu) -> Fraction:
     return _exact_sum(pairs, a ** (n - 1))
 
 
-def rdu_value(u: Profile, p: Rdu) -> FloatValue:
-    """Sum over ascending ranks i (0-based) of rho**(-i) * g(level).
-
-    Compensated blockwise summation; the returned bound is an
-    a-posteriori absolute error estimate.
-    """
-    return _rdu_float(u, p)
-
-
-def rdu_value_exact(u: Profile, p: Rdu) -> Fraction:
-    """Exact rational RDU value; requires an exact transform."""
-    return _rdu_exact(u, p)
-
-
 def rdu_compare(
     u: Profile, v: Profile, p: Rdu, tolerance: Fraction = DEFAULT_TOLERANCE
 ) -> CompareResult:
     """Compare by RDU value; sizes may differ (the sum is well defined).
 
-    With an exact transform and moderate populations both values are
-    exact. Otherwise float values are compared, and a difference inside
-    the combined error bound (or the relative tolerance) is retried
-    exactly when the transform allows it; failing that, the result is
-    flagged as numerically tied and reported as equivalent.
+    With an exact transform, moderate populations compare exactly and
+    larger ones by float values with an exact retry of a near-tie.
     """
     if p.g.is_exact and len(u) + len(v) <= RDU_EXACT_LIMIT:
-        return _resolve(ExactValue(_rdu_exact(u, p)), ExactValue(_rdu_exact(v, p)), tolerance)
-    exact = (lambda: _rdu_exact(u, p) - _rdu_exact(v, p)) if p.g.is_exact else None
-    return _resolve(_rdu_float(u, p), _rdu_float(v, p), tolerance, exact)
+        return _resolve(
+            u, v, ExactValue(rdu_value_exact(u, p)), ExactValue(rdu_value_exact(v, p)), tolerance
+        )
+    exact = (lambda: rdu_value_exact(u, p) - rdu_value_exact(v, p)) if p.g.is_exact else None
+    return _resolve(u, v, rdu_value(u, p), rdu_value(v, p), tolerance, exact)
 
 
 def _sign_verdict(diff) -> Verdict:
@@ -612,44 +636,43 @@ def rankweighted_value(u: Profile, p: RankWeighted) -> Fraction:
     return lam * _shortfall(u, p.theta_p) + (1 - lam) * weighted
 
 
+def _transformed_sum(g: GFunction, pairs, offset: Fraction, scale: Fraction) -> Valuation:
+    """offset + scale * (sum of g(x) * w over (level x, int weight w) pairs).
+
+    Exact when g is; otherwise a term float(scale) * w * g(x) is off by g's
+    error times |scale * w| plus four roundings, and float(offset) by one.
+    """
+    if g.is_exact:
+        return ExactValue(offset + scale * _exact_sum((g.exact(x), w) for x, w in pairs))
+    sc = float(scale)
+    terms, errors = [], []
+    for x, w in pairs:
+        gx = g.value(x)
+        f = sc * w
+        t = gx * f
+        terms.append(t)
+        errors.append(g.error(x, gx) * abs(f) + 3 * EPS * abs(t) + (abs(gx) + 1) * _TINY)
+    off = float(offset)  # after the levels, so a level beyond the float range is named first
+    terms.append(off)
+    errors.append(EPS * abs(off) + _TINY)
+    return _float_sum(terms, errors)
+
+
 def boundedg_value(u: Profile, p: BoundedG) -> Valuation:
-    """Shortfall term exact; transformed average exact only when g is."""
+    """lambda_n * shortfall + (1 - lambda_n) * mean of g over the entries."""
     n = len(u)
     lam = p.lambda_for(n)
-    first = lam * _shortfall(u, p.theta_p)
-    if p.g.is_exact:
-        avg = _exact_sum(((p.g.exact(v), c) for v, c in u.blocks), n)
-        return ExactValue(first + (1 - lam) * avg)
-    total = err = 0.0
-    for v, c in u.blocks:
-        term = p.g.value(v) * c
-        total += term
-        err += 8 * _EPS * abs(term)
-    second = float(1 - lam) * total / n
-    return FloatValue(float(first) + second, err / n + 8 * _EPS * (abs(second) + abs(float(first))))
+    return _transformed_sum(p.g, u.blocks, lam * _shortfall(u, p.theta_p), (1 - lam) / n)
 
 
 def concavepoor_value(u: Profile, p: ConcavePoor) -> Valuation:
-    """Concave transform of the shortfall entries, plain average second term."""
-    n = len(u)
-    lam = p.lambda_for(n)
-    mean_term = (1 - lam) * u.mean()
-    if p.g.is_exact:
-        g_theta = p.g.exact(p.theta_p)
-        below = _below(u, p.theta_p)
-        short = _exact_sum(
-            [(p.g.exact(v), c) for v, c in below] + [(g_theta, -sum(c for _, c in below))]
-        )
-        return ExactValue(lam * short + mean_term)
-    g_theta = p.g.value(p.theta_p)
-    total = err = 0.0
-    for v, c in u.blocks:
-        if v < p.theta_p:
-            term = (p.g.value(v) - g_theta) * c
-            total += term
-            err += 8 * _EPS * (abs(term) + abs(g_theta) * c)
-    first = float(lam) * total
-    return FloatValue(first + float(mean_term), float(lam) * err + 8 * _EPS * abs(first))
+    """lambda_n * sum of (g(x) - g(theta_p)) over entries below theta_p, plus
+    (1 - lambda_n) * mean; g(theta_p) enters as one pair, so the difference
+    cancels inside the sum."""
+    lam = p.lambda_for(len(u))
+    below = _below(u, p.theta_p)
+    pairs = below + [(p.theta_p, -sum(c for _, c in below))]
+    return _transformed_sum(p.g, pairs, (1 - lam) * u.mean(), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -662,32 +685,39 @@ def evaluate(spec: OrderingSpec, u: Profile) -> Valuation:
 
 
 def _resolve(
-    a: Valuation, b: Valuation, tolerance: Fraction, exact=None
+    u: Profile, v: Profile, a: Valuation, b: Valuation, tolerance: Fraction, exact=None
 ) -> CompareResult:
-    """The verdict on two valuations, and the one place a float near-tie is decided.
+    """The verdict on valuations a of u and b of v; the one place a float near-tie is decided.
 
     Exact valuations compare exactly. Float ones are separated when their
     difference exceeds the combined error bound plus the relative
-    tolerance; otherwise ``exact()``, when given, supplies the exact
-    difference; otherwise the result is a flagged numerical tie.
+    tolerance; otherwise u and v with the same levels are equivalent (every
+    value rule here is anonymous), else ``exact()``, when given, supplies
+    the exact difference, else the result is a flagged numerical tie.
     """
     if a.is_exact and b.is_exact:
         diff = a.value - b.value
-        return CompareResult(_sign_verdict(diff), margin=float(diff))
-    af, bf = float(a), float(b)
-    diff = af - bf
-    threshold = a.bound + b.bound + float(tolerance) * max(abs(af), abs(bf))
-    if abs(diff) > threshold:
-        return CompareResult(_sign_verdict(diff), margin=diff)
-    if exact is not None:
-        exact_diff = exact()
-        return CompareResult(_sign_verdict(exact_diff), margin=float(exact_diff))
-    return CompareResult(
-        Verdict.EQUIVALENT,
-        margin=diff,
-        numerically_tied=True,
-        note="difference within combined error bound",
-    )
+    else:
+        af, bf = float(a), float(b)
+        diff = af - bf
+        threshold = a.bound + b.bound + float(tolerance) * max(abs(af), abs(bf))
+        if abs(diff) > threshold:
+            return CompareResult(_sign_verdict(diff), margin=diff)
+        if u.same_multiset(v):
+            return CompareResult(Verdict.EQUIVALENT, margin=0.0)
+        if exact is None:
+            return CompareResult(
+                Verdict.EQUIVALENT,
+                margin=diff,
+                numerically_tied=True,
+                note="difference within combined error bound",
+            )
+        diff = exact()
+    try:
+        margin = float(diff)
+    except OverflowError:  # an exact difference beyond the float range
+        margin = math.inf if diff > 0 else -math.inf
+    return CompareResult(_sign_verdict(diff), margin=margin)
 
 
 def swo_compare(

@@ -236,14 +236,18 @@ class Profile:
         num, den = self._scaled_total()
         return Fraction(num, den * self.n)
 
-    def sorted_blocks(self) -> tuple[tuple[Fraction, int], ...]:
+    def _counts(self) -> dict[Fraction, int]:
         merged: dict[Fraction, int] = {}
         for value, count in self.blocks:
             merged[value] = merged.get(value, 0) + count
-        return tuple(sorted(merged.items()))
+        return merged
+
+    def sorted_blocks(self) -> tuple[tuple[Fraction, int], ...]:
+        return tuple(sorted(self._counts().items()))
 
     def same_multiset(self, other: "Profile") -> bool:
-        return self.sorted_blocks() == other.sorted_blocks()
+        """Whether both hold the same levels as often; compares counts, sorting nothing."""
+        return len(self) == len(other) and self._counts() == other._counts()
 
     def with_value_at(self, index: int, value) -> "Profile":
         """Copy with one entry replaced (used by builders and shrinking)."""

@@ -1,9 +1,10 @@
 """Independent reference implementations used only by the tests.
 
 These stay deliberately naive: plain sorted-list comparison for the
-lexicographic maximin rule, and term-by-term high-precision summation
-for rank-discounted values. They share no code path with the package's
-block-based engines.
+lexicographic maximin rule, term-by-term high-precision summation for
+rank-discounted values, and 300-bit blockwise closed forms (geometric
+series for RDU weights, transforms written out in mpmath) for the float
+valuations. They share no code path with the package's engines.
 """
 
 from __future__ import annotations
@@ -50,3 +51,71 @@ def rdu_highprec(profile: Profile, rho: Fraction, g_name: str, prec_bits: int = 
                 total += gx * weight
                 weight *= r
         return total
+
+
+# Blockwise closed forms for the float valuations. A transform is named by
+# a tuple: ("identity",), ("sqrt",), ("log_shifted", shift) or
+# ("saturating_exp", cap, scale), with rational parameters.
+
+
+def _mpf(x) -> mpmath.mpf:
+    x = Fraction(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def g_mp(transform: tuple, x) -> mpmath.mpf:
+    name, *params = transform
+    x = _mpf(x)
+    if name == "identity":
+        return x
+    if name == "sqrt":
+        return mpmath.sqrt(x)
+    if name == "log_shifted":
+        return mpmath.log(x + _mpf(params[0]))
+    if name == "saturating_exp":
+        cap, scale = map(_mpf, params)
+        return cap * x / scale if x < 0 else cap * -mpmath.expm1(-x / scale)
+    raise ValueError(f"unsupported transform {name!r}")
+
+
+def _merged(blocks) -> list:
+    counts: dict = {}
+    for x, c in blocks:
+        counts[Fraction(x)] = counts.get(Fraction(x), 0) + c
+    return sorted(counts.items())
+
+
+def rdu_blockwise(blocks, rho: Fraction, transform: tuple, prec_bits: int = 300):
+    """Sum over ascending ranks of rho**-rank * g(level): the c ranks from rank
+    s weigh r**s * (1 - r**c) / (1 - r), r = 1/rho, or c at rho = 1."""
+    with mpmath.workprec(prec_bits):
+        r = 1 / _mpf(rho)
+        total, s = mpmath.mpf(0), 0
+        for x, c in _merged(blocks):
+            weight = c if rho == 1 else r**s * (1 - r**c) / (1 - r)
+            total += g_mp(transform, x) * weight
+            s += c
+        return total
+
+
+def boundedg_blockwise(blocks, theta, lam, transform: tuple, prec_bits: int = 300):
+    """lam * sum of (x - theta) below theta + (1 - lam) * mean of g(x)."""
+    with mpmath.workprec(prec_bits):
+        theta, lam = _mpf(theta), _mpf(lam)
+        n = sum(c for _, c in blocks)
+        short = sum(((_mpf(x) - theta) * c for x, c in blocks if _mpf(x) < theta), mpmath.mpf(0))
+        mean_g = sum((g_mp(transform, x) * c for x, c in blocks), mpmath.mpf(0)) / n
+        return lam * short + (1 - lam) * mean_g
+
+
+def concavepoor_blockwise(blocks, theta, lam, transform: tuple, prec_bits: int = 300):
+    """lam * sum of (g(x) - g(theta)) below theta + (1 - lam) * mean."""
+    with mpmath.workprec(prec_bits):
+        g_theta = g_mp(transform, theta)
+        n = sum(c for _, c in blocks)
+        short = sum(
+            ((g_mp(transform, x) - g_theta) * c for x, c in blocks if Fraction(x) < theta),
+            mpmath.mpf(0),
+        )
+        mean = sum((_mpf(x) * c for x, c in blocks), mpmath.mpf(0)) / n
+        return _mpf(lam) * short + (1 - _mpf(lam)) * mean

@@ -46,6 +46,24 @@ def test_compare_identical_profiles(workdir, capsys):
     assert "equivalent" in out
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        "ordering: rdu\nrho: 101/100\ng: identity\n",
+        "ordering: boundedg\ntheta_p: 0\nlambda: 1/2\ng: identity\n",
+        "ordering: suffavg\ntheta_p: 0\nlambda: 1/2\n",
+    ],
+)
+def test_compare_exact_difference_beyond_float_range(workdir, capsys, config):
+    (workdir / "o.yaml").write_text(config)
+    (workdir / "pair.txt").write_text("1e400,1\n1,2\n")
+    code, out, _ = run(
+        capsys, ["compare", "--ordering", workdir / "o.yaml", "--profiles", workdir / "pair.txt"]
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "verdict: strictly-better"
+
+
 def test_compare_size_mismatch_under_leximin(workdir, capsys):
     profiles = workdir / "p.txt"
     profiles.write_text("1,2\n1,2,3\n")
@@ -321,6 +339,11 @@ QA_INSTANCE = (
             {"sqrt.yaml": "ordering: rdu\nrho: 101/100\ng: sqrt\n", "pair.txt": "1e400,1\n1,2\n"},
             ["compare", "--ordering", "sqrt.yaml", "--profiles", "pair.txt"],
             id="level-beyond-float-range",
+        ),
+        pytest.param(
+            {"half.yaml": "ordering: rdu\nrho: 1/2\ng: sqrt\n", "pair.txt": "2500*1\n2500*2\n"},
+            ["compare", "--ordering", "half.yaml", "--profiles", "pair.txt"],
+            id="rdu-weights-beyond-float-range",
         ),
         *[
             pytest.param(

@@ -1,8 +1,10 @@
 """The full CompareResult of each way a comparison can be resolved.
 
 Exact valuations compare exactly; float valuations are separated by their
-combined error bound; RDU with an exact transform retries a float
-near-tie exactly; otherwise a near-tie is a flagged numerical tie.
+combined error bound; a float near-tie between profiles with the same
+multiset of levels is equivalent; RDU with an exact transform retries
+any other float near-tie exactly; otherwise a near-tie is a flagged
+numerical tie.
 """
 
 import math
@@ -42,6 +44,9 @@ def outcome(result):
 BASE = [(Fraction(1), 6000), (Fraction(5), 6000), (Fraction(9), 6000)]
 LOWERED = [(Fraction(1) - Fraction(1, 10**15), 1), (Fraction(1), 5999)] + BASE[1:]
 
+# profiles that differ by 10^-30 in one level, which no float sum can separate
+NUDGED = Fraction(1, 10**30)
+
 
 CASES = [
     pytest.param(
@@ -67,7 +72,11 @@ CASES = [
     ),
     pytest.param(
         Rdu(Fraction(101, 100), Sqrt()), P([1, 4, 9]), P([9, 4, 1]),
-        (Verdict.EQUIVALENT, 0.0, True, TIE_NOTE), id="rdu-sqrt-tied",
+        (Verdict.EQUIVALENT, 0.0, False, None), id="rdu-sqrt-tied",
+    ),
+    pytest.param(
+        Rdu(Fraction(101, 100), Sqrt()), P([1, 4]), P([1, 4 + NUDGED]),
+        (Verdict.EQUIVALENT, 0.0, True, TIE_NOTE), id="rdu-sqrt-near-tie",
     ),
     pytest.param(
         BoundedG(0, HALF, Identity()), P([-1, 4]), P([0, 2]),
@@ -79,7 +88,11 @@ CASES = [
     ),
     pytest.param(
         BoundedG(0, HALF, Sqrt()), P([1, 4, 9]), P([9, 4, 1]),
-        (Verdict.EQUIVALENT, 0.0, True, TIE_NOTE), id="boundedg-sqrt-tied",
+        (Verdict.EQUIVALENT, 0.0, False, None), id="boundedg-sqrt-tied",
+    ),
+    pytest.param(
+        BoundedG(0, HALF, Sqrt()), P([1, 4]), P([1, 4 + NUDGED]),
+        (Verdict.EQUIVALENT, 0.0, True, TIE_NOTE), id="boundedg-sqrt-near-tie",
     ),
     pytest.param(
         ConcavePoor(4, HALF, Identity()), P([1, 8]), P([2, 8]),
@@ -91,7 +104,11 @@ CASES = [
     ),
     pytest.param(
         ConcavePoor(4, HALF, Sqrt()), P([1, 2, 8]), P([2, 1, 8]),
-        (Verdict.EQUIVALENT, 0.0, True, TIE_NOTE), id="concavepoor-sqrt-tied",
+        (Verdict.EQUIVALENT, 0.0, False, None), id="concavepoor-sqrt-tied",
+    ),
+    pytest.param(
+        ConcavePoor(4, HALF, Sqrt()), P([1, 2, 8]), P([1, 2 + NUDGED, 8]),
+        (Verdict.EQUIVALENT, 0.0, True, TIE_NOTE), id="concavepoor-sqrt-near-tie",
     ),
 ]
 
@@ -101,6 +118,18 @@ def test_compare_result_of_each_resolution(spec, u, v, expected):
     assert outcome(swo_compare(spec, u, v)) == expected
     verdict, sign, *rest = expected
     assert outcome(swo_compare(spec, v, u)) == (verdict.flipped(), -sign + 0.0, *rest)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Rdu(Fraction(101, 100), Identity()), BoundedG(0, HALF, Identity()), SuffAvg(0, HALF)],
+    ids=["rdu", "boundedg", "suffavg"],
+)
+def test_exact_margin_beyond_float_range_is_infinite(spec):
+    u, v = P([10**400, 1]), P([1, 2])
+    result = swo_compare(spec, u, v)
+    assert (result.verdict, result.margin) == (Verdict.STRICTLY_BETTER, math.inf)
+    assert swo_compare(spec, v, u).margin == -math.inf
 
 
 def test_fallback_pair_is_past_the_exact_limit_and_inside_the_float_bound():

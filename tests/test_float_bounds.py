@@ -1,0 +1,108 @@
+"""Seeded differential test of the float valuations' error bounds.
+
+Every float value of RDU, BoundedG and ConcavePoor must lie within its
+returned bound of a 300-bit closed form from ``_oracles``, on draws that
+mix discount factors near and away from 1, counts up to 10^8, levels
+near 10^-18 and near the transforms' poles, and shortfalls that cancel.
+An RDU draw whose weights leave the float range must raise
+``FloatRangeError``.
+"""
+
+import math
+import random
+from fractions import Fraction as F
+
+from welfareax import (
+    BoundedG,
+    ConcavePoor,
+    ConstantLambda,
+    FloatRangeError,
+    Identity,
+    LogShifted,
+    Profile,
+    Rdu,
+    SaturatingExp,
+    Sqrt,
+    boundedg_value,
+    concavepoor_value,
+    rdu_value,
+)
+
+from _oracles import boundedg_blockwise, concavepoor_blockwise, rdu_blockwise
+
+RHOS = (1 + F(1, 10**6), F(101, 100), F(3, 2), F(1), F(99, 100), F(1, 2))
+TRANSFORMS = (
+    (Identity(), ("identity",), F(-50)),
+    (Sqrt(), ("sqrt",), F(0)),
+    (LogShifted(F(1)), ("log_shifted", F(1)), F(-1)),
+    (LogShifted(F(1, 10**9)), ("log_shifted", F(1, 10**9)), F(-1, 10**9)),
+    (SaturatingExp(F(10), F(3)), ("saturating_exp", F(10), F(3)), F(-50)),
+)
+
+
+def draw_level(rng, floor: F) -> F:
+    """A level above floor: small, near 10^-18, large, or just above the floor."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        x = F(rng.randint(0, 40), rng.choice((1, 2, 3, 7)))
+    elif kind == 1:
+        x = F(rng.randint(1, 1000), 10**18)
+    elif kind == 2:
+        x = F(round(10 ** rng.uniform(0, 8)), rng.randint(1, 9))
+    elif kind == 3:
+        x = floor + F(1, 10 ** rng.randint(1, 12)) * abs(floor or 1)
+    else:
+        x = -F(rng.randint(0, 10**6), 10**5)
+    return x if x > floor else floor + F(1, rng.randint(2, 1000)) * abs(floor or 1)
+
+
+def draw_count(rng) -> int:
+    return int(10 ** rng.uniform(0, rng.choice((1, 3, 8))))
+
+
+def test_rdu_bound_holds_or_range_error():
+    rng = random.Random(20240611)
+    finite, violations = 0, []
+    for i in range(4200):
+        rho = RHOS[i % len(RHOS)]
+        g, transform, floor = TRANSFORMS[(i // len(RHOS)) % len(TRANSFORMS)]
+        blocks = [(draw_level(rng, floor), draw_count(rng)) for _ in range(rng.randint(1, 7))]
+        u = Profile.from_blocks(blocks)
+        try:
+            got = rdu_value(u, Rdu(rho, g))
+        except FloatRangeError:
+            # only weights beyond the float range may raise: rho < 1 and a large rank
+            assert rho < 1 and (len(u) - 1) * math.log(1 / rho) > 700, (rho, blocks)
+            continue
+        if not math.isfinite(got.value):
+            assert got.bound == math.inf and rho < 1, (rho, transform, blocks, got)
+            continue
+        finite += 1
+        oracle = rdu_blockwise(blocks, rho, transform)
+        if not abs(got.value - oracle) <= got.bound:
+            violations.append((rho, transform, blocks, got, float(oracle)))
+    assert finite >= 3000, finite
+    assert not violations, f"{len(violations)} of {finite} violate the bound: {violations[:3]}"
+
+
+def test_boundedg_and_concavepoor_bounds_hold():
+    rng = random.Random(7)
+    violations = []
+    for i in range(2400):
+        g, transform, floor = TRANSFORMS[1 + i % (len(TRANSFORMS) - 1)]
+        theta = draw_level(rng, floor)
+        lam = F(rng.randint(1, 99), 100)
+        blocks = [(draw_level(rng, floor), draw_count(rng)) for _ in range(rng.randint(1, 7))]
+        if i % 3 == 0:  # levels just below the threshold, whose shortfalls cancel
+            blocks += [(theta - F(1, 10 ** rng.randint(6, 15)), draw_count(rng))]
+            blocks = [(x, c) for x, c in blocks if x > floor]
+        u = Profile.from_blocks(blocks)
+        if i % 2:
+            got = boundedg_value(u, BoundedG(theta, ConstantLambda(lam), g))
+            oracle = boundedg_blockwise(blocks, theta, lam, transform)
+        else:
+            got = concavepoor_value(u, ConcavePoor(theta, ConstantLambda(lam), g))
+            oracle = concavepoor_blockwise(blocks, theta, lam, transform)
+        if not abs(got.value - oracle) <= got.bound:
+            violations.append((i % 2, transform, theta, lam, blocks, got, float(oracle)))
+    assert not violations, f"{len(violations)} of 2400 violate the bound: {violations[:3]}"

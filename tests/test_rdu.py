@@ -1,7 +1,7 @@
 import itertools
-import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,9 +74,10 @@ def test_geometric_series_identity_constant_profiles(c, n, rho):
     """For (c, ..., c): value = g(c) * (1 - rho^-n) * rho / (rho - 1)."""
     p = Rdu(rho, Sqrt())
     got = rdu_value(Profile.constant(c, n), p)
-    rf = float(rho)
-    expected = math.sqrt(float(c)) * (1 - rf**-n) * rf / (rf - 1)
-    assert got.value == pytest.approx(expected, abs=max(1e-9, 4 * got.bound))
+    with mpmath.workprec(200):
+        r = mpmath.mpf(rho.numerator) / rho.denominator
+        expected = mpmath.sqrt(mpmath.mpf(c.numerator) / c.denominator) * (1 - r**-n) * r / (r - 1)
+    assert abs(got.value - expected) <= got.bound
 
 
 def test_large_constant_block_against_closed_form():
@@ -92,7 +93,7 @@ def test_highprec_oracle_agreement_moderate_sizes():
     u = Profile.from_blocks([(90, 1), (100, 999), (300, 9000)])
     got = rdu_value(u, p)
     oracle = rdu_highprec(u, Fraction(101, 100), "sqrt")
-    assert abs(got.value - float(oracle)) <= max(got.bound, 1e-9 * abs(got.value))
+    assert abs(got.value - oracle) <= got.bound
 
 
 def test_compare_reflexive_and_antisymmetric():

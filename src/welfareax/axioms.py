@@ -47,7 +47,7 @@ from typing import Iterator, Mapping
 
 from .codec import INTEGER, LEVEL, PROFILE, decode
 from .errors import ConfigError, InfeasibleParameters, SizeMismatch
-from .orderings import DEFAULT_TOLERANCE, OrderingSpec, swo_compare
+from .orderings import OrderingSpec, swo_compare
 from .profiles import (
     IndexSet,
     Profile,
@@ -201,10 +201,10 @@ class _Axiom:
         worse, better = self.endpoint_fields
         return getattr(self, worse), getattr(self, better), self.relation()
 
-    def conclusion(self, spec: OrderingSpec, tolerance: Fraction) -> tuple[bool, str, bool]:
+    def conclusion(self, spec: OrderingSpec) -> tuple[bool, str, bool]:
         """(holds, failure detail, numerically tied) for the ordering's verdict."""
         worse, better, relation = self.endpoints()
-        res = swo_compare(spec, better, worse, tolerance=tolerance)
+        res = swo_compare(spec, better, worse)
         if relation.admits(res.verdict):
             return True, "", res.numerically_tied
         w, b = self.endpoint_fields
@@ -348,11 +348,9 @@ class ReplicationInvariance(_Axiom):
             (self.k < 1, "k must be a positive integer"),
         )
 
-    def conclusion(self, spec, tolerance):
-        base = swo_compare(spec, self.u, self.v, tolerance=tolerance)
-        lifted = swo_compare(
-            spec, replicate(self.u, self.k), replicate(self.v, self.k), tolerance=tolerance
-        )
+    def conclusion(self, spec):
+        base = swo_compare(spec, self.u, self.v)
+        lifted = swo_compare(spec, replicate(self.u, self.k), replicate(self.v, self.k))
         ok = base.verdict is lifted.verdict
         detail = "" if ok else (
             f"verdict changes under {self.k}-replication: "
@@ -880,11 +878,7 @@ class CheckResult:
         return self.status is CheckStatus.VIOLATED
 
 
-def check_axiom(
-    spec: OrderingSpec,
-    inst: AxiomInstance,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
-) -> CheckResult:
+def check_axiom(spec: OrderingSpec, inst: AxiomInstance) -> CheckResult:
     """Check one instance against one ordering.
 
     Violated only when every hypothesis clause held and the ordering's
@@ -894,7 +888,7 @@ def check_axiom(
     report = validate_preconditions(inst)
     if not report.ok:
         return CheckResult(CheckStatus.PRECONDITION_UNMET, inst, report.detail)
-    ok, detail, flagged = inst.conclusion(spec, tolerance)
+    ok, detail, flagged = inst.conclusion(spec)
     return CheckResult(
         CheckStatus.SATISFIED if ok else CheckStatus.VIOLATED, inst, detail, flagged
     )
@@ -1030,7 +1024,6 @@ def run_suite(
     populations: tuple[int, int] = (2, 10),
     values: tuple = (-20, 20),
     seed: int = 0,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
 ) -> SuiteResult:
     """Run ``count`` generated instances of one axiom against an ordering."""
     _require(count >= 0, "instance count must be non-negative")
@@ -1040,7 +1033,7 @@ def run_suite(
         axiom, params, populations=populations, values=values, seed=seed
     )
     for inst in itertools.islice(stream, count):
-        result = check_axiom(spec, inst, tolerance)
+        result = check_axiom(spec, inst)
         if result.status is CheckStatus.SATISFIED:
             satisfied += 1
         elif result.status is CheckStatus.VIOLATED:

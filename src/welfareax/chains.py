@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 from enum import Enum
-from fractions import Fraction
 
 from .axioms import (
     AXIOM_TAGS,
@@ -50,7 +49,7 @@ from .axioms import (
 )
 from .codec import INTEGER, PROFILE, decode
 from .errors import CertificateError, ConfigError
-from .orderings import DEFAULT_TOLERANCE, OrderingSpec, swo_compare
+from .orderings import OrderingSpec, swo_compare
 from .profiles import Profile, Verdict, replicate, serialize_profile
 
 
@@ -205,8 +204,8 @@ class ChainReport:
 class _Walk:
     """The segment walked so far, and the failures and verdicts found on the way."""
 
-    def __init__(self, spec: OrderingSpec | None, tolerance: Fraction):
-        self.spec, self.tolerance = spec, tolerance
+    def __init__(self, spec: OrderingSpec | None):
+        self.spec = spec
         self.start: Profile | None = None
         self.head: Profile | None = None
         self.relation = Relation.EQUIVALENT
@@ -217,7 +216,7 @@ class _Walk:
     def record(self, idx: int, required: Relation, worse: Profile, better: Profile) -> None:
         """Record the ordering's verdict of better against worse, when an ordering is given."""
         if self.spec is not None:
-            res = swo_compare(self.spec, better, worse, tolerance=self.tolerance)
+            res = swo_compare(self.spec, better, worse)
             denied = not required.admits(res.verdict)
             self.verdicts.append(
                 StepVerdict(idx, required, res.verdict, denied, res.numerically_tied)
@@ -250,18 +249,14 @@ def _check_instance(
     return relation
 
 
-def validate_chain(
-    chain: DerivationChain,
-    spec: OrderingSpec | None = None,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
-) -> ChainReport:
+def validate_chain(chain: DerivationChain, spec: OrderingSpec | None = None) -> ChainReport:
     """Re-validate all hypothesis clauses and the transitive linkage.
 
     With an ordering given, additionally evaluate each step's asserted
     relation (and the terminal) and record which ones the ordering
     denies; the first denial is the violation locator's answer.
     """
-    walk = _Walk(spec, tolerance)
+    walk = _Walk(spec)
     for idx, step in enumerate(chain.steps):
         required = step.check(idx, walk)
         if required is not None:

@@ -30,7 +30,6 @@ from .codec import INTEGER, LEVEL, decode
 from .errors import ConfigError, InfeasibleParameters, WelfareaxError
 from .gfunctions import g_from_config
 from .orderings import (
-    DEFAULT_TOLERANCE,
     evaluate,
     lambda_feasible_interval,
     ordering_from_config,
@@ -88,12 +87,9 @@ def cmd_compare(args) -> int:
     spec = _load_ordering(args.ordering)
     profiles = _load_profiles(args.profiles)
     if len(profiles) != 2:
-        print(f"compare needs exactly two profiles, got {len(profiles)}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"compare needs exactly two profiles, got {len(profiles)}")
     u, v = profiles
-    result = swo_compare(
-        spec, u, v, cross_size=args.cross_size, tolerance=args.tolerance
-    )
+    result = swo_compare(spec, u, v, cross_size=args.cross_size)
     print(f"verdict: {result.verdict.value}")
     if result.numerically_tied:
         print("warning: numerically tied within the combined error bound")
@@ -117,7 +113,7 @@ def cmd_value(args) -> int:
 def cmd_check_axiom(args) -> int:
     spec = _load_ordering(args.ordering)
     inst = instance_from_config(_load_yaml(args.instance))
-    result = check_axiom(spec, inst, args.tolerance)
+    result = check_axiom(spec, inst)
     print(f"status: {result.status.value}")
     if result.detail:
         print(f"detail: {result.detail}")
@@ -137,8 +133,7 @@ def cmd_axiom_suite(args) -> int:
     rows = []
     for axiom in args.axiom:
         if axiom not in AXIOM_TAGS:
-            print(f"unknown axiom tag {axiom!r}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"unknown axiom tag {axiom!r}")
         result = run_suite(
             spec,
             axiom,
@@ -147,7 +142,6 @@ def cmd_axiom_suite(args) -> int:
             populations=args.populations,
             values=args.values,
             seed=args.seed,
-            tolerance=args.tolerance,
         )
         rows.append(result)
         if result.violated:
@@ -198,10 +192,9 @@ def cmd_replay(args) -> int:
             raise ConfigError("replay --id 4 needs --profiles")
         profiles = _load_profiles(args.profiles)
         if len(profiles) != 2:
-            print("replay 4 needs a profile file with exactly two profiles", file=sys.stderr)
-            return 2
-        ratio = as_level(params.get("beta_ratio", "1/2"))
-        chain = build_prop4_chain(profiles[0], profiles[1], lambda a: a * ratio)
+            raise ConfigError("replay 4 needs a profile file with exactly two profiles")
+        ratio = _builder_params(params, "beta_ratio") if "beta_ratio" in params else []
+        chain = build_prop4_chain(*profiles, *ratio)
 
     text = serialize_chain(chain)
     if args.out:
@@ -218,7 +211,7 @@ def cmd_replay(args) -> int:
     )
     if args.locate:
         spec = _load_ordering(args.locate)
-        located = validate_chain(chain, spec, args.tolerance)
+        located = validate_chain(chain, spec)
         for sv in located.denied_steps:
             label = "terminal" if sv.index == len(chain.steps) else f"step {sv.index}"
             print(
@@ -233,7 +226,7 @@ def cmd_replay(args) -> int:
 def cmd_validate(args) -> int:
     chain = parse_chain(Path(args.certificate).read_text(encoding="utf-8"))
     spec = _load_ordering(args.locate) if args.locate else None
-    report = validate_chain(chain, spec, args.tolerance)
+    report = validate_chain(chain, spec)
     print(
         f"steps={report.step_count} "
         f"precondition_failures={len(report.precondition_failures)} "
@@ -280,7 +273,7 @@ def cmd_search(args) -> int:
         populations=args.populations,
         values=args.values,
     )
-    witness = find_counterexample(spec, args.axiom, params, budget, args.tolerance)
+    witness = find_counterexample(spec, args.axiom, params, budget)
     if witness is None:
         print(f"no violation found within {args.budget} instances")
         return 0
@@ -323,33 +316,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="welfareax",
         description="Social welfare orderings, axiom checks, and ranking certificates.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--tolerance",
-        type=as_level,
-        default=DEFAULT_TOLERANCE,
-        help="relative tolerance for floating comparisons (rational, default 1/10^12)",
-    )
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compare", parents=[common], help="compare two profiles")
+    p = sub.add_parser("compare", help="compare two profiles")
     p.add_argument("--ordering", required=True)
     p.add_argument("--profiles", required=True)
     p.add_argument("--cross-size", action="store_true")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("value", parents=[common], help="evaluate profiles")
+    p = sub.add_parser("value", help="evaluate profiles")
     p.add_argument("--ordering", required=True)
     p.add_argument("--profiles", required=True)
     p.set_defaults(func=cmd_value)
 
-    p = sub.add_parser("check-axiom", parents=[common], help="check one instance")
+    p = sub.add_parser("check-axiom", help="check one instance")
     p.add_argument("--ordering", required=True)
     p.add_argument("--instance", required=True)
     p.set_defaults(func=cmd_check_axiom)
 
-    p = sub.add_parser("axiom-suite", parents=[common], help="randomized axiom suites")
+    p = sub.add_parser("axiom-suite", help="randomized axiom suites")
     p.add_argument("--ordering", required=True)
     p.add_argument("--axiom", action="append", required=True, help="repeatable axiom tag")
     p.add_argument("--params", help="YAML file with axiom magnitudes")
@@ -360,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("human", "tsv"), default="human")
     p.set_defaults(func=cmd_axiom_suite)
 
-    p = sub.add_parser("replay", parents=[common], help="build and validate a chain")
+    p = sub.add_parser("replay", help="build and validate a chain")
     p.add_argument("--id", type=int, choices=(1, 2, 3, 4), required=True)
     p.add_argument("--params", help="YAML file with builder parameters")
     p.add_argument("--profiles", help="two profiles (replay 4)")
@@ -368,14 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--locate", help="ordering config; locate denied steps")
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("validate", parents=[common], help="re-check a certificate file")
+    p = sub.add_parser("validate", help="re-check a certificate file")
     p.add_argument("--certificate", required=True)
     p.add_argument("--locate", help="ordering config; locate denied steps")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("prop5", parents=[common], help="rank-discounting threshold reports")
+    p = sub.add_parser("prop5", help="rank-discounting threshold reports")
     mode = p.add_subparsers(dest="mode", required=True)
-    c = mode.add_parser("condition", parents=[common])
+    c = mode.add_parser("condition")
     c.add_argument("--g", default="identity")
     c.add_argument("--rho", type=as_level, required=True)
     c.add_argument("--theta-p", dest="theta_p", type=as_level, required=True)
@@ -383,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--alpha", type=as_level, required=True)
     c.add_argument("--beta", type=as_level, required=True)
     c.set_defaults(func=cmd_prop5, mode="condition")
-    r = mode.add_parser("ratio-failure", parents=[common])
+    r = mode.add_parser("ratio-failure")
     r.add_argument("--g", default="identity")
     r.add_argument("--rho", type=as_level, required=True)
     r.add_argument("--lam", type=as_level, required=True)
@@ -393,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", help="write the witness instance to this path")
     r.set_defaults(func=cmd_prop5, mode="ratio-failure")
 
-    p = sub.add_parser("search", parents=[common], help="counterexample search")
+    p = sub.add_parser("search", help="counterexample search")
     p.add_argument("--ordering", required=True)
     p.add_argument("--axiom", required=True)
     p.add_argument("--params", help="YAML file with axiom magnitudes")
@@ -404,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the witness instance to this path")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("plot-data", parents=[common], help="tabular scan emission")
+    p = sub.add_parser("plot-data", help="tabular scan emission")
     p.add_argument("--kind", choices=("ratio-coefficient", "lambda-interval"), required=True)
     p.add_argument("--rho", type=as_level, default=as_level("101/100"))
     p.add_argument("--lam", type=as_level, default=as_level("1/2"))

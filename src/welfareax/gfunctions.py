@@ -7,8 +7,9 @@ Each transform is a frozen dataclass that owns its rules:
   identity and piecewise-linear tables support (``is_exact``) and square
   root, shifted log and the saturating exponential refuse;
 * ``error`` bounds |value(x) - g(x)|: ``ulps`` times EPS * |value| (at
-  least one ulp), or an absolute model for the shifted log, assuming libm
-  calls within one ulp and levels that are normal floats or zero;
+  least one ulp) plus ``floor``, the absolute error of roundings to
+  subnormal floats, or an absolute model for the shifted log, assuming
+  libm calls within one ulp and parameters that are normal floats;
 * ``check_domain`` refuses levels outside its domain, and construction
   validates its shape: builtins are increasing and concave analytically,
   tables are checked exactly through their slopes;
@@ -29,6 +30,7 @@ from .errors import ConfigError, DomainError
 from .profiles import as_level, format_level
 
 EPS = 2.0**-52  # the spacing of floats at 1
+TINY = math.ulp(0.0)  # 2**-1074, the spacing of subnormal floats
 
 
 def _float(x) -> float:
@@ -47,10 +49,13 @@ class _Transform(Record):
     kind = ""
     upper_bound = None
     ulps = 1  # one rounding of the level or of g (sqrt halves the level's)
+    # A rounding to a subnormal float is off by up to 2**-1075 absolute, not
+    # EPS/2 relative; ``floor`` bounds what such roundings move g by.
+    floor = TINY
 
     def error(self, x, gx: float) -> float:
         """A bound on |value(x) - g(x)|, given gx = value(x)."""
-        return self.ulps * EPS * abs(gx)
+        return self.ulps * EPS * abs(gx) + self.floor
 
     def check_domain(self, x: Fraction) -> None:
         pass
@@ -72,6 +77,7 @@ class Identity(_Transform):
 class Sqrt(_Transform):
     kind = "sqrt"
     is_exact = False
+    floor = 2.0**-537  # |sqrt(a) - sqrt(b)| <= sqrt(|a - b|); a subnormal level is off by 2**-1075
 
     def check_domain(self, x: Fraction) -> None:
         if x < 0:
@@ -107,15 +113,22 @@ class LogShifted(_Transform):
     def value(self, x) -> float:
         xf = as_level(x) if not isinstance(x, float) else Fraction(x)
         self.check_domain(xf)
-        return math.log(_float(x) + _float(self.shift))
+        a = _float(x) + _float(self.shift)
+        if a <= 0:
+            raise DomainError(
+                f"level {format_level(xf)} is within float rounding of the log's pole "
+                f"at {format_level(-self.shift)}"
+            )
+        return math.log(a)
 
     def error(self, x, gx: float) -> float:
         """Absolute, as g's relative error is unbounded near log(1): a = float(x)
-        + float(shift) is off by d = EPS (|float(x)| + |float(shift)| + a) or
-        less, which moves log(a) by -log1p(-d / a) or less; log adds an ulp."""
+        + float(shift) is off by d = EPS (|float(x)| + |float(shift)| + a) + TINY
+        or less (a subnormal level is off by 2**-1075), which moves log(a) by
+        -log1p(-d / a) or less; log adds an ulp."""
         xf, shift = _float(x), _float(self.shift)
         a = xf + shift
-        r = EPS * (abs(xf) + abs(shift) + a) / a
+        r = (EPS * (abs(xf) + abs(shift) + a) + TINY) / a
         return EPS * abs(gx) + (-math.log1p(-r) if r < 1 else math.inf)
 
 
@@ -139,6 +152,14 @@ class SaturatingExp(_Transform):
         super().__post_init__()
         if self.cap <= 0 or self.scale <= 0:
             raise ConfigError("saturating_exp needs cap > 0 and scale > 0")
+
+    @property
+    def floor(self) -> float:
+        """In units of 2**-1075, half of TINY: a subnormal rounding of the level
+        moves g by up to cap / scale units, of the product (x < 0) by 1 / scale,
+        of the quotient (x >= 0) by cap, of expm1 (an ulp) by 2 cap, of g by 1."""
+        cap, scale = _float(self.cap), _float(self.scale)
+        return TINY * ((cap + 1) / scale + 2 * cap + 1)
 
     @property
     def upper_bound(self) -> Fraction:

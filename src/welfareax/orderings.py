@@ -31,9 +31,10 @@ variants sum floats with ``math.fsum`` in ``_float_sum``, under a bound
 derived from each block's conditioning and each transform's stated error.
 One function, ``_resolve``, decides every verdict on two valuations:
 exactly when both are exact, else by the float difference against the
-combined bound, then as equivalent when the profiles hold the same
-levels, then by an exact fallback where one exists (RDU with an exact
-transform), else as a flagged numerical tie.
+combined bound plus a fixed relative slack, ``TOLERANCE`` = 10^-12,
+then as equivalent when the profiles hold the same levels, then by an
+exact fallback where one exists (RDU with an exact transform), else as a
+flagged numerical tie.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Iterable, Mapping
 
 from .codec import LEVEL, LEVELS, Record, table
 from .errors import ConfigError, FloatRangeError, MissingLambda
-from .gfunctions import EPS, TRANSFORM, GFunction
+from .gfunctions import EPS, TINY, TRANSFORM, GFunction
 from .profiles import (
     CompareResult,
     Profile,
@@ -56,12 +57,11 @@ from .profiles import (
     format_level,
 )
 
-DEFAULT_TOLERANCE = Fraction(1, 10**12)
+#: Relative slack added to the combined error bound of a float verdict.
+TOLERANCE = 1e-12
 
 #: Largest total population for which an exact RDU comparison is attempted.
 RDU_EXACT_LIMIT = 20_000
-
-_TINY = math.ulp(0.0)  # 2**-1074, the spacing of subnormal floats
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +235,7 @@ class _Ordering(Record):
     def value(self, u: Profile) -> Valuation:
         raise NotImplementedError
 
-    def compare(
-        self, u: Profile, v: Profile, cross_size: bool, tolerance: Fraction
-    ) -> CompareResult:
+    def compare(self, u: Profile, v: Profile, cross_size: bool) -> CompareResult:
         """Verdict on u against v; value rules depend on the population size."""
         if len(u) != len(v) and not cross_size:
             return CompareResult(
@@ -247,7 +245,7 @@ class _Ordering(Record):
                     "pass cross_size=True to compare raw values"
                 ),
             )
-        return _resolve(u, v, evaluate(self, u), evaluate(self, v), tolerance)
+        return _resolve(u, v, evaluate(self, u), evaluate(self, v))
 
 
 @dataclass(frozen=True)
@@ -257,7 +255,7 @@ class Leximin(_Ordering):
     def value(self, u):
         raise ConfigError("leximin is not value-based")
 
-    def compare(self, u, v, cross_size, tolerance):
+    def compare(self, u, v, cross_size):
         return leximin_compare(u, v)
 
 
@@ -283,8 +281,8 @@ class Rdu(_Ordering):
     def value(self, u):
         return rdu_value(u, self)
 
-    def compare(self, u, v, cross_size, tolerance):
-        return rdu_compare(u, v, self, tolerance)
+    def compare(self, u, v, cross_size):
+        return rdu_compare(u, v, self)
 
 
 @dataclass(frozen=True)
@@ -528,7 +526,7 @@ def rdu_value(u: Profile, p: Rdu) -> FloatValue:
             terms.append(gv * e * geom)
             errors.append(
                 (g.error(value, gv) + abs(gv) * rel * (1 + rel)) * e * geom
-                + (abs(gv) * geom + geom + 1) * _TINY
+                + (abs(gv) * geom + geom + 1) * TINY
             )
             start += count
         return _float_sum(terms, errors)
@@ -554,20 +552,16 @@ def rdu_value_exact(u: Profile, p: Rdu) -> Fraction:
     return _exact_sum(pairs, a ** (n - 1))
 
 
-def rdu_compare(
-    u: Profile, v: Profile, p: Rdu, tolerance: Fraction = DEFAULT_TOLERANCE
-) -> CompareResult:
+def rdu_compare(u: Profile, v: Profile, p: Rdu) -> CompareResult:
     """Compare by RDU value; sizes may differ (the sum is well defined).
 
     With an exact transform, moderate populations compare exactly and
     larger ones by float values with an exact retry of a near-tie.
     """
     if p.g.is_exact and len(u) + len(v) <= RDU_EXACT_LIMIT:
-        return _resolve(
-            u, v, ExactValue(rdu_value_exact(u, p)), ExactValue(rdu_value_exact(v, p)), tolerance
-        )
+        return _resolve(u, v, ExactValue(rdu_value_exact(u, p)), ExactValue(rdu_value_exact(v, p)))
     exact = (lambda: rdu_value_exact(u, p) - rdu_value_exact(v, p)) if p.g.is_exact else None
-    return _resolve(u, v, rdu_value(u, p), rdu_value(v, p), tolerance, exact)
+    return _resolve(u, v, rdu_value(u, p), rdu_value(v, p), exact)
 
 
 def _sign_verdict(diff) -> Verdict:
@@ -651,10 +645,10 @@ def _transformed_sum(g: GFunction, pairs, offset: Fraction, scale: Fraction) -> 
         f = sc * w
         t = gx * f
         terms.append(t)
-        errors.append(g.error(x, gx) * abs(f) + 3 * EPS * abs(t) + (abs(gx) + 1) * _TINY)
+        errors.append(g.error(x, gx) * abs(f) + 3 * EPS * abs(t) + (abs(gx) + 1) * TINY)
     off = float(offset)  # after the levels, so a level beyond the float range is named first
     terms.append(off)
-    errors.append(EPS * abs(off) + _TINY)
+    errors.append(EPS * abs(off) + TINY)
     return _float_sum(terms, errors)
 
 
@@ -684,23 +678,22 @@ def evaluate(spec: OrderingSpec, u: Profile) -> Valuation:
     return spec.value(u)
 
 
-def _resolve(
-    u: Profile, v: Profile, a: Valuation, b: Valuation, tolerance: Fraction, exact=None
-) -> CompareResult:
+def _resolve(u: Profile, v: Profile, a: Valuation, b: Valuation, exact=None) -> CompareResult:
     """The verdict on valuations a of u and b of v; the one place a float near-tie is decided.
 
     Exact valuations compare exactly. Float ones are separated when their
-    difference exceeds the combined error bound plus the relative
-    tolerance; otherwise u and v with the same levels are equivalent (every
-    value rule here is anonymous), else ``exact()``, when given, supplies
-    the exact difference, else the result is a flagged numerical tie.
+    difference exceeds the combined error bound plus ``TOLERANCE`` times
+    the larger magnitude; otherwise u and v with the same levels are
+    equivalent (every value rule here is anonymous), else ``exact()``, when
+    given, supplies the exact difference, else the result is a flagged
+    numerical tie.
     """
     if a.is_exact and b.is_exact:
         diff = a.value - b.value
     else:
         af, bf = float(a), float(b)
         diff = af - bf
-        threshold = a.bound + b.bound + float(tolerance) * max(abs(af), abs(bf))
+        threshold = a.bound + b.bound + TOLERANCE * max(abs(af), abs(bf))
         if abs(diff) > threshold:
             return CompareResult(_sign_verdict(diff), margin=diff)
         if u.same_multiset(v):
@@ -721,12 +714,7 @@ def _resolve(
 
 
 def swo_compare(
-    spec: OrderingSpec,
-    u: Profile,
-    v: Profile,
-    *,
-    cross_size: bool = False,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
+    spec: OrderingSpec, u: Profile, v: Profile, *, cross_size: bool = False
 ) -> CompareResult:
     """Uniform comparison dispatch.
 
@@ -734,7 +722,7 @@ def swo_compare(
     unless the ``cross_size`` opt-in is set; RDU compares any sizes
     directly; leximin never compares across sizes.
     """
-    return spec.compare(u, v, cross_size, tolerance)
+    return spec.compare(u, v, cross_size)
 
 
 # ---------------------------------------------------------------------------

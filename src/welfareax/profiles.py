@@ -109,14 +109,6 @@ class CompareResult:
     numerically_tied: bool = False
     note: str | None = None
 
-    def flipped(self) -> "CompareResult":
-        return CompareResult(
-            self.verdict.flipped(),
-            None if self.margin is None else -self.margin,
-            self.numerically_tied,
-            self.note,
-        )
-
 
 # ---------------------------------------------------------------------------
 # profiles

@@ -47,8 +47,8 @@ from .axioms import (
 )
 from .chains import AxiomStep, ChainKind, DerivationChain, DescentStep, LiftStep
 from .errors import InfeasibleParameters
-from .gfunctions import GFunction
-from .orderings import Rdu, geometric_sum, leximin_compare
+from .gfunctions import EPS, TINY, GFunction
+from .orderings import Rdu, _float_sum, geometric_sum, leximin_compare
 from .profiles import (
     IndexSet,
     Profile,
@@ -302,15 +302,15 @@ def build_prop3_chain(
 # chain 4: leximin dominance
 
 
-def build_prop4_chain(u: Profile, v: Profile, beta_of_alpha=None) -> DerivationChain:
+def build_prop4_chain(u: Profile, v: Profile, beta_ratio=Fraction(1, 2)) -> DerivationChain:
     """Dominance chain certifying u > v for leximin-ranked same-size pairs.
 
-    ``beta_of_alpha`` maps a gain alpha to the acceptable exact sacrifice
-    beta of strong non-aggregation (default alpha / 2); the chain uses a
-    per-step loss beta' strictly inside (0, beta).
+    The acceptable exact sacrifice of strong non-aggregation is beta =
+    beta_ratio * alpha for a gain alpha, with 0 < beta_ratio < 1; the chain
+    uses a per-step loss beta' strictly inside (0, beta).
     """
-    if beta_of_alpha is None:
-        beta_of_alpha = lambda a: a / 2
+    beta_ratio = as_level(beta_ratio)
+    _guard(0 < beta_ratio < 1, "need 0 < beta_ratio < 1")
     res = leximin_compare(u, v)
     _guard(
         res.verdict is Verdict.STRICTLY_BETTER,
@@ -337,8 +337,7 @@ def build_prop4_chain(u: Profile, v: Profile, beta_of_alpha=None) -> DerivationC
     v_star = rv[-1] + 1
     u_star = rv[h] + gap / 4
     alpha = gap / 4
-    beta = as_level(beta_of_alpha(alpha))
-    _guard(0 < beta < alpha, "beta_of_alpha must return 0 < beta < alpha")
+    beta = alpha * beta_ratio
     target = rv[h] + 3 * gap / 4  # the level v_star - k * beta' must hit
     k = math.ceil((v_star - target) / beta) + 1
     beta_prime = (v_star - target) / k
@@ -403,7 +402,14 @@ class Prop5Report:
 def prop5_nonagg_condition(
     g: GFunction, rho, theta_p, theta_r, alpha, beta
 ) -> Prop5Report:
-    """Evaluate g(theta_p) - g(theta_p - alpha) >= rho/(rho-1) * (g(theta_r + beta) - g(theta_r))."""
+    """Evaluate g(theta_p) - g(theta_p - alpha) >= rho/(rho-1) * (g(theta_r + beta) - g(theta_r)).
+
+    For a float transform each difference is a ``_float_sum`` of two terms
+    within their ``g.error``. The factor f = float(rho/(rho-1)) > 1 is off by
+    EPS/2 relative and the product t = f * rise by EPS/2 relative, or
+    2**-1075 when it underflows, so t is within f * bound(rise) (1 + EPS) +
+    2 EPS |t| + TINY of the true side.
+    """
     rho = as_level(rho)
     theta_p, theta_r = as_level(theta_p), as_level(theta_r)
     alpha, beta = as_level(alpha), as_level(beta)
@@ -416,15 +422,21 @@ def prop5_nonagg_condition(
         lhs = g.exact(theta_p) - g.exact(theta_p - alpha)
         rhs = rho / (rho - 1) * (g.exact(theta_r + beta) - g.exact(theta_r))
         return Prop5Report(float(lhs), float(rhs), 0.0, 0.0, lhs >= rhs, True, True)
-    eps = 2.0**-52
-    lhs = g.value(theta_p) - g.value(theta_p - alpha)
-    rhs = float(rho) / float(rho - 1) * (g.value(theta_r + beta) - g.value(theta_r))
-    lhs_bound = 4 * eps * (abs(g.value(theta_p)) + abs(g.value(theta_p - alpha)))
-    rhs_bound = 8 * eps * abs(rhs) + 4 * eps * float(rho / (rho - 1)) * (
-        abs(g.value(theta_r + beta)) + abs(g.value(theta_r))
+
+    def difference(x, y):
+        gx, gy = g.value(x), g.value(y)
+        return _float_sum([gx, -gy], [g.error(x, gx), g.error(y, gy)])
+
+    lhs = difference(theta_p, theta_p - alpha)
+    rise = difference(theta_r + beta, theta_r)
+    factor = float(rho / (rho - 1))
+    t = factor * rise.value
+    rhs = _float_sum([t], [factor * rise.bound * (1 + EPS) + 2 * EPS * abs(t) + TINY])
+    diff = _float_sum([lhs.value, -rhs.value], [lhs.bound, rhs.bound])
+    separated = abs(diff.value) > diff.bound
+    return Prop5Report(
+        lhs.value, rhs.value, lhs.bound, rhs.bound, diff.value > 0 and separated, separated, False
     )
-    separated = abs(lhs - rhs) > lhs_bound + rhs_bound
-    return Prop5Report(lhs, rhs, lhs_bound, rhs_bound, lhs >= rhs and separated, separated, False)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Iterator, Mapping
 
 from .axioms import AxiomInstance, CheckResult, check_axiom, generate_instances
 from .errors import InfeasibleParameters
-from .orderings import DEFAULT_TOLERANCE, OrderingSpec
+from .orderings import OrderingSpec
 from .profiles import IndexSet, Profile
 
 _MAX_SHRINK_ROUNDS = 10_000
@@ -135,9 +135,7 @@ def _candidates(inst: AxiomInstance) -> Iterator[AxiomInstance]:
         yield from _simplify_values(inst, p)
 
 
-def _shrink(
-    spec: OrderingSpec, inst: AxiomInstance, tolerance: Fraction
-) -> tuple[AxiomInstance, int]:
+def _shrink(spec: OrderingSpec, inst: AxiomInstance) -> tuple[AxiomInstance, int]:
     steps = 0
     current = inst
     current_metric = _metric(inst)
@@ -146,7 +144,7 @@ def _shrink(
         for candidate in _candidates(current):
             if _metric(candidate) >= current_metric:
                 continue
-            if not check_axiom(spec, candidate, tolerance).violated:
+            if not check_axiom(spec, candidate).violated:
                 continue
             current = candidate
             current_metric = _metric(candidate)
@@ -158,14 +156,12 @@ def _shrink(
     return current, steps
 
 
-def shrink(
-    witness: Witness, spec: OrderingSpec, tolerance: Fraction = DEFAULT_TOLERANCE
-) -> Witness:
+def shrink(witness: Witness, spec: OrderingSpec) -> Witness:
     """Greedy re-shrink; idempotent once the witness is at a fixpoint."""
-    inst, steps = _shrink(spec, witness.instance, tolerance)
+    inst, steps = _shrink(spec, witness.instance)
     if steps == 0:
         return witness
-    return Witness(inst, check_axiom(spec, inst, tolerance), witness.shrink_steps + steps)
+    return Witness(inst, check_axiom(spec, inst), witness.shrink_steps + steps)
 
 
 def find_counterexample(
@@ -173,7 +169,6 @@ def find_counterexample(
     axiom: str,
     params: Mapping[str, object],
     budget: SearchBudget,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
 ) -> Witness | None:
     """First violating instance within the budget, shrunk; None if clean."""
     stream = generate_instances(
@@ -184,8 +179,8 @@ def find_counterexample(
         seed=budget.seed,
     )
     for inst in itertools.islice(stream, budget.max_instances):
-        result = check_axiom(spec, inst, tolerance)
+        result = check_axiom(spec, inst)
         if result.violated:
-            shrunk, steps = _shrink(spec, inst, tolerance)
-            return Witness(shrunk, check_axiom(spec, shrunk, tolerance), steps)
+            shrunk, steps = _shrink(spec, inst)
+            return Witness(shrunk, check_axiom(spec, shrunk), steps)
     return None

@@ -119,3 +119,12 @@ def concavepoor_blockwise(blocks, theta, lam, transform: tuple, prec_bits: int =
         )
         mean = sum((_mpf(x) * c for x, c in blocks), mpmath.mpf(0)) / n
         return _mpf(lam) * short + (1 - _mpf(lam)) * mean
+
+
+def prop5_sides(transform: tuple, rho, theta_p, theta_r, alpha, beta, prec_bits: int = 300):
+    """(g(theta_p) - g(theta_p - alpha), rho / (rho - 1) * (g(theta_r + beta) - g(theta_r)))."""
+    theta_p, theta_r, alpha, beta = map(Fraction, (theta_p, theta_r, alpha, beta))
+    with mpmath.workprec(prec_bits):
+        lhs = g_mp(transform, theta_p) - g_mp(transform, theta_p - alpha)
+        rise = g_mp(transform, theta_r + beta) - g_mp(transform, theta_r)
+        return lhs, _mpf(rho) / (_mpf(rho) - 1) * rise

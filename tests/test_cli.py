@@ -400,6 +400,41 @@ QA_INSTANCE = (
             ["search", "--ordering", "leximin.yaml", "--axiom", "anonymity", "--budget", "-1"],
             id="search-negative-budget",
         ),
+        pytest.param(
+            {"one.txt": "1,2\n"},
+            ["compare", "--ordering", "leximin.yaml", "--profiles", "one.txt"],
+            id="compare-one-profile",
+        ),
+        pytest.param(
+            {},
+            ["axiom-suite", "--ordering", "leximin.yaml", "--axiom", "bogus"],
+            id="axiom-suite-unknown-axiom",
+        ),
+        pytest.param(
+            {"three.txt": "1,2\n2,1\n3,3\n"},
+            ["replay", "--id", "4", "--profiles", "three.txt"],
+            id="replay-4-three-profiles",
+        ),
+        *[
+            pytest.param(
+                {"p.yaml": f"beta_ratio: {ratio}\n", "pair.txt": "1,2,3\n1,1,5\n"},
+                ["replay", "--id", "4", "--params", "p.yaml", "--profiles", "pair.txt"],
+                id=f"replay-4-beta-ratio-{name}",
+            )
+            for name, ratio in [("not-a-level", "abc"), ("above-one", "2")]
+        ],
+        *[
+            pytest.param(
+                {"log.yaml": "ordering: rdu\nrho: 3/2\ng: {kind: log_shifted, shift: 1}\n",
+                 "pair.txt": f"{level},1\n1,2\n"},
+                ["compare", "--ordering", "log.yaml", "--profiles", "pair.txt"],
+                id=f"log-level-rounding-to-pole-{name}",
+            )
+            for name, level in [
+                ("1e-20", f"{1 - 10**20}/{10**20}"),
+                ("1e-400", f"{1 - 10**400}/{10**400}"),
+            ]
+        ],
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(workdir, capsys, files, argv):
@@ -422,6 +457,33 @@ def test_seed_and_format_only_where_honoured(workdir, capsys):
     with pytest.raises(SystemExit):
         main(["axiom-suite", "--ordering", str(workdir / "leximin.yaml"),
               "--axiom", "anonymity", "--format", "cert"])
+
+    # the float slack is fixed, so no command takes --tolerance
+    leximin = str(workdir / "leximin.yaml")
+    pair = workdir / "pair.txt"
+    pair.write_text("2,3\n1,1\n")
+    instance = workdir / "inst.yaml"
+    instance.write_text(QA_INSTANCE + "M: 1-3\n")
+    cert = workdir / "c.cert"
+    assert main(["replay", "--id", "4", "--profiles", str(pair), "--out", str(cert)]) == 0
+    commands = [
+        ["compare", "--ordering", leximin, "--profiles", pair],
+        ["value", "--ordering", workdir / "suffavg.yaml", "--profiles", pair],
+        ["check-axiom", "--ordering", leximin, "--instance", instance],
+        ["axiom-suite", "--ordering", leximin, "--axiom", "anonymity", "--count", "1"],
+        ["replay", "--id", "4", "--profiles", pair],
+        ["validate", "--certificate", cert],
+        ["prop5", "condition", "--rho", "2", "--theta-p", "4", "--theta-r", "100",
+         "--alpha", "3", "--beta", "1"],
+        ["prop5", "ratio-failure", "--rho", "3/2", "--lam", "1/2", "--gamma", "2",
+         "--delta", "1"],
+        ["search", "--ordering", leximin, "--axiom", "anonymity", "--budget", "1"],
+        ["plot-data", "--kind", "lambda-interval", "--n-to", "3"],
+    ]
+    for argv in commands:
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv] + ["--tolerance", "1/10"])
+        assert exc.value.code == 2, argv
     capsys.readouterr()
 
 

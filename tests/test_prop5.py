@@ -1,13 +1,17 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from welfareax import (
     CheckStatus,
+    DomainError,
     Identity,
     InfeasibleParameters,
+    LogShifted,
     Rdu,
+    SaturatingExp,
     Sqrt,
     check_axiom,
     validate_preconditions,
@@ -19,6 +23,22 @@ from welfareax.propositions import (
     scan_ratio_coefficients,
 )
 
+from _oracles import prop5_sides
+
+# (transform, oracle name, exclusive lower end of the domain or None)
+FLOAT_TRANSFORMS = (
+    (Sqrt(), ("sqrt",), Fraction(0)),
+    (LogShifted(Fraction(1)), ("log_shifted", Fraction(1)), Fraction(-1)),
+    (LogShifted(Fraction(1, 10**9)), ("log_shifted", Fraction(1, 10**9)), Fraction(-1, 10**9)),
+    (SaturatingExp(Fraction(10), Fraction(3)), ("saturating_exp", Fraction(10), Fraction(3)), None),
+)
+
+
+def _magnitude(rng) -> Fraction:
+    """A positive level from 10^-330 (subnormal as a float) to 10^4."""
+    exponent = rng.choice((rng.randint(-330, -300), rng.randint(-18, 4)))
+    return Fraction(rng.randint(1, 10**6), 10**6) * Fraction(10) ** exponent
+
 
 class TestNonAggCondition:
     def test_sqrt_example(self):
@@ -26,6 +46,44 @@ class TestNonAggCondition:
         assert report.lhs == pytest.approx(1.0)
         assert report.rhs == pytest.approx(0.09975124224178, abs=1e-12)
         assert report.holds and report.certain
+
+    def test_log_near_tie_is_not_certain(self):
+        # lhs and rhs differ by 1.8e-17 while each float log is off by ~1e-16
+        report = prop5_nonagg_condition(
+            LogShifted(Fraction(1)),
+            3,
+            Fraction(81, 10**10),
+            Fraction(1, 32),
+            Fraction(1, 156250000),
+            Fraction(11, 2500000000),
+        )
+        assert not (report.holds and report.certain)
+
+    def test_float_sides_within_their_bounds(self):
+        rng = random.Random(5)
+        checked, violations = 0, []
+        for i in range(700):
+            g, transform, floor = FLOAT_TRANSFORMS[i % len(FLOAT_TRANSFORMS)]
+            rho = rng.choice((Fraction(101, 100), Fraction(3, 2), Fraction(3), Fraction(10**6)))
+            start = floor if floor is not None else -_magnitude(rng)
+            theta_p = start + _magnitude(rng)
+            alpha = (theta_p - start) * Fraction(rng.randint(1, 999), 1000)
+            beta = alpha * Fraction(rng.randint(1, 999), 1000)
+            theta_r = theta_p + _magnitude(rng)
+            try:
+                report = prop5_nonagg_condition(g, rho, theta_p, theta_r, alpha, beta)
+            except DomainError:  # a level within float rounding of the log's pole
+                assert isinstance(g, LogShifted), (transform, theta_p, alpha)
+                continue
+            checked += 1
+            lhs, rhs = prop5_sides(transform, rho, theta_p, theta_r, alpha, beta)
+            if not (abs(report.lhs - lhs) <= report.lhs_bound
+                    and abs(report.rhs - rhs) <= report.rhs_bound):
+                violations.append((transform, rho, theta_p, theta_r, alpha, beta, report))
+            if report.certain:
+                assert report.holds == (lhs >= rhs)
+        assert checked >= 500, checked
+        assert not violations, f"{len(violations)} of {checked} violate a bound: {violations[:2]}"
 
     def test_identity_reduces_to_closed_form(self):
         # lhs = alpha, rhs = rho * beta / (rho - 1), decided exactly

@@ -16,6 +16,10 @@ Two checkouts that print the same hash give the same verdicts, values
 and certificates on all of these. The sources are imported from the
 ``src/`` directory next to this script. It takes about two minutes.
 
+It exits 0 when the hash is ``EXPECTED`` and 1, printing both hashes,
+when it differs. A change that alters this behaviour on purpose updates
+``EXPECTED`` and says so in a CHANGES.md line.
+
 Usage: python scripts/behaviour_fingerprint.py
 """
 
@@ -38,6 +42,8 @@ from welfareax.propositions import (  # noqa: E402
     build_prop4_chain,
 )
 from welfareax.search import SearchBudget, find_counterexample  # noqa: E402
+
+EXPECTED = "d4c7d534b21bf600abc51addbdd49713bbfff2314a626baf82f602a9c288148f"
 
 PROP6_SPEC = SuffAvg(10, MidpointLambda(F(10), F(1), F(10), F(1), F(1, 2)))
 PROP6_SUITES = (
@@ -121,7 +127,7 @@ def records():
         yield serialize_chain(builder(**params))
 
 
-def main() -> None:
+def main() -> int:
     digest = hashlib.sha256()
     count = 0
     for record in records():
@@ -129,7 +135,11 @@ def main() -> None:
         digest.update(b"\0")
         count += 1
     print(f"{digest.hexdigest()}  ({count} records)")
+    if digest.hexdigest() != EXPECTED:
+        print(f"differs from the expected {EXPECTED}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

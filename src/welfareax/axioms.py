@@ -20,10 +20,12 @@ that knows the rules of its axiom:
   blocks.
 
 ``validate_preconditions`` runs both clause lists; ``check_axiom`` then
-tests whether an ordering's verdict meets the conclusion. Fields are
-normalized on construction and written to and read from documents by
-one codec keyed on field names (``_FIELDS``), whose order is the key
-order of instance documents and certificate lines.
+tests whether an ordering's verdict meets the conclusion. Each instance
+type is a ``codec.Record`` whose ``config_fields`` are its own dataclass
+fields, taken from ``_FIELDS``: one codec field per name, in the key
+order of instance documents and certificate lines. ``Record`` normalizes
+the fields on construction, and ``instance_to_config`` and
+``instance_from_config`` write and read them under the ``axiom`` tag.
 
 Reading of the rank clauses in minimal non-aggregation: the recipient i
 must be (tied for) worst-off before the change, end no higher than the
@@ -39,13 +41,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Iterator, Mapping
 
-from .codec import INTEGER, LEVEL, PROFILE, decode
+from .codec import INTEGER, LEVEL, PROFILE, Record, decode, lookup_tag, read_tagged
 from .errors import ConfigError, InfeasibleParameters, SizeMismatch
 from .orderings import OrderingSpec, swo_compare
 from .profiles import (
@@ -125,6 +127,7 @@ _FIELDS = {
 
 
 def _decode_fields(doc: Mapping, names, what: str) -> dict:
+    """The named values of a generation parameter mapping, decoded."""
     for name in names:
         if name not in doc:
             raise ConfigError(f"missing {what} {name!r}")
@@ -168,7 +171,7 @@ class _Scale:
         )
 
 
-class _Axiom:
+class _Axiom(Record):
     """Rules shared by the axiom dataclasses; each overrides what differs."""
 
     tag = ""
@@ -180,10 +183,6 @@ class _Axiom:
     ranks_profiles = True
     # optional level parameters of generation, with their defaults
     options = {}
-
-    def __post_init__(self):
-        for name, value in list(vars(self).items()):
-            object.__setattr__(self, name, decode(name, _FIELDS[name], value))
 
     @staticmethod
     def magnitude_clauses(p) -> list[str]:
@@ -811,29 +810,10 @@ AxiomInstance = (
     | MinimalAggregation
 )
 
-AXIOM_TAGS = {
-    axiom.tag: axiom
-    for axiom in (
-        Anonymity,
-        StrongPareto,
-        WeakPareto,
-        PigouDalton,
-        ReplicationInvariance,
-        MinimalNonAggregation,
-        StrongNonAggregation,
-        StrongNonAggThreshold,
-        StrongerNonAggregation,
-        QuantitativeAggregation,
-        RatioAggregation,
-        MinimalAggregation,
-    )
-}
+AXIOM_TAGS = {cls.tag: cls for cls in AxiomInstance.__args__}
 
-
-def _axiom_type(tag: str) -> type[_Axiom]:
-    if tag not in AXIOM_TAGS:
-        raise ConfigError(f"unknown axiom tag {tag!r}")
-    return AXIOM_TAGS[tag]
+for _cls in AxiomInstance.__args__:  # each type's own fields, in document key order
+    _cls.config_fields = {k: f for k, f in _FIELDS.items() if k in _cls.__dataclass_fields__}
 
 
 # ---------------------------------------------------------------------------
@@ -935,7 +915,7 @@ def generate_instances(
     p_lo, p_hi = populations
     _require(1 <= p_lo <= p_hi, "empty population range")
     _require(lo < hi, "empty value range")
-    cls = _axiom_type(axiom)
+    cls = lookup_tag(AXIOM_TAGS, axiom, "axiom")
     magnitudes = SimpleNamespace(**_decode_fields(params, cls.magnitudes, "axiom parameter"))
     failures = cls.magnitude_clauses(magnitudes)
     _require(not failures, "; ".join(failures))
@@ -1052,17 +1032,9 @@ def run_suite(
 
 
 def instance_to_config(inst: AxiomInstance) -> dict:
-    values = vars(inst)
-    doc: dict = {"axiom": inst.tag}
-    for name, (_, encode, _) in _FIELDS.items():
-        if name in values:
-            doc[name] = encode(values[name])
-    return doc
+    return inst.encode_fields({"axiom": inst.tag})
 
 
 def instance_from_config(doc: Mapping) -> AxiomInstance:
     """Instance from a document; keys the axiom does not use are ignored."""
-    if "axiom" not in doc:
-        raise ConfigError("instance config must carry an 'axiom' tag")
-    cls = _axiom_type(doc["axiom"])
-    return cls(**_decode_fields(doc, [f.name for f in fields(cls)], "instance field"))
+    return read_tagged(AXIOM_TAGS, doc, "axiom", "axiom")

@@ -26,15 +26,16 @@ step is a failure in the report, never an exception: an instance's
 ``endpoints`` (worse, better, relation) are read only once its clauses
 hold, and a step whose clauses fail asserts no relation. A certificate
 line's fields, apart from the endpoints an instance's ``endpoint_fields``
-name, go through the field codec and re-parse to identical values; a
-malformed line, one that repeats a key, carries a key its type does not
-read or repeats the ``chain`` header, is a ``CertificateError`` naming it.
+name, are the instance's ``config_fields`` written by the field codec,
+and re-parse to identical values; its ``axiom`` tag resolves through
+``codec.lookup_tag``. A malformed line, one that repeats a key, carries
+a key its type does not read or repeats the ``chain`` header, is a
+``CertificateError`` naming it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from dataclasses import fields as dataclass_fields
 from enum import Enum
 
 from .axioms import (
@@ -47,7 +48,7 @@ from .axioms import (
     instance_to_config,
     validate_preconditions,
 )
-from .codec import INTEGER, PROFILE, decode
+from .codec import INTEGER, PROFILE, decode, lookup_tag
 from .errors import CertificateError, ConfigError
 from .orderings import OrderingSpec, swo_compare
 from .profiles import Profile, Verdict, replicate, serialize_profile
@@ -347,13 +348,11 @@ def _parse_instance(fields: dict, ends: tuple[Profile, ...] = ()) -> AxiomInstan
     under other names; a derived endpoint (a property, not a field) is ignored.
     """
     tag = fields.pop("axiom")
-    if tag not in AXIOM_TAGS:
-        raise ConfigError(f"unknown axiom tag {tag!r}")
-    cls = AXIOM_TAGS[tag]
+    cls = lookup_tag(AXIOM_TAGS, tag, "axiom")
     doc = dict(zip(cls.endpoint_fields, ends), axiom=tag)
-    for f in dataclass_fields(cls):
-        if f.name not in doc and f.name in fields:
-            doc[f.name] = fields.pop(f.name)
+    for name in cls.config_fields:
+        if name not in doc and name in fields:
+            doc[name] = fields.pop(name)
     return instance_from_config(doc)
 
 

@@ -2,12 +2,17 @@
 
 A field is a ``(type, encode, decode)`` triple: ``encode`` writes a value
 as plain YAML data or certificate text, ``decode`` reads it back, and a
-value that already has the type passes through. Axiom instances
-(``axioms._FIELDS``), orderings, weight schedules and transforms name
-their fields once, in document key order. A field may also be a choice:
-a mapping of document keys to fields, of which a document holds exactly
-one (a weight schedule is written under ``lambda``, ``lambda_table`` or
-``lambda_midpoint``).
+value that already has the type passes through. A field may also be a
+choice: a dict of document keys to fields, of which a document holds
+exactly one (a weight schedule is written under ``lambda``,
+``lambda_table`` or ``lambda_midpoint``).
+
+Axiom instances, orderings, the midpoint weight schedule and transforms
+are ``Record``s: each names its fields once, in document key order, and
+``Record`` normalizes, writes and reads them. A document names its type
+by a tag (``axiom``, ``ordering`` or ``kind``); ``lookup_tag`` and
+``read_tagged`` are the one place that resolves a tag and refuses a bad
+document.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ def decode(name: str, field, value):
         raise ConfigError(f"bad value for {name}: {exc}") from exc
 
 
-def _alternative(name: str, choice: Mapping, value) -> tuple[str, tuple]:
+def _alternative(name: str, choice: dict, value) -> tuple[str, tuple]:
     """(document key, field) of the alternative of a choice that holds ``value``."""
     for key, field in choice.items():
         if isinstance(value, field[0]):
@@ -85,7 +90,8 @@ class Record:
 
     ``config_fields`` maps field names to fields or choices, in document
     key order; ``config_defaults`` holds the value of a key a document may
-    omit. Fields are normalized on construction.
+    omit. Fields are normalized on construction; a field may be None only
+    when its default is None.
     """
 
     config_fields: dict = {}
@@ -94,9 +100,10 @@ class Record:
     def __post_init__(self):
         for name, field in self.config_fields.items():
             value = getattr(self, name)
-            if isinstance(field, Mapping):
+            if isinstance(field, dict):
                 _alternative(name, field, value)
-            elif value is not None:
+            # None passes only for a field whose document default is None
+            elif value is not None or self.config_defaults.get(name, ...) is not None:
                 object.__setattr__(self, name, decode(name, field, value))
 
     def encode_fields(self, doc: dict) -> dict:
@@ -105,7 +112,7 @@ class Record:
             value = getattr(self, name)
             if value is None:
                 continue
-            if isinstance(field, Mapping):
+            if isinstance(field, dict):
                 name, field = _alternative(name, field, value)
             doc[name] = field[1](value)
         return doc
@@ -117,7 +124,7 @@ class Record:
         values = {}
         for name, field in cls.config_fields.items():
             key = name
-            if isinstance(field, Mapping):
+            if isinstance(field, dict):
                 given = [k for k in field if k in doc]
                 if len(given) != 1:
                     raise ConfigError("give exactly one of " + " / ".join(field))
@@ -131,3 +138,18 @@ class Record:
             else:
                 raise ConfigError(f"missing {what} {key!r}")
         return cls(**values)
+
+
+def lookup_tag(types: Mapping, tag, what: str) -> type:
+    """The type ``types`` holds under ``str(tag)``; an unknown tag is a ``ConfigError``."""
+    cls = types.get(str(tag))
+    if cls is None:
+        raise ConfigError(f"unknown {what} {tag!r}")
+    return cls
+
+
+def read_tagged(types: Mapping, doc, key: str, what: str):
+    """The record a document describes, typed by its ``key`` tag; other keys are ignored."""
+    if not isinstance(doc, Mapping) or key not in doc:
+        raise ConfigError(f"{what} config must be a mapping with the tag {key!r}")
+    return lookup_tag(types, doc[key], what).from_fields(doc, f"{what} field")

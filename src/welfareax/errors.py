@@ -27,7 +27,8 @@ class MissingLambda(WelfareaxError):
 
 
 class InfeasibleParameters(WelfareaxError, ValueError):
-    """Parameters violate a guard (magnitude ordering, proposition hypothesis, ...).
+    """Arguments violate a guard (a malformed level, an empty profile, a
+    magnitude ordering, a proposition hypothesis, ...).
 
     Also a ``ValueError``, so a caller that catches the ``ValueError`` of a
     bad argument catches it too.

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .codec import LEVEL, Record
+from .codec import LEVEL, Record, read_tagged
 from .errors import ConfigError, DomainError
 from .profiles import as_level, format_level
 
@@ -236,9 +236,7 @@ class PiecewiseLinear(_Transform):
 GFunction = Identity | Sqrt | LogShifted | SaturatingExp | PiecewiseLinear
 
 
-_TRANSFORMS = {
-    cls.kind: cls for cls in (Identity, Sqrt, LogShifted, SaturatingExp, PiecewiseLinear)
-}
+_TRANSFORMS = {cls.kind: cls for cls in GFunction.__args__}
 
 
 def g_to_config(g: GFunction) -> dict:
@@ -248,12 +246,7 @@ def g_to_config(g: GFunction) -> dict:
 def g_from_config(doc) -> GFunction:
     if isinstance(doc, str):
         doc = {"kind": doc}
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConfigError("transform config must be a mapping with a 'kind'")
-    cls = _TRANSFORMS.get(str(doc["kind"]))
-    if cls is None:
-        raise ConfigError(f"unknown transform kind {doc['kind']!r}")
-    return cls.from_fields(doc, "transform parameter")
+    return read_tagged(_TRANSFORMS, doc, "kind", "transform")
 
 
 #: the codec field of an ordering's transform

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .codec import LEVEL, LEVELS, Record, table
+from .codec import LEVEL, LEVELS, Record, read_tagged, table
 from .errors import ConfigError, FloatRangeError, MissingLambda
 from .gfunctions import EPS, TINY, TRANSFORM, GFunction
 from .profiles import (
@@ -95,6 +95,14 @@ class FloatValue:
 
 
 Valuation = ExactValue | FloatValue
+
+
+def _float_or_inf(x) -> float:
+    """x as a float, or +-inf when it lies beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _float_sum(terms: list[float], errors: list[float]) -> FloatValue:
@@ -291,28 +299,19 @@ class _Shortfall(_Ordering):
 
     theta_p: Fraction
     schedule: LambdaSchedule
-    allow_degenerate = False
     config_fields = {"theta_p": LEVEL, "schedule": _SCHEDULE}
 
     def lambda_for(self, n: int) -> Fraction:
         lam = self.schedule.value_for(n)
-        if self.allow_degenerate:
-            if not 0 <= lam < 1:
-                raise ConfigError(f"weight {format_level(lam)} outside [0, 1)")
-        elif not 0 < lam < 1:
+        if not 0 < lam < 1:
             raise ConfigError(f"weight {format_level(lam)} outside (0, 1)")
         return lam
 
 
 @dataclass(frozen=True)
 class SuffAvg(_Shortfall):
-    """Shortfall-plus-average rule with threshold theta_p.
+    """Shortfall-plus-average rule with threshold theta_p."""
 
-    ``allow_degenerate`` admits a weight of exactly 0 (plain average
-    utilitarianism), used as a test extension only.
-    """
-
-    allow_degenerate: bool = False
     tag = "suffavg"
 
     @property
@@ -706,11 +705,7 @@ def _resolve(u: Profile, v: Profile, a: Valuation, b: Valuation, exact=None) -> 
                 note="difference within combined error bound",
             )
         diff = exact()
-    try:
-        margin = float(diff)
-    except OverflowError:  # an exact difference beyond the float range
-        margin = math.inf if diff > 0 else -math.inf
-    return CompareResult(_sign_verdict(diff), margin=margin)
+    return CompareResult(_sign_verdict(diff), margin=_float_or_inf(diff))
 
 
 def swo_compare(
@@ -734,9 +729,4 @@ def ordering_to_config(spec: OrderingSpec) -> dict:
 
 
 def ordering_from_config(doc: Mapping) -> OrderingSpec:
-    if not isinstance(doc, Mapping) or "ordering" not in doc:
-        raise ConfigError("ordering config must be a mapping with an 'ordering' tag")
-    cls = _ORDERINGS.get(str(doc["ordering"]))
-    if cls is None:
-        raise ConfigError(f"unknown ordering tag {doc['ordering']!r}")
-    return cls.from_fields(doc, "ordering parameter")
+    return read_tagged(_ORDERINGS, doc, "ordering", "ordering")

@@ -53,10 +53,10 @@ def as_level(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        return Fraction(repr(value))
+        return parse_level(repr(value))
     if isinstance(value, str):
         return parse_level(value)
-    raise TypeError(f"cannot interpret {value!r} as a well-being level")
+    raise InfeasibleParameters(f"cannot interpret {value!r} as a well-being level")
 
 
 def parse_level(text: str) -> Fraction:
@@ -67,7 +67,7 @@ def parse_level(text: str) -> Fraction:
             return Fraction(int(num), int(den))
         return Fraction(text)  # handles integers and exact decimals
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad level literal {text!r}") from exc
+        raise InfeasibleParameters(f"bad level literal {text!r}") from exc
 
 
 def format_level(x: Fraction) -> str:
@@ -123,7 +123,7 @@ def _normalize_blocks(blocks: Iterable[tuple[Fraction, int]]) -> tuple[tuple[Fra
     out: list[tuple[Fraction, int]] = []
     for value, count in blocks:
         if count < 0:
-            raise ValueError("negative block count")
+            raise InfeasibleParameters("negative block count")
         if count == 0:
             continue
         if out and out[-1][0] == value:
@@ -146,7 +146,7 @@ class Profile:
 
     def __post_init__(self):
         if not self.blocks:
-            raise ValueError("profile must have at least one entry")
+            raise InfeasibleParameters("profile must have at least one entry")
 
     @staticmethod
     def from_levels(levels: Iterable) -> "Profile":
@@ -282,7 +282,7 @@ def _materializable(u: Profile) -> int:
 def replicate(u: Profile, k: int) -> Profile:
     """Concatenate k copies of u."""
     if k < 1:
-        raise ValueError("replication factor must be a positive integer")
+        raise InfeasibleParameters("replication factor must be a positive integer")
     return Profile(_normalize_blocks(u.blocks * k))
 
 

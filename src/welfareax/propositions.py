@@ -46,9 +46,9 @@ from .axioms import (
     check_axiom,
 )
 from .chains import AxiomStep, ChainKind, DerivationChain, DescentStep, LiftStep
-from .errors import InfeasibleParameters
+from .errors import FloatRangeError, InfeasibleParameters
 from .gfunctions import EPS, TINY, GFunction
-from .orderings import Rdu, _float_sum, geometric_sum, leximin_compare
+from .orderings import Rdu, _float_or_inf, _float_sum, geometric_sum, leximin_compare
 from .profiles import (
     IndexSet,
     Profile,
@@ -408,7 +408,9 @@ def prop5_nonagg_condition(
     within their ``g.error``. The factor f = float(rho/(rho-1)) > 1 is off by
     EPS/2 relative and the product t = f * rise by EPS/2 relative, or
     2**-1075 when it underflows, so t is within f * bound(rise) (1 + EPS) +
-    2 EPS |t| + TINY of the true side.
+    2 EPS |t| + TINY of the true side; an f beyond the float range is a
+    ``FloatRangeError``. An exact report shows a side beyond the float
+    range as +-inf.
     """
     rho = as_level(rho)
     theta_p, theta_r = as_level(theta_p), as_level(theta_r)
@@ -421,7 +423,9 @@ def prop5_nonagg_condition(
     if g.is_exact:
         lhs = g.exact(theta_p) - g.exact(theta_p - alpha)
         rhs = rho / (rho - 1) * (g.exact(theta_r + beta) - g.exact(theta_r))
-        return Prop5Report(float(lhs), float(rhs), 0.0, 0.0, lhs >= rhs, True, True)
+        return Prop5Report(
+            _float_or_inf(lhs), _float_or_inf(rhs), 0.0, 0.0, lhs >= rhs, True, True
+        )
 
     def difference(x, y):
         gx, gy = g.value(x), g.value(y)
@@ -429,7 +433,9 @@ def prop5_nonagg_condition(
 
     lhs = difference(theta_p, theta_p - alpha)
     rise = difference(theta_r + beta, theta_r)
-    factor = float(rho / (rho - 1))
+    factor = _float_or_inf(rho / (rho - 1))
+    if math.isinf(factor):
+        raise FloatRangeError("rho/(rho-1) exceeds the float range")
     t = factor * rise.value
     rhs = _float_sum([t], [factor * rise.bound * (1 + EPS) + 2 * EPS * abs(t) + TINY])
     diff = _float_sum([lhs.value, -rhs.value], [lhs.bound, rhs.bound])

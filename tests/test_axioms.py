@@ -306,8 +306,9 @@ class TestGenerators:
 
 class TestInvariantsFromSuites:
     def test_average_utilitarian_satisfies_quantitative_aggregation(self):
-        # plain average: the mean moves by at least (m*gamma - delta)/n > 0
-        avg = SuffAvg(1, ConstantLambda(Fraction(0)), allow_degenerate=True)
+        # undiscounted RDU orders same-size profiles by their average, which
+        # moves by at least (m*gamma - delta)/n > 0
+        avg = Rdu(Fraction(1), Identity())
         result = run_suite(
             avg, "quantitative_aggregation", dict(m=3, gamma=2, delta=1), 2000, seed=2
         )

@@ -9,6 +9,8 @@ from welfareax.cli import main
 RDU_CONFIG = "ordering: rdu\nrho: '101/100'\ng: {kind: sqrt}\n"
 SUFFAVG_CONFIG = "ordering: suffavg\ntheta_p: 0\nlambda: '1/5'\n"
 LEXIMIN_CONFIG = "ordering: leximin\n"
+# rho = 1 + 10^-330: rho / (rho - 1) is beyond the float range
+RHO_NEAR_ONE = f"{10**330 + 1}/{10**330}"
 
 
 @pytest.fixture()
@@ -225,6 +227,15 @@ def test_prop5_commands(workdir, capsys):
     assert code == 0
     assert "holds: True" in out
 
+    # an exact side beyond the float range keeps its exact verdict
+    code, out, _ = run(
+        capsys,
+        ["prop5", "condition", "--rho", RHO_NEAR_ONE, "--theta-p", "10", "--theta-r", "20",
+         "--alpha", "3", "--beta", "1"],
+    )
+    assert code == 0
+    assert "rhs = inf" in out and "holds: False (certain: True, exact: True)" in out
+
     code, out, _ = run(
         capsys,
         ["prop5", "ratio-failure", "--rho", "101/100", "--lam", "1/2",
@@ -310,6 +321,17 @@ QA_INSTANCE = (
             {"inst.yaml": QA_INSTANCE + "M: x\n"},
             ["check-axiom", "--ordering", "leximin.yaml", "--instance", "inst.yaml"],
             id="bad-field-value",
+        ),
+        pytest.param(
+            {"inst.yaml": "axiom: [x]\n"},
+            ["check-axiom", "--ordering", "leximin.yaml", "--instance", "inst.yaml"],
+            id="list-valued-axiom-tag",
+        ),
+        pytest.param(
+            {},
+            ["prop5", "condition", "--g", "sqrt", "--rho", RHO_NEAR_ONE, "--theta-p", "10",
+             "--theta-r", "20", "--alpha", "3", "--beta", "1"],
+            id="prop5-factor-beyond-float-range",
         ),
         *[
             pytest.param(

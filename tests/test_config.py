@@ -4,19 +4,24 @@ import pytest
 import yaml
 
 from welfareax import (
+    Anonymity,
     BoundedG,
     ConcavePoor,
     ConfigError,
     ConstantLambda,
+    Identity,
     Leximin,
     MidpointLambda,
     MultiThreshold,
+    Profile,
     RankWeighted,
     Rdu,
     SaturatingExp,
     Sqrt,
     SuffAvg,
     TableLambda,
+    g_from_config,
+    instance_from_config,
     ordering_from_config,
     ordering_to_config,
 )
@@ -96,3 +101,34 @@ def test_missing_parameter_rejected():
         ordering_from_config({"ordering": "rdu"})
     with pytest.raises(ConfigError):
         ordering_from_config({"ordering": "suffavg", "theta_p": 1})
+
+
+@pytest.mark.parametrize(
+    "read,key", [(ordering_from_config, "ordering"), (g_from_config, "kind"),
+                 (instance_from_config, "axiom")],
+    ids=["ordering", "transform", "instance"],
+)
+@pytest.mark.parametrize(
+    "make_doc",
+    [lambda key: ["x"], lambda key: 7, lambda key: {"no": "tag"},
+     lambda key: {key: "nash"}, lambda key: {key: ["leximin"]}],
+    ids=["list", "int", "missing-tag", "unknown-tag", "list-valued-tag"],
+)
+def test_bad_tagged_document_rejected(read, key, make_doc):
+    with pytest.raises(ConfigError):
+        read(make_doc(key))
+
+
+def test_none_field_rejected():
+    u = Profile.from_levels([1, 2])
+    for build in (
+        lambda: Anonymity(u, None),
+        lambda: Anonymity(None, (0, 1)),
+        lambda: Rdu(None, Identity()),
+        lambda: Rdu(Fraction(2), None),
+        lambda: SuffAvg(1, None),
+    ):
+        with pytest.raises(ConfigError):
+            build()
+    # only a field whose document default is None may be None
+    assert MultiThreshold((0,), weights=(Fraction(1, 2), Fraction(1, 2))).weights_table is None

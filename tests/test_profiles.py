@@ -10,6 +10,7 @@ from welfareax import (
     MaterializeError,
     Profile,
     ProfileParseError,
+    WelfareaxError,
     as_level,
     ceil_ratio,
     parse_profile_line,
@@ -19,6 +20,7 @@ from welfareax import (
     serialize_profile,
 )
 from welfareax.profiles import aligned_runs, argsort
+from welfareax.propositions import build_prop4_chain
 
 from conftest import profiles
 
@@ -163,3 +165,17 @@ def test_aligned_runs_covers_mismatched_blocks():
         (2, 1, Fraction(1), Fraction(5)),
         (3, 2, Fraction(2), Fraction(5)),
     ]
+
+
+def test_bad_levels_are_package_errors():
+    u, v = Profile.from_levels([1, 2, 3]), Profile.from_levels([1, 1, 5])
+    for call in (
+        lambda: Profile.from_levels(["x"]),
+        lambda: Profile.from_levels([object()]),
+        lambda: build_prop4_chain(u, v, "abc"),
+        lambda: Profile(()),
+        lambda: Profile.from_blocks([(1, -1)]),
+        lambda: replicate(u, 0),
+    ):
+        with pytest.raises(WelfareaxError):
+            call()

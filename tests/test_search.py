@@ -4,7 +4,6 @@ import pytest
 
 from welfareax import (
     CheckStatus,
-    ConstantLambda,
     Identity,
     Leximin,
     MidpointLambda,
@@ -69,9 +68,9 @@ def test_shrinking_contract():
 
 
 def test_shrunk_witness_is_small():
-    # a plain-average ordering violates strong non-aggregation; shrinking
-    # should cut the witness down to very few people
-    avg = SuffAvg(1, ConstantLambda(Fraction(0)), allow_degenerate=True)
+    # undiscounted RDU orders same-size profiles as the plain average does and
+    # violates strong non-aggregation; shrinking should cut the witness down
+    avg = Rdu(Fraction(1), Identity())
     witness = find_counterexample(
         avg,
         "strong_non_aggregation",

@@ -72,8 +72,6 @@ def test_lambda_schedules():
     assert suffavg_value(Profile.from_levels([2, 2, 2]), p) == Fraction(4, 3)
     with pytest.raises(MissingLambda):
         suffavg_value(Profile.from_levels([2, 2]), p)
-    degenerate = SuffAvg(1, ConstantLambda(Fraction(0)), allow_degenerate=True)
-    assert suffavg_value(Profile.from_levels([4, 0]), degenerate) == 2
     with pytest.raises(ConfigError):
         suffavg_value(Profile.from_levels([4, 0]), SuffAvg(1, ConstantLambda(Fraction(0))))
 

@@ -14,7 +14,8 @@ It hashes, in this order:
 
 Two checkouts that print the same hash give the same verdicts, values
 and certificates on all of these. The sources are imported from the
-``src/`` directory next to this script. It takes about two minutes.
+``src/`` directory next to this script. It takes about 30 seconds on
+one core of a 2-core Intel Xeon host.
 
 It exits 0 when the hash is ``EXPECTED`` and 1, printing both hashes,
 when it differs. A change that alters this behaviour on purpose updates

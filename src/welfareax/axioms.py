@@ -5,8 +5,11 @@ parameters of one fully instantiated premise, and it is the one place
 that knows the rules of its axiom:
 
 * ``magnitude_clauses`` checks the premise's magnitudes (threshold,
-  gain and loss orderings, m, lam); ``generate_instances`` runs the
-  same clauses on its ``params`` before drawing anything;
+  gain and loss orderings, m, lam); ``generate_instances`` reads its
+  ``params`` through ``codec.read_fields`` (the magnitudes, and the
+  type's ``options``, epsilon_max and k_max, typed in ``_FIELDS`` but
+  fields of no instance) and runs the same clauses on them before it
+  returns the stream;
 * ``profile_clauses`` checks the clauses on the profiles in exact
   arithmetic (rank conditions, threshold caps, unaffected-agent
   equality), on int numerators over one common denominator of the
@@ -17,7 +20,10 @@ that knows the rules of its axiom:
 * ``generate`` draws one random valid instance, with deliberate boundary
   coverage; levels are drawn and combined as int numerators over one
   denominator per stream, and each profile is built once from merged
-  blocks.
+  blocks. The four donor axioms share one template, ``_Donors.generate``:
+  size, positions, then the type's ``roles`` (the recipient's pair, a
+  donor draw, a bystander draw); ``_GenContext.build`` adds the stream's
+  magnitudes to the drawn fields.
 
 ``validate_preconditions`` runs both clause lists; ``check_axiom`` then
 tests whether an ordering's verdict meets the conclusion. Each instance
@@ -47,8 +53,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Iterator, Mapping
 
-from .codec import INTEGER, LEVEL, PROFILE, Record, decode, lookup_tag, read_tagged
-from .errors import ConfigError, InfeasibleParameters, SizeMismatch
+from .codec import INTEGER, LEVEL, PROFILE, Record, lookup_tag, read_fields, read_tagged
+from .errors import InfeasibleParameters, SizeMismatch
 from .orderings import OrderingSpec, swo_compare
 from .profiles import (
     IndexSet,
@@ -123,15 +129,10 @@ _FIELDS = {
     "delta": LEVEL,
     "lam": LEVEL,
     "m": INTEGER,
+    # options of generation: no instance type has them as fields
+    "epsilon_max": LEVEL,
+    "k_max": INTEGER,
 }
-
-
-def _decode_fields(doc: Mapping, names, what: str) -> dict:
-    """The named values of a generation parameter mapping, decoded."""
-    for name in names:
-        if name not in doc:
-            raise ConfigError(f"missing {what} {name!r}")
-    return {name: decode(name, _FIELDS[name], doc[name]) for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +182,7 @@ class _Axiom(Record):
     magnitudes = ()
     # whether the conclusion ranks its two profiles, so that it can justify a chain step
     ranks_profiles = True
-    # optional level parameters of generation, with their defaults
+    # optional positive parameters of generation (_FIELDS keys), with their defaults
     options = {}
 
     @staticmethod
@@ -339,6 +340,7 @@ class ReplicationInvariance(_Axiom):
     v: Profile
     k: int
     tag = "replication_invariance"
+    options = {"k_max": 4}
     ranks_profiles = False  # it justifies the lift and descent steps themselves
 
     def profile_clauses(self) -> list[str]:
@@ -360,10 +362,8 @@ class ReplicationInvariance(_Axiom):
     @classmethod
     def generate(cls, ctx):
         n = ctx.size(1)
-        k_max = int(ctx.params.get("k_max", 4))
-        return cls(
-            ctx.profile(ctx.draws(n)), ctx.profile(ctx.draws(n)), ctx.rng.randint(1, max(1, k_max))
-        )
+        u, v = ctx.profile(ctx.draws(n)), ctx.profile(ctx.draws(n))
+        return cls(u, v, ctx.rng.randint(1, ctx.p.k_max))
 
 
 class _Donors(_Axiom):
@@ -409,6 +409,26 @@ class _Donors(_Axiom):
                 )
         return failures + self.recipient_clauses(s, u_i, v_i)
 
+    @classmethod
+    def roles(cls, ctx: "_GenContext") -> tuple:
+        """(recipient's (u_i, v_i), donor() -> (u_j, v_j), bystander() -> level)."""
+        raise NotImplementedError
+
+    @classmethod
+    def generate(cls, ctx):
+        """Size, positions, the roles, then each donor's pair and each
+        bystander's unchanged level, drawn in position order."""
+        n = ctx.size(2)
+        i, M, rest = _positions(ctx.rng, n, ctx.rng.randint(1, n - 1))
+        recipient, donor, bystander = cls.roles(ctx)
+        u, v = [0] * n, [0] * n
+        u[i], v[i] = recipient
+        for q in M:
+            u[q], v[q] = donor()
+        for q in rest:
+            u[q] = v[q] = bystander()
+        return ctx.build(cls, ctx.profile(u), ctx.profile(v), i, IndexSet.from_indices(M))
+
 
 def _alpha_beta(p) -> list[str]:
     return [] if p.alpha > p.beta > 0 else ["need alpha > beta > 0"]
@@ -422,17 +442,15 @@ def _gamma_delta(p) -> list[str]:
     return [] if p.gamma > p.delta > 0 else ["need gamma > delta > 0"]
 
 
-def _donor_pair(ctx, n: int, i: int, M, rest, recipient, donor, bystander) -> tuple:
-    """(u, v, i, M) from the recipient's (u_i, v_i), then each donor's pair
-    and each bystander's unchanged level, drawn in position order."""
-    u_levels = [0] * n
-    v_levels = [0] * n
-    u_levels[i], v_levels[i] = recipient
-    for q in M:
-        u_levels[q], v_levels[q] = donor()
-    for q in rest:
-        u_levels[q] = v_levels[q] = bystander()
-    return ctx.profile(u_levels), ctx.profile(v_levels), i, IndexSet.from_indices(M)
+def _poor_recipient(ctx) -> tuple[int, int]:
+    """(u_i, v_i): a gain of at least alpha that ends at or below theta_p; on
+    the boundary, one of the two binding shapes, a gain of exactly alpha or
+    a landing on theta_p."""
+    s = ctx.s
+    u_i = ctx.at_most(s.theta_p - s.alpha)
+    if ctx.boundary():
+        return u_i, (u_i + s.alpha if ctx.rng.random() < 0.5 else s.theta_p)
+    return u_i, ctx.draw(u_i + s.alpha, s.theta_p)
 
 
 @dataclass(frozen=True)
@@ -469,28 +487,13 @@ class MinimalNonAggregation(_Donors):
         )
 
     @classmethod
-    def generate(cls, ctx):
-        p, s, rng, unit = ctx.p, ctx.s, ctx.rng, ctx.den
-        n = ctx.size(2)
-        i, M, rest = _positions(rng, n, rng.randint(1, n - 1))
-        u_i = ctx.draw(min(ctx.lo, s.theta_p - s.alpha - 5 * unit), s.theta_p - s.alpha)
-        if ctx.boundary():
-            # the two binding shapes: gain exactly alpha, or landing on theta_p
-            v_i = u_i + s.alpha if rng.random() < 0.5 else s.theta_p
-        else:
-            v_i = ctx.draw(u_i + s.alpha, s.theta_p)
-        u_top = ctx.draw(s.theta_r, max(ctx.hi, s.theta_r + 5 * unit))
+    def roles(cls, ctx):
+        s = ctx.s
+        u_i, v_i = _poor_recipient(ctx)
+        u_top = ctx.at_least(s.theta_r)
         loss_cap = min(s.beta, u_top - v_i)
-        loss = loss_cap if ctx.boundary() else ctx.draw(0, loss_cap)
-        v_top = u_top - loss
-        return cls(
-            *_donor_pair(
-                ctx, n, i, M, rest, (u_i, v_i),
-                lambda: (u_top, v_top),
-                lambda: ctx.draw(u_i, v_top),
-            ),
-            p.theta_p, p.theta_r, p.alpha, p.beta,
-        )
+        v_top = u_top - (loss_cap if ctx.boundary() else ctx.draw(0, loss_cap))
+        return (u_i, v_i), lambda: (u_top, v_top), lambda: ctx.draw(u_i, v_top)
 
 
 @dataclass(frozen=True)
@@ -520,24 +523,16 @@ class StrongNonAggregation(_Donors):
         return [] if v_i == u_i + s(self.alpha) else ["v_i = u_i + alpha fails"]
 
     @classmethod
-    def generate(cls, ctx):
-        p, s, rng, unit = ctx.p, ctx.s, ctx.rng, ctx.den
-        n = ctx.size(2)
-        i, M, rest = _positions(rng, n, rng.randint(1, n - 1))
+    def roles(cls, ctx):
+        s = ctx.s
         u_i = ctx.draw(ctx.lo, ctx.hi)
         floor = u_i + s.alpha + s.beta
 
         def donor():
-            u_j = floor + ctx.draw(unit // 2, 6 * unit)
+            u_j = floor + ctx.draw(ctx.den // 2, 6 * ctx.den)
             return u_j, u_j - s.beta
 
-        return cls(
-            *_donor_pair(
-                ctx, n, i, M, rest, (u_i, u_i + s.alpha), donor,
-                lambda: ctx.draw(ctx.lo, ctx.hi),
-            ),
-            p.alpha, p.beta,
-        )
+        return (u_i, u_i + s.alpha), donor, lambda: ctx.draw(ctx.lo, ctx.hi)
 
 
 @dataclass(frozen=True)
@@ -571,25 +566,16 @@ class StrongNonAggThreshold(_Donors):
         )
 
     @classmethod
-    def generate(cls, ctx):
-        p, s, rng, unit = ctx.p, ctx.s, ctx.rng, ctx.den
-        n = ctx.size(2)
-        i, M, rest = _positions(rng, n, rng.randint(1, n - 1))
-        u_i = s.theta_p - s.alpha if ctx.boundary() else ctx.draw(
-            min(ctx.lo, s.theta_p - s.alpha - 5 * unit), s.theta_p - s.alpha
-        )
+    def roles(cls, ctx):
+        s = ctx.s
+        top = s.theta_p - s.alpha
+        u_i = top if ctx.boundary() else ctx.at_most(top)
 
         def donor():
-            u_j = ctx.draw(s.theta_r + s.beta, max(ctx.hi, s.theta_r + s.beta + 5 * unit))
+            u_j = ctx.at_least(s.theta_r + s.beta)
             return u_j, u_j - s.beta
 
-        return cls(
-            *_donor_pair(
-                ctx, n, i, M, rest, (u_i, u_i + s.alpha), donor,
-                lambda: ctx.draw(ctx.lo, ctx.hi),
-            ),
-            p.theta_p, p.theta_r, p.alpha, p.beta,
-        )
+        return (u_i, u_i + s.alpha), donor, lambda: ctx.draw(ctx.lo, ctx.hi)
 
 
 @dataclass(frozen=True)
@@ -626,27 +612,14 @@ class StrongerNonAggregation(_Donors):
         )
 
     @classmethod
-    def generate(cls, ctx):
-        p, s, rng, unit = ctx.p, ctx.s, ctx.rng, ctx.den
-        n = ctx.size(2)
-        i, M, rest = _positions(rng, n, rng.randint(1, n - 1))
-        u_i = ctx.draw(min(ctx.lo, s.theta_p - s.alpha - 5 * unit), s.theta_p - s.alpha)
-        if ctx.boundary():
-            v_i = u_i + s.alpha if rng.random() < 0.5 else s.theta_p
-        else:
-            v_i = ctx.draw(u_i + s.alpha, s.theta_p)
+    def roles(cls, ctx):
+        s = ctx.s
 
         def donor():
-            u_j = ctx.draw(s.theta_p + s.beta, max(ctx.hi, s.theta_p + s.beta + 5 * unit))
-            loss = s.beta if ctx.boundary() else ctx.draw(0, s.beta)
-            return u_j, u_j - loss
+            u_j = ctx.at_least(s.theta_p + s.beta)
+            return u_j, u_j - (s.beta if ctx.boundary() else ctx.draw(0, s.beta))
 
-        return cls(
-            *_donor_pair(
-                ctx, n, i, M, rest, (u_i, v_i), donor, lambda: ctx.draw(ctx.lo, ctx.hi)
-            ),
-            p.theta_p, p.alpha, p.beta,
-        )
+        return _poor_recipient(ctx), donor, lambda: ctx.draw(ctx.lo, ctx.hi)
 
 
 def _aggregation_pair(ctx: _GenContext, n: int, m_count: int):
@@ -707,8 +680,7 @@ class QuantitativeAggregation(_Aggregation):
         p = ctx.p
         n = ctx.size(p.m + 1)
         m_count = p.m if ctx.boundary() else ctx.rng.randint(p.m, n - 1)
-        u, v, i, M = _aggregation_pair(ctx, n, m_count)
-        return cls(u, v, i, M, p.m, p.gamma, p.delta)
+        return ctx.build(cls, *_aggregation_pair(ctx, n, m_count))
 
 
 @dataclass(frozen=True)
@@ -751,8 +723,7 @@ class RatioAggregation(_Aggregation):
             if needed <= n - 1:
                 break
         m_count = needed if ctx.boundary() else ctx.rng.randint(needed, n - 1)
-        u, v, i, M = _aggregation_pair(ctx, n, m_count)
-        return cls(u, v, i, M, p.lam, p.gamma, p.delta)
+        return ctx.build(cls, *_aggregation_pair(ctx, n, m_count))
 
 
 @dataclass(frozen=True)
@@ -789,10 +760,8 @@ class MinimalAggregation(_Axiom):
 
     @classmethod
     def generate(cls, ctx):
-        p = ctx.p
         n = ctx.size(2)
-        u, v, i, _ = _aggregation_pair(ctx, n, n - 1)
-        return cls(u, v, i, p.gamma, p.delta)
+        return ctx.build(cls, *_aggregation_pair(ctx, n, n - 1)[:3])
 
 
 AxiomInstance = (
@@ -905,24 +874,26 @@ def generate_instances(
     """Deterministic infinite stream of valid instances of one axiom.
 
     ``params`` supplies the axiom's magnitudes (alpha, beta, gamma,
-    delta, thresholds, m, lam as the axiom needs; epsilon_max and k_max
-    optionally). They must pass the axiom's magnitude clauses. Boundary
-    shapes (minimal donor sets, recipients landing exactly on the
-    threshold, exact maximal losses) appear with fixed probability.
+    delta, thresholds, m, lam as the axiom needs) and may set its
+    options (epsilon_max, k_max), all read through ``_FIELDS``. They must
+    pass the axiom's magnitude clauses, and options must be positive;
+    both are checked here, before anything is drawn. Boundary shapes
+    (minimal donor sets, recipients landing exactly on the threshold,
+    exact maximal losses) appear with fixed probability.
     """
-    rng = random.Random(seed)
     lo, hi = as_level(values[0]), as_level(values[1])
     p_lo, p_hi = populations
     _require(1 <= p_lo <= p_hi, "empty population range")
     _require(lo < hi, "empty value range")
     cls = lookup_tag(AXIOM_TAGS, axiom, "axiom")
-    magnitudes = SimpleNamespace(**_decode_fields(params, cls.magnitudes, "axiom parameter"))
-    failures = cls.magnitude_clauses(magnitudes)
+    fields = {name: _FIELDS[name] for name in (*cls.magnitudes, *cls.options)}
+    p = SimpleNamespace(**read_fields(params, fields, cls.options, "axiom parameter"))
+    failures = cls.magnitude_clauses(p)
+    failures += [f"need {name} > 0" for name in cls.options if getattr(p, name) <= 0]
     _require(not failures, "; ".join(failures))
 
     # every level of the stream is an int numerator over one even denominator
-    levels = {name: x for name, x in vars(magnitudes).items() if _FIELDS[name] is LEVEL}
-    levels.update((name, as_level(params.get(name, x))) for name, x in cls.options.items())
+    levels = {name: x for name, x in vars(p).items() if _FIELDS[name] is LEVEL}
     den = math.lcm(2, lo.denominator, hi.denominator, *(x.denominator for x in levels.values()))
 
     def numerator(x: Fraction) -> int:
@@ -930,23 +901,25 @@ def generate_instances(
 
     s = SimpleNamespace(**{name: numerator(x) for name, x in levels.items()})
     ctx = _GenContext(
-        rng, params, magnitudes, s, den, numerator(lo), numerator(hi), max(p_lo, 2), p_hi
+        random.Random(seed), p, s, den, numerator(lo), numerator(hi), max(p_lo, 2), p_hi
     )
-    while True:
-        yield cls.generate(ctx)
+    return map(cls.generate, itertools.repeat(ctx))
 
 
 @dataclass
 class _GenContext:
     rng: random.Random
-    params: Mapping
-    p: SimpleNamespace  # the decoded magnitudes
+    p: SimpleNamespace  # the decoded magnitudes and options
     s: SimpleNamespace  # the level magnitudes and level options as numerators over den
     den: int
     lo: int
     hi: int
     p_lo: int
     p_hi: int
+
+    def build(self, cls, *drawn) -> AxiomInstance:
+        """The instance of ``cls`` with the drawn fields and the stream's magnitudes."""
+        return cls(*drawn, **{name: getattr(self.p, name) for name in cls.magnitudes})
 
     def boundary(self) -> bool:
         return self.rng.random() < BOUNDARY_PROBABILITY
@@ -967,6 +940,14 @@ class _GenContext:
         if hi_k < lo_k:
             return lo  # grid too coarse, fall back to the endpoint
         return self.rng.randint(lo_k, hi_k) * step
+
+    def at_most(self, top: int) -> int:
+        """A draw at or below ``top``, the value range stretched to 5 units under it."""
+        return self.draw(min(self.lo, top - 5 * self.den), top)
+
+    def at_least(self, floor: int) -> int:
+        """A draw at or above ``floor``, the value range stretched to 5 units over it."""
+        return self.draw(floor, max(self.hi, floor + 5 * self.den))
 
     def draws(self, n: int) -> list[int]:
         """n draws from the stream's value range."""

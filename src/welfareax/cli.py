@@ -204,22 +204,21 @@ def cmd_replay(args) -> int:
     else:
         sys.stdout.write(text)
 
-    report = validate_chain(chain)
+    spec = _load_ordering(args.locate) if args.locate else None
+    report = validate_chain(chain, spec)
     print(
         f"validation: steps={report.step_count} "
         f"precondition_failures={len(report.precondition_failures)} "
         f"linkage_failures={len(report.linkage_failures)}"
     )
-    if args.locate:
-        spec = _load_ordering(args.locate)
-        located = validate_chain(chain, spec)
-        for sv in located.denied_steps:
+    if spec is not None:
+        for sv in report.denied_steps:
             label = "terminal" if sv.index == len(chain.steps) else f"step {sv.index}"
             print(
                 f"denied by ordering: {label} "
                 f"(required {sv.required.value}, got {sv.verdict.value})"
             )
-        if not located.denied_steps:
+        if not report.denied_steps:
             print("ordering affirms every step")
     return 0 if report.ok else 1
 

@@ -9,7 +9,10 @@ exactly one (a weight schedule is written under ``lambda``,
 
 Axiom instances, orderings, the midpoint weight schedule and transforms
 are ``Record``s: each names its fields once, in document key order, and
-``Record`` normalizes, writes and reads them. A document names its type
+``Record`` normalizes, writes and reads them. ``read_fields`` is the one
+reader of a document's fields, with their defaults; ``Record.from_fields``
+and the generation parameters of axiom streams both go through it, so a
+missing key is refused in one place. A document names its type
 by a tag (``axiom``, ``ordering`` or ``kind``); ``lookup_tag`` and
 ``read_tagged`` are the one place that resolves a tag and refuses a bad
 document.
@@ -120,24 +123,33 @@ class Record:
     @classmethod
     def from_fields(cls, doc, what: str):
         """The record whose fields a document mapping holds; other keys are ignored."""
-        _entries(doc)  # refuses anything but a mapping
-        values = {}
-        for name, field in cls.config_fields.items():
-            key = name
-            if isinstance(field, dict):
-                given = [k for k in field if k in doc]
-                if len(given) != 1:
-                    raise ConfigError("give exactly one of " + " / ".join(field))
-                key = given[0]
-                field = field[key]
-            if key in doc:
-                values[name] = decode(key, field, doc[key])
-            elif key in cls.config_defaults:
-                default = cls.config_defaults[key]
-                values[name] = default if default is None else decode(key, field, default)
-            else:
-                raise ConfigError(f"missing {what} {key!r}")
-        return cls(**values)
+        return cls(**read_fields(doc, cls.config_fields, cls.config_defaults, what))
+
+
+def read_fields(doc, fields: dict, defaults: Mapping, what: str) -> dict:
+    """{name: value} of the ``fields`` a document mapping holds, decoded.
+
+    A key the document omits takes its value from ``defaults``; a key with
+    no default is a ``ConfigError`` naming ``what``. Other keys are ignored.
+    """
+    _entries(doc)  # refuses anything but a mapping
+    values = {}
+    for name, field in fields.items():
+        key = name
+        if isinstance(field, dict):
+            given = [k for k in field if k in doc]
+            if len(given) != 1:
+                raise ConfigError("give exactly one of " + " / ".join(field))
+            key = given[0]
+            field = field[key]
+        if key in doc:
+            values[name] = decode(key, field, doc[key])
+        elif key in defaults:
+            default = defaults[key]
+            values[name] = default if default is None else decode(key, field, default)
+        else:
+            raise ConfigError(f"missing {what} {key!r}")
+    return values
 
 
 def lookup_tag(types: Mapping, tag, what: str) -> type:

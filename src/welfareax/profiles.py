@@ -287,9 +287,9 @@ def replicate(u: Profile, k: int) -> Profile:
 
 
 def check_permutation(pi: Sequence[int], n: int) -> None:
-    """Raise ``ValueError`` unless pi is a permutation of 0..n-1."""
+    """Raise ``InfeasibleParameters`` unless pi is a permutation of 0..n-1."""
     if len(pi) != n or sorted(pi) != list(range(n)):
-        raise ValueError("pi is not a permutation of 0..n-1")
+        raise InfeasibleParameters("pi is not a permutation of 0..n-1")
 
 
 def permute(u: Profile, pi: Sequence[int]) -> Profile:
@@ -348,7 +348,7 @@ class IndexSet:
         out: list[tuple[int, int]] = []
         for i in sorted(set(indices)):
             if i < 0:
-                raise ValueError("negative index")
+                raise InfeasibleParameters("negative index")
             if out and out[-1][1] == i:
                 out[-1] = (out[-1][0], i + 1)
             else:
@@ -360,7 +360,7 @@ class IndexSet:
         flat: list[tuple[int, int]] = []
         for start, stop in sorted(ranges):
             if start < 0 or stop <= start:
-                raise ValueError("empty or negative range")
+                raise InfeasibleParameters("empty or negative range")
             if flat and start <= flat[-1][1]:
                 flat[-1] = (flat[-1][0], max(flat[-1][1], stop))
             else:
@@ -399,14 +399,13 @@ class IndexSet:
             part = part.strip()
             if not part:
                 continue
-            if "-" in part:
-                lo, hi = part.split("-", 1)
-                ranges.append((int(lo), int(hi) + 1))
-            else:
-                i = int(part)
-                ranges.append((i, i + 1))
+            lo, dash, hi = part.partition("-")
+            try:
+                ranges.append((int(lo), int(hi if dash else lo) + 1))
+            except ValueError as exc:
+                raise InfeasibleParameters(f"bad index range {part!r}") from exc
         if not ranges:
-            raise ValueError("empty index set")
+            raise InfeasibleParameters("empty index set")
         return IndexSet.from_ranges(ranges)
 
 

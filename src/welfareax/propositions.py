@@ -106,17 +106,11 @@ def build_prop1_chain(theta_p, theta_r, alpha, beta, gamma, delta, m: int) -> De
 
     rich_set = IndexSet.from_ranges([(l, l + n_rich)])
 
-    def poor_then_rich(poor_blocks, rich_blocks) -> Profile:
-        return Profile.from_blocks([b for b in poor_blocks + rich_blocks if b[1] > 0])
-
     steps = []
-    current = poor_then_rich([(u_low, l)], [(u_high, n_rich)])
+    current = Profile.from_blocks([(u_low, l), (u_high, n_rich)])
     start = current
     for t in range(1, l + 1):
-        nxt = poor_then_rich(
-            [(u_low + alpha, t), (u_low, l - t)],
-            [(u_high - t * beta, n_rich)],
-        )
+        nxt = Profile.from_blocks([(u_low + alpha, t), (u_low, l - t), (u_high - t * beta, n_rich)])
         mna = MinimalNonAggregation(current, nxt, t - 1, rich_set, theta_p, theta_r, alpha, beta)
         steps.append(AxiomStep.of(mna))
         current = nxt
@@ -127,13 +121,14 @@ def build_prop1_chain(theta_p, theta_r, alpha, beta, gamma, delta, m: int) -> De
         for s in range(1, h + 1):
             gained = (r - 1) * h * m + s * m
             sinking = u_low + alpha - s * delta
-            nxt = poor_then_rich(
+            nxt = Profile.from_blocks(
                 [
                     (u_low + alpha - h * delta, r - 1),
                     (sinking, 1),
                     (u_low + alpha, l - r),
-                ],
-                [(rich_boosted, gained), (rich_low, n_rich - gained)],
+                    (rich_boosted, gained),
+                    (rich_low, n_rich - gained),
+                ]
             )
             block = IndexSet.from_ranges([(l + gained - m, l + gained)])
             steps.append(
@@ -150,12 +145,15 @@ def build_prop1_chain(theta_p, theta_r, alpha, beta, gamma, delta, m: int) -> De
 
 
 def _smallest_ratio_population(lam: Fraction) -> int:
-    n = 3
-    while n - 1 < ceil_ratio(lam, n):
-        n += 1
-        if n > 10_000:
-            raise InfeasibleParameters("no workable population size below 10000")
+    # n - 1 >= ceil(lam * n) holds exactly when n * (1 - lam) >= 1
+    n = max(3, math.ceil(1 / (1 - lam)))
+    _guard(n <= 10_000, "no workable population size below 10000")
     return n
+
+
+def _copies(poor_levels: list[Fraction], rich_level: Fraction, n: int) -> Profile:
+    """One size-n population per poor level: that level, then n - 1 at ``rich_level``."""
+    return Profile.from_blocks([b for x in poor_levels for b in ((x, 1), (rich_level, n - 1))])
 
 
 def build_prop2_chain(
@@ -190,16 +188,8 @@ def build_prop2_chain(
         u_base, u_boost, 0, IndexSet.from_ranges([(1, n)]), lam, gamma, delta
     )
 
-    big_n = k * n
-    poor_positions = [j * n for j in range(k)]
     rich_set = IndexSet.from_ranges([(j * n + 1, (j + 1) * n) for j in range(k)])
     eps = alpha / k
-
-    def assemble(poor_levels: list[Fraction], rich_level: Fraction) -> Profile:
-        levels = [rich_level] * big_n
-        for j, level in enumerate(poor_levels):
-            levels[poor_positions[j]] = level
-        return Profile.from_levels(levels)
 
     lift = LiftStep.of(base_instance, k)
     steps: list = [lift]
@@ -211,14 +201,14 @@ def build_prop2_chain(
         rich_next = rich - beta
         poor_up = list(poor)
         poor_up[0] = poor[0] + alpha
-        nxt = assemble(poor_up, rich_next)
+        nxt = _copies(poor_up, rich_next, n)
         mna = MinimalNonAggregation(current, nxt, 0, rich_set, theta_p, theta_r, alpha, beta)
         steps.append(AxiomStep.of(mna))
         current = nxt
         rich = rich_next
         poor = poor_up
         for j in range(1, k):
-            steps.append(AxiomStep.of(PigouDalton(current, 0, poor_positions[j], eps)))
+            steps.append(AxiomStep.of(PigouDalton(current, 0, j * n, eps)))
             current = steps[-1].to_profile
             poor[0] -= eps
             poor[j] += eps
@@ -259,18 +249,11 @@ def build_prop3_chain(
     u_base = Profile.from_blocks([(u_low, 1), (u_high, n - 1)])
     rich_set = IndexSet.from_ranges([(j * n + 1, (j + 1) * n) for j in range(k)])
 
-    def replicated(t: int) -> Profile:
-        """t poor copies already lifted, all rich at u_high - t * beta."""
-        blocks = []
-        for j in range(k):
-            blocks.append((u_low + alpha if j < t else u_low, 1))
-            blocks.append((u_high - t * beta, n - 1))
-        return Profile.from_blocks(blocks)
-
     steps: list = []
     current = replicate(u_base, k)
     for t in range(1, k + 1):
-        nxt = replicated(t)
+        # t poor copies already lifted, all rich at u_high - t * beta
+        nxt = _copies([u_low + alpha] * t + [u_low] * (k - t), u_high - t * beta, n)
         mna = MinimalNonAggregation(
             current, nxt, (t - 1) * n, rich_set, theta_p, theta_r, alpha, beta
         )

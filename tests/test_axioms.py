@@ -6,6 +6,7 @@ import pytest
 from welfareax import (
     Anonymity,
     CheckStatus,
+    ConfigError,
     ConstantLambda,
     Identity,
     IndexSet,
@@ -26,6 +27,7 @@ from welfareax import (
     StrongerNonAggregation,
     SuffAvg,
     WeakPareto,
+    WelfareaxError,
     check_axiom,
     generate_instances,
     instance_from_config,
@@ -302,6 +304,26 @@ class TestGenerators:
                     populations=(2, 3),
                 )
             )
+
+
+    def test_bad_arguments_rejected_at_the_call(self):
+        # generate_instances checks everything before it returns the stream
+        for call in (
+            lambda: generate_instances("bogus", {}),
+            lambda: generate_instances("anonymity", {}, populations=(5, 2)),
+            lambda: generate_instances("replication_invariance", {"k_max": 0}),
+            lambda: generate_instances("pigou_dalton", {"epsilon_max": -1}),
+        ):
+            with pytest.raises(WelfareaxError):
+                call()
+        with pytest.raises(ConfigError, match="missing axiom parameter 'beta'"):
+            generate_instances("strong_non_aggregation", {"alpha": 2})
+
+    def test_options_bound_the_draws(self):
+        stream = generate_instances("replication_invariance", {"k_max": 2}, seed=1)
+        assert {inst.k for inst in itertools.islice(stream, 200)} == {1, 2}
+        stream = generate_instances("pigou_dalton", {"epsilon_max": "1/2"}, seed=1)
+        assert {inst.epsilon for inst in itertools.islice(stream, 50)} == {Fraction(1, 2)}
 
 
 class TestInvariantsFromSuites:

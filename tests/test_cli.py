@@ -447,6 +447,20 @@ QA_INSTANCE = (
         ],
         *[
             pytest.param(
+                {"p.yaml": option},
+                ["axiom-suite", "--ordering", "leximin.yaml", "--axiom", axiom,
+                 "--params", "p.yaml", "--count", "3"],
+                id=f"axiom-suite-{name}",
+            )
+            for name, axiom, option in [
+                ("k-max-not-an-integer", "replication_invariance", "k_max: abc\n"),
+                ("k-max-fractional", "replication_invariance", "k_max: 2.7\n"),
+                ("k-max-zero", "replication_invariance", "k_max: 0\n"),
+                ("epsilon-max-not-a-level", "pigou_dalton", "epsilon_max: abc\n"),
+            ]
+        ],
+        *[
+            pytest.param(
                 {"log.yaml": "ordering: rdu\nrho: 3/2\ng: {kind: log_shifted, shift: 1}\n",
                  "pair.txt": f"{level},1\n1,2\n"},
                 ["compare", "--ordering", "log.yaml", "--profiles", "pair.txt"],

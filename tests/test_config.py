@@ -25,6 +25,7 @@ from welfareax import (
     ordering_from_config,
     ordering_to_config,
 )
+from welfareax.axioms import _FIELDS, AXIOM_TAGS
 
 SPECS = [
     Leximin(),
@@ -132,3 +133,11 @@ def test_none_field_rejected():
             build()
     # only a field whose document default is None may be None
     assert MultiThreshold((0,), weights=(Fraction(1, 2), Fraction(1, 2))).weights_table is None
+
+
+def test_generation_options_stay_out_of_documents():
+    # magnitudes and options are read through _FIELDS; the options bound the
+    # draws only, so they never reach an instance document or a certificate line
+    for cls in AXIOM_TAGS.values():
+        assert {*cls.magnitudes, *cls.options} <= _FIELDS.keys(), cls.tag
+        assert not {"epsilon_max", "k_max"} & cls.config_fields.keys(), cls.tag

@@ -176,6 +176,10 @@ def test_bad_levels_are_package_errors():
         lambda: Profile(()),
         lambda: Profile.from_blocks([(1, -1)]),
         lambda: replicate(u, 0),
+        lambda: IndexSet.from_indices([-1]),
+        lambda: IndexSet.parse("3-1"),
+        lambda: IndexSet.parse("x"),
+        lambda: permute(Profile.from_levels([1, 2]), (0, 0)),
     ):
         with pytest.raises(WelfareaxError):
             call()

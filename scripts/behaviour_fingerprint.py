@@ -13,7 +13,9 @@ It hashes, in this order:
    chain tests.
 
 Two checkouts that print the same hash give the same verdicts, values
-and certificates on all of these. The sources are imported from the
+and certificates on all of these. Under the hash it prints one digest
+per section (suites, witnesses, certificates), over that section's
+records alone, so that a differing hash names the section that moved. The sources are imported from the
 ``src/`` directory next to this script. It takes about 30 seconds on
 one core of a 2-core Intel Xeon host.
 
@@ -106,7 +108,7 @@ def suite_record(result) -> str:
     return record
 
 
-def records():
+def suites():
     for axiom, params in PROP6_SUITES:
         yield suite_record(run_suite(PROP6_SPEC, axiom, params, 10_000, seed=2024))
     for rho, alpha, beta in HOLDING:
@@ -115,6 +117,9 @@ def records():
             populations=(2, 8), seed=55,
         )
         yield suite_record(result)
+
+
+def witnesses():
     for rho, alpha, beta in FAILING:
         witness = find_counterexample(
             Rdu(rho, Identity()), "minimal_non_aggregation", mna_params(alpha, beta),
@@ -124,18 +129,29 @@ def records():
             yield "no witness"
         else:
             yield f"{instance_yaml(witness.instance)}|{witness.shrink_steps}|{witness.result.detail}"
+
+
+def certificates():
     for builder, params in CHAINS:
         yield serialize_chain(builder(**params))
 
 
+SECTIONS = {"suites": suites, "witnesses": witnesses, "certificates": certificates}
+
+
 def main() -> int:
     digest = hashlib.sha256()
+    lines = []
     count = 0
-    for record in records():
-        digest.update(record.encode())
-        digest.update(b"\0")
-        count += 1
-    print(f"{digest.hexdigest()}  ({count} records)")
+    for name, section in SECTIONS.items():
+        part = hashlib.sha256()
+        for record in section():
+            for h in (digest, part):
+                h.update(record.encode())
+                h.update(b"\0")
+            count += 1
+        lines.append(f"  {name}: {part.hexdigest()}")
+    print(f"{digest.hexdigest()}  ({count} records)", *lines, sep="\n")
     if digest.hexdigest() != EXPECTED:
         print(f"differs from the expected {EXPECTED}")
         return 1

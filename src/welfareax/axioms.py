@@ -65,6 +65,7 @@ from .profiles import (
     ceil_ratio,
     check_permutation,
     format_level,
+    over_common_denominator,
     permute,
     replicate,
 )
@@ -156,10 +157,10 @@ class _Scale:
         self.profiles = u, v = inst.u, inst.v
         if len(u) != len(v):
             raise SizeMismatch(f"profiles have sizes {len(u)} and {len(v)}")
-        self.den = math.lcm(
-            u.scaled[0], v.scaled[0], *(getattr(inst, name).denominator for name in inst.magnitudes)
-        )
-        self.u, self.v = u.scaled_to(self.den), v.scaled_to(self.den)
+        (du, nu), (dv, nv) = u.scaled, v.scaled
+        self.den = math.lcm(du, dv, *[getattr(inst, name).denominator for name in inst.magnitudes])
+        self.u = [a * (self.den // du) for a in nu]
+        self.v = [a * (self.den // dv) for a in nv]
 
     def __call__(self, x: Fraction) -> int:
         return x.numerator * (self.den // x.denominator)
@@ -894,15 +895,9 @@ def generate_instances(
 
     # every level of the stream is an int numerator over one even denominator
     levels = {name: x for name, x in vars(p).items() if _FIELDS[name] is LEVEL}
-    den = math.lcm(2, lo.denominator, hi.denominator, *(x.denominator for x in levels.values()))
-
-    def numerator(x: Fraction) -> int:
-        return x.numerator * (den // x.denominator)
-
-    s = SimpleNamespace(**{name: numerator(x) for name, x in levels.items()})
-    ctx = _GenContext(
-        random.Random(seed), p, s, den, numerator(lo), numerator(hi), max(p_lo, 2), p_hi
-    )
+    den, (_, lo, hi, *s) = over_common_denominator([Fraction(1, 2), lo, hi, *levels.values()])
+    s = SimpleNamespace(**dict(zip(levels, s)))
+    ctx = _GenContext(random.Random(seed), p, s, den, lo, hi, max(p_lo, 2), p_hi)
     return map(cls.generate, itertools.repeat(ctx))
 
 

@@ -180,6 +180,7 @@ def _builder_params(params, *names) -> list:
 
 
 def cmd_replay(args) -> int:
+    spec = _load_ordering(args.locate) if args.locate else None
     params = _load_yaml(args.params) if args.params else {}
     if args.id == 1:
         chain = build_prop1_chain(*_builder_params(params, *_COMMON_PARAMS, "m"))
@@ -204,7 +205,6 @@ def cmd_replay(args) -> int:
     else:
         sys.stdout.write(text)
 
-    spec = _load_ordering(args.locate) if args.locate else None
     report = validate_chain(chain, spec)
     print(
         f"validation: steps={report.step_count} "

@@ -3,9 +3,10 @@
 Each transform is a frozen dataclass that owns its rules:
 
 * ``value`` evaluates it in floating point, refusing a level beyond the
-  float range, and ``exact`` in exact rational arithmetic, which
-  identity and piecewise-linear tables support (``is_exact``) and square
-  root, shifted log and the saturating exponential refuse;
+  float range, and ``exact`` (``exact_scaled`` on an int view) in exact
+  rational arithmetic, which identity and piecewise-linear tables
+  support (``is_exact``) and square root, shifted log and the
+  saturating exponential refuse;
 * ``error`` bounds |value(x) - g(x)|: ``ulps`` times EPS * |value| (at
   least one ulp) plus ``floor``, the absolute error of roundings to
   subnormal floats, or an absolute model for the shifted log, assuming
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 from .codec import LEVEL, Record, read_tagged
 from .errors import ConfigError, DomainError
-from .profiles import as_level, format_level
+from .profiles import as_level, format_level, over_common_denominator
 
 EPS = 2.0**-52  # the spacing of floats at 1
 TINY = math.ulp(0.0)  # 2**-1074, the spacing of subnormal floats
@@ -60,6 +61,10 @@ class _Transform(Record):
     def check_domain(self, x: Fraction) -> None:
         pass
 
+    def exact_scaled(self, den: int, numerators) -> tuple[int, tuple[int, ...]]:
+        """The exact images of the levels a / den, as ``(den', numerators')``."""
+        return over_common_denominator([self.exact(Fraction(a, den)) for a in numerators])
+
 
 @dataclass(frozen=True)
 class Identity(_Transform):
@@ -68,6 +73,9 @@ class Identity(_Transform):
 
     def exact(self, x: Fraction) -> Fraction:
         return x
+
+    def exact_scaled(self, den, numerators):
+        return den, numerators
 
     def value(self, x) -> float:
         return _float(x)

@@ -23,12 +23,13 @@ on two profiles, refusing different population sizes unless asked
 codec in :mod:`welfareax.codec` reads and writes.
 
 Piecewise-linear rules evaluate in exact rational arithmetic, on int
-numerators over a common denominator (the profile's ``scaled`` view, or
-one running denominator for transformed levels), and build one
-``Fraction`` per sum; exact RDU weighs each block of ranks by one
-integer geometric sum, ``geometric_sum``. RDU and the transformed
-variants sum floats with ``math.fsum`` in ``_float_sum``, under a bound
-derived from each block's conditioning and each transform's stated error.
+numerators over a common denominator (the profile's ``scaled`` view, its
+ascending ``ranked`` view for rank-order rules, or their images under an
+exact transform, ``exact_scaled``), and build one ``Fraction`` per sum;
+exact RDU weighs each block of ranks by one integer geometric sum,
+``geometric_sum``. RDU and the transformed variants sum floats with
+``math.fsum`` in ``_float_sum``, under a bound derived from each block's
+conditioning and each transform's stated error.
 One function, ``_resolve``, decides every verdict on two valuations:
 exactly when both are exact, else by the float difference against the
 combined bound plus a fixed relative slack, ``TOLERANCE`` = 10^-12,
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .codec import LEVEL, LEVELS, Record, read_tagged, table
 from .errors import ConfigError, FloatRangeError, MissingLambda
@@ -55,6 +56,7 @@ from .profiles import (
     block_runs,
     ceil_ratio,
     format_level,
+    over_common_denominator,
 )
 
 #: Relative slack added to the combined error bound of a float verdict.
@@ -68,7 +70,7 @@ RDU_EXACT_LIMIT = 20_000
 # valuations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactValue:
     value: Fraction
     is_exact = True
@@ -81,7 +83,7 @@ class ExactValue:
         return f"{format_level(self.value)} (exact)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FloatValue:
     value: float
     bound: float
@@ -452,10 +454,12 @@ def leximin_compare(u: Profile, v: Profile) -> CompareResult:
         return CompareResult(
             Verdict.INCOMPARABLE, note="leximin compares equal population sizes only"
         )
-    for _, _, uval, vval in block_runs(u.sorted_blocks(), v.sorted_blocks()):
-        if uval != vval:
-            verdict = Verdict.STRICTLY_BETTER if uval > vval else Verdict.STRICTLY_WORSE
-            return CompareResult(verdict)
+    du, nu, cu = u.ranked
+    dv, nv, cv = v.ranked
+    for _, _, a, b in block_runs(zip(nu, cu), zip(nv, cv)):
+        diff = a * dv - b * du
+        if diff:
+            return CompareResult(_sign_verdict(diff))
     return CompareResult(Verdict.EQUIVALENT)
 
 
@@ -469,22 +473,6 @@ def geometric_sum(a: int, b: int, k: int) -> int:
     For rho = a/b in lowest terms, a == b only at rho = 1, where G is k.
     """
     return k if a == b else (a**k - b**k) // (a - b)
-
-
-def _exact_sum(pairs: Iterable[tuple[Fraction, int]], scale: int = 1) -> Fraction:
-    """Sum of x * w over (level x, int w) pairs, divided by scale, normalized once.
-
-    The numerators accumulate over one running common denominator.
-    """
-    num, den = 0, 1
-    for x, w in pairs:
-        d = x.denominator
-        if d != den:
-            common = math.lcm(den, d)
-            num *= common // den
-            den = common
-        num += x.numerator * (den // d) * w
-    return Fraction(num, den * scale)
 
 
 def rdu_value(u: Profile, p: Rdu) -> FloatValue:
@@ -542,13 +530,13 @@ def rdu_value_exact(u: Profile, p: Rdu) -> Fraction:
     """
     a, b = p.rho.numerator, p.rho.denominator
     n = len(u)
-    pairs = []
-    start = 0
-    for value, count in u.sorted_blocks():
-        weight = b**start * a ** (n - start - count) * geometric_sum(a, b, count)
-        pairs.append((p.g.exact(value), weight))
+    den, numerators, counts = u.ranked
+    den, gs = p.g.exact_scaled(den, numerators)
+    total = start = 0
+    for gx, count in zip(gs, counts):
+        total += gx * b**start * a ** (n - start - count) * geometric_sum(a, b, count)
         start += count
-    return _exact_sum(pairs, a ** (n - 1))
+    return Fraction(total, den * a ** (n - 1))
 
 
 def rdu_compare(u: Profile, v: Profile, p: Rdu) -> CompareResult:
@@ -621,12 +609,13 @@ def rankweighted_value(u: Profile, p: RankWeighted) -> Fraction:
     n = len(u)
     lam = p.lambda_for(n)
     weights = p.weights_for(n)
+    den, numerators, counts = u.ranked
     weighted = Fraction(0)
     position = 0
-    for value, count in u.sorted_blocks():
-        weighted += value * sum(weights[position : position + count])
+    for a, count in zip(numerators, counts):
+        weighted += a * sum(weights[position : position + count])
         position += count
-    return lam * _shortfall(u, p.theta_p) + (1 - lam) * weighted
+    return lam * _shortfall(u, p.theta_p) + (1 - lam) * weighted / den
 
 
 def _transformed_sum(g: GFunction, pairs, offset: Fraction, scale: Fraction) -> Valuation:
@@ -636,7 +625,9 @@ def _transformed_sum(g: GFunction, pairs, offset: Fraction, scale: Fraction) -> 
     error times |scale * w| plus four roundings, and float(offset) by one.
     """
     if g.is_exact:
-        return ExactValue(offset + scale * _exact_sum((g.exact(x), w) for x, w in pairs))
+        den, gs = g.exact_scaled(*over_common_denominator([x for x, _ in pairs]))
+        total = sum(gx * w for gx, (_, w) in zip(gs, pairs))
+        return ExactValue(offset + scale * Fraction(total, den))
     sc = float(scale)
     terms, errors = [], []
     for x, w in pairs:

@@ -5,9 +5,11 @@ rationals (``fractions.Fraction``), so rankings, axiom preconditions and
 piecewise-linear social values are decided without rounding. Profiles
 are stored as run-length blocks ``(value, count)``, which keeps
 million-entry constant runs O(1) and mirrors the ``k*x`` text syntax.
-Each profile also caches its size and one integer view of its blocks,
-``scaled``: a common denominator and an int numerator per block, on
-which the exact kernels and the precondition walks run.
+Each profile also caches its size and two integer views over one common
+denominator (``over_common_denominator``): ``scaled``, one numerator
+per block, on which the exact sums and the precondition walks run, and
+``ranked``, the distinct levels ascending with their counts, which
+every reader of the profile's order uses.
 
 Profile text format (consumed by the CLI, emitted by search and replay):
 one profile per line; entries separated by commas; an entry is either a
@@ -94,7 +96,7 @@ class Verdict(Enum):
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompareResult:
     """Outcome of one ordering comparison.
 
@@ -114,14 +116,25 @@ class CompareResult:
 # profiles
 
 
+def over_common_denominator(levels: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """``(den, numerators)``: each level as an int numerator over their least common denominator."""
+    # star-args from a list: a generator's args tuple is resized, stranding free-list tuples
+    den = lcm(*[x.denominator for x in levels])
+    return den, tuple([x.numerator * (den // x.denominator) for x in levels])
+
+
 # Generated profiles repeat a few levels over one denominator; Fractions
 # are immutable, so they share one object per level.
 _fraction = lru_cache(maxsize=1024)(Fraction)
 
 
-def _normalize_blocks(blocks: Iterable[tuple[Fraction, int]]) -> tuple[tuple[Fraction, int], ...]:
+def _normalize_blocks(blocks: Iterable[tuple]) -> tuple[tuple[Fraction, int], ...]:
+    """Merged (level, count) blocks; a (Fraction, int) tuple is kept, not copied."""
     out: list[tuple[Fraction, int]] = []
-    for value, count in blocks:
+    for block in blocks:
+        value, count = block
+        if type(block) is not tuple or type(value) is not Fraction or type(count) is not int:
+            value, count = block = as_level(value), int(count)
         if count < 0:
             raise InfeasibleParameters("negative block count")
         if count == 0:
@@ -129,7 +142,7 @@ def _normalize_blocks(blocks: Iterable[tuple[Fraction, int]]) -> tuple[tuple[Fra
         if out and out[-1][0] == value:
             out[-1] = (value, out[-1][1] + count)
         else:
-            out.append((value, count))
+            out.append(block)
     return tuple(out)
 
 
@@ -150,12 +163,11 @@ class Profile:
 
     @staticmethod
     def from_levels(levels: Iterable) -> "Profile":
-        blocks = [(as_level(x), 1) for x in levels]
-        return Profile(_normalize_blocks(blocks))
+        return Profile(_normalize_blocks([(x, 1) for x in levels]))
 
     @staticmethod
     def from_blocks(blocks: Iterable[tuple]) -> "Profile":
-        return Profile(_normalize_blocks((as_level(v), int(c)) for v, c in blocks))
+        return Profile(_normalize_blocks(blocks))
 
     @staticmethod
     def constant(value, n: int) -> "Profile":
@@ -182,16 +194,22 @@ class Profile:
     @cached_property
     def scaled(self) -> tuple[int, tuple[int, ...]]:
         """``(den, numerators)``: the level of each block as an int over one common denominator."""
-        den = lcm(*(v.denominator for v, _ in self.blocks))
-        return den, tuple([v.numerator * (den // v.denominator) for v, _ in self.blocks])
+        return over_common_denominator([v for v, _ in self.blocks])
 
-    def scaled_to(self, den: int) -> tuple[int, ...]:
-        """The numerators of the blocks over ``den``, a multiple of ``scaled``'s denominator."""
-        own, numerators = self.scaled
-        if own == den:
-            return numerators
-        factor = den // own
-        return tuple([a * factor for a in numerators])
+    @cached_property
+    def ranked(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """``(den, numerators, counts)``: each level once, ascending, over the least den.
+
+        The int view is built afresh, not read from ``scaled``: it is then over
+        the least denominator, which ``scaled`` of ``from_numerators`` need not
+        be, and a profile that is only ranked keeps no ``scaled``. Two flat
+        tuples, not one of (numerator, count) pairs, hold 48 bytes less a run."""
+        den, numerators = over_common_denominator([v for v, _ in self.blocks])
+        counts: dict[int, int] = {}
+        for a, (_, c) in zip(numerators, self.blocks):
+            counts[a] = counts[a] + c if a in counts else c  # once: the block's own int
+        keys = sorted(counts)
+        return den, tuple(keys), tuple([counts[a] for a in keys])
 
     def iter_levels(self) -> Iterator[Fraction]:
         for value, count in self.blocks:
@@ -217,50 +235,35 @@ class Profile:
     def max_level(self) -> Fraction:
         return max(v for v, _ in self.blocks)
 
-    def _scaled_total(self) -> tuple[int, int]:
-        den, numerators = self.scaled
-        return sum(a * c for a, (_, c) in zip(numerators, self.blocks)), den
-
     def total(self) -> Fraction:
-        return Fraction(*self._scaled_total())
+        return self.mean() * self.n
 
     def mean(self) -> Fraction:
-        num, den = self._scaled_total()
-        return Fraction(num, den * self.n)
-
-    def _counts(self) -> dict[Fraction, int]:
-        merged: dict[Fraction, int] = {}
-        for value, count in self.blocks:
-            merged[value] = merged.get(value, 0) + count
-        return merged
+        den, numerators = self.scaled
+        return Fraction(sum(a * c for a, (_, c) in zip(numerators, self.blocks)), den * self.n)
 
     def sorted_blocks(self) -> tuple[tuple[Fraction, int], ...]:
-        return tuple(sorted(self._counts().items()))
+        """``ranked`` as (level, count) blocks."""
+        den, numerators, counts = self.ranked
+        return tuple([(_fraction(a, den), c) for a, c in zip(numerators, counts)])
 
     def same_multiset(self, other: "Profile") -> bool:
-        """Whether both hold the same levels as often; compares counts, sorting nothing."""
-        return len(self) == len(other) and self._counts() == other._counts()
+        """Whether both hold the same levels as often."""
+        return len(self) == len(other) and self.ranked == other.ranked
 
     def with_value_at(self, index: int, value) -> "Profile":
         """Copy with one entry replaced (used by builders and shrinking)."""
         value = as_level(value)
         out: list[tuple[Fraction, int]] = []
         offset = 0
-        done = False
         for bval, count in self.blocks:
-            if not done and offset <= index < offset + count:
-                left = index - offset
-                right = count - left - 1
-                if left:
-                    out.append((bval, left))
-                out.append((value, 1))
-                if right:
-                    out.append((bval, right))
-                done = True
+            if offset <= index < offset + count:
+                left = index - offset  # _normalize_blocks drops the empty sides
+                out += [(bval, left), (value, 1), (bval, count - left - 1)]
             else:
                 out.append((bval, count))
             offset += count
-        if not done:
+        if not 0 <= index < offset:
             raise IndexError(f"index {index} out of range")
         return Profile(_normalize_blocks(out))
 
@@ -311,7 +314,7 @@ def argsort(u: Profile) -> tuple[int, ...]:
     """
     _materializable(u)
     starts = list(itertools.accumulate((c for _, c in u.blocks), initial=0))
-    order = sorted(range(len(u.blocks)), key=lambda b: u.blocks[b][0])
+    order = sorted(range(len(u.blocks)), key=u.scaled[1].__getitem__)
     return tuple(i for b in order for i in range(starts[b], starts[b + 1]))
 
 

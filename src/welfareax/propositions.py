@@ -55,6 +55,7 @@ from .profiles import (
     Verdict,
     argsort,
     as_level,
+    block_runs,
     ceil_ratio,
     replicate,
     sorting_permutation,
@@ -300,32 +301,33 @@ def build_prop4_chain(u: Profile, v: Profile, beta_ratio=Fraction(1, 2)) -> Deri
         f"leximin must rank u strictly above v (got {res.verdict.value})",
     )
     n = len(u)
-    ru = list(Profile(u.sorted_blocks()).levels())
-    rv = list(Profile(v.sorted_blocks()).levels())
-    h = next(idx for idx in range(n) if ru[idx] != rv[idx])
+    su, sv = u.sorted_blocks(), v.sorted_blocks()
+    equal = []  # the runs of ranks below h, the first rank where the levels differ
+    for h, count, uh, vh in block_runs(su, sv):
+        if uh != vh:
+            break
+        equal.append((uh, count))
 
-    u_sorted = Profile.from_levels(ru)
-    v_sorted = Profile.from_levels(rv)
-
-    if ru[h] >= rv[-1]:
+    if uh >= sv[-1][0]:
         # pure strong-Pareto certificate on the sorted rearrangements
+        u_sorted = Profile(su)
         instances = (
             Anonymity(v, sorting_permutation(v)),
-            StrongPareto(u_sorted, v_sorted),
+            StrongPareto(u_sorted, Profile(sv)),
             Anonymity(u_sorted, argsort(u)),
         )
         return DerivationChain(tuple(map(AxiomStep.of, instances)), None, ChainKind.DOMINANCE)
 
-    gap = ru[h] - rv[h]
-    v_star = rv[-1] + 1
-    u_star = rv[h] + gap / 4
+    gap = uh - vh
+    v_star = sv[-1][0] + 1
+    u_star = vh + gap / 4
     alpha = gap / 4
     beta = alpha * beta_ratio
-    target = rv[h] + 3 * gap / 4  # the level v_star - k * beta' must hit
+    target = vh + 3 * gap / 4  # the level v_star - k * beta' must hit
     k = math.ceil((v_star - target) / beta) + 1
     beta_prime = (v_star - target) / k
 
-    prefix = [(ru[j], k) for j in range(h)]
+    prefix = [(level, count * k) for level, count in equal]
     n_rich = k * (n - h - 1)
 
     def w_profile(t: int) -> Profile:
@@ -340,8 +342,8 @@ def build_prop4_chain(u: Profile, v: Profile, beta_ratio=Fraction(1, 2)) -> Deri
 
     big_u = replicate(u, k)
     big_v = replicate(v, k)
-    grouped_u = Profile.from_blocks([(level, k) for level in ru])
-    grouped_v = Profile.from_blocks([(level, k) for level in rv])
+    grouped_u = Profile.from_blocks([(level, count * k) for level, count in su])
+    grouped_v = Profile.from_blocks([(level, count * k) for level, count in sv])
     rich_set = IndexSet.from_ranges([((h + 1) * k, n * k)])
 
     instances = [

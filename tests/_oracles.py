@@ -39,7 +39,7 @@ def rdu_highprec(profile: Profile, rho: Fraction, g_name: str, prec_bits: int = 
         r = mpmath.mpf(rho.denominator) / mpmath.mpf(rho.numerator)
         total = mpmath.mpf(0)
         weight = mpmath.mpf(1)
-        for value, count in profile.sorted_blocks():
+        for value, count in _merged(profile.blocks):
             x = mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
             if g_name == "sqrt":
                 gx = mpmath.sqrt(x)

@@ -218,6 +218,23 @@ def test_replay_prop4(workdir, capsys):
     assert "affirms every step" in out
 
 
+def test_replay_reads_the_locate_ordering_before_writing(workdir, capsys):
+    params = _write(
+        workdir, "p.yaml",
+        dict(theta_p=10, theta_r=20, alpha=2, beta=1, gamma=2, delta=1, m=3),
+    )
+    cert = workdir / "c.cert"
+    code, out, err = run(
+        capsys,
+        ["replay", "--id", 1, "--params", params, "--out", cert,
+         "--locate", workdir / "missing.yaml"],
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert not cert.exists()
+
+
 def test_prop5_commands(workdir, capsys):
     code, out, _ = run(
         capsys,

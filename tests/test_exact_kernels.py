@@ -3,7 +3,11 @@
 The kernels run on int numerators over a common denominator; the
 references below are the textbook sums in ``Fraction`` arithmetic. They
 must agree exactly on block profiles with mixed and large denominators
-(up to 10^12), negative levels and counts up to 10^9.
+(up to 10^12), negative levels and counts up to 10^9, and on profiles
+built as generation builds them, over a denominator of 6 that their
+levels may not need. The rank-order views (``same_multiset`` and
+leximin) are checked against sorted level lists, also on pairs of a
+generated profile and a parsed rearrangement of its levels.
 """
 
 from fractions import Fraction
@@ -30,7 +34,10 @@ from welfareax import (
     rdu_value_exact,
     suffavg_value,
 )
-from welfareax.orderings import _shortfall
+from welfareax.orderings import _shortfall, leximin_compare
+from welfareax.profiles import format_level, parse_profile_line
+
+from _oracles import naive_leximin
 
 SEEDED = settings(max_examples=150, derandomize=True, deadline=None)
 
@@ -44,10 +51,16 @@ G = st.sampled_from(
 )
 
 
+def generated_profiles(max_size: int):
+    """Numerators over 6, all multiples of one step, so 6 is often more than the levels need."""
+    return st.tuples(
+        st.sampled_from([1, 2, 3, 6]), st.lists(st.integers(-50, 50), min_size=1, max_size=max_size)
+    ).map(lambda sk: Profile.from_numerators(6, [sk[0] * k for k in sk[1]]))
+
+
 def block_profiles(count=counts, max_blocks: int = 8):
-    return st.lists(st.tuples(levels, count), min_size=1, max_size=max_blocks).map(
-        Profile.from_blocks
-    )
+    blocks = st.lists(st.tuples(levels, count), min_size=1, max_size=max_blocks)
+    return st.one_of(blocks.map(Profile.from_blocks), generated_profiles(max_blocks))
 
 
 def ref_size(u: Profile) -> int:
@@ -155,3 +168,45 @@ def test_rdu_exact_table(u, rho, g):
 def test_rdu_exact_table_at_rho_one_is_the_plain_sum():
     u = Profile.from_blocks([(Fraction(-7, 3), 5), (Fraction(1, 10**12), 2), (4, 57)])
     assert rdu_value_exact(u, Rdu(1, Identity())) == ref_total(u)
+
+
+def parsed(levels) -> Profile:
+    return parse_profile_line(",".join(map(format_level, levels)))
+
+
+small_profiles = block_profiles(st.integers(1, 3))
+nudges = st.sampled_from([Fraction(1, 6), Fraction(-1, 2), Fraction(1), Fraction(1, 10**12)])
+
+
+@st.composite
+def profile_pairs(draw):
+    """Independent profiles, or a profile and the parse of a rearrangement of
+    its levels, one entry nudged or none, in either order."""
+    u = draw(small_profiles)
+    kind = draw(st.sampled_from(["independent", "rearranged", "nudged"]))
+    if kind == "independent":
+        v = draw(small_profiles)
+    else:
+        xs = list(draw(st.permutations(u.levels())))
+        if kind == "nudged":
+            i = draw(st.integers(0, len(xs) - 1))
+            xs[i] += draw(nudges)
+        v = parsed(xs)
+    return (u, v) if draw(st.booleans()) else (v, u)
+
+
+@SEEDED
+@given(profile_pairs())
+def test_rank_order_views(pair):
+    u, v = pair
+    lu, lv = list(u.levels()), list(v.levels())
+    assert Profile(u.sorted_blocks()).levels() == tuple(sorted(lu))
+    assert u.same_multiset(v) == (sorted(lu) == sorted(lv))
+    assert leximin_compare(u, v).verdict == naive_leximin(lu, lv)
+
+
+def test_generated_and_parsed_profiles_share_one_ranked_view():
+    generated = Profile.from_numerators(6, [6, 12, 6])
+    assert generated.scaled[0] == 6
+    assert generated.ranked == parsed([1, 2, 1]).ranked == (1, (1, 2), (2, 1))
+    assert generated.same_multiset(parsed([2, 1, 1]))

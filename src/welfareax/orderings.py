@@ -25,21 +25,23 @@ codec in :mod:`welfareax.codec` reads and writes.
 Piecewise-linear rules evaluate in exact rational arithmetic, on int
 numerators over a common denominator (the profile's ``scaled`` view, its
 ascending ``ranked`` view for rank-order rules, or their images under an
-exact transform, ``exact_scaled``), and build one ``Fraction`` per sum;
-exact RDU weighs each block of ranks by one integer geometric sum,
-``geometric_sum``. RDU and the transformed variants sum floats with
-``math.fsum`` in ``_float_sum``, under a bound derived from each block's
-conditioning and each transform's stated error.
-One function, ``_resolve``, decides every verdict on two valuations:
-exactly when both are exact, else by the float difference against the
-combined bound plus a fixed relative slack, ``TOLERANCE`` = 10^-12,
-then as equivalent when the profiles hold the same levels, then by an
-exact fallback where one exists (RDU with an exact transform), else as a
-flagged numerical tie.
+exact transform, ``exact_scaled``), into an ``ExactValue``: an int over a
+positive int, not reduced on the way to a verdict. Exact RDU weighs each
+block of ranks by one integer geometric sum, ``geometric_sum``, and the
+rank-weighted rule by differences of its weights' int prefix sums. RDU
+and the transformed variants sum floats with ``math.fsum`` in
+``_float_sum``, under a bound derived from each block's conditioning and
+each transform's stated error. One function, ``_resolve``, decides every
+verdict on two valuations: by the sign of one cross-multiplication when
+both are exact, else by the float difference against the combined bound
+plus a fixed relative slack, ``TOLERANCE`` = 10^-12, then as equivalent
+when the profiles hold the same levels, then by an exact fallback where
+one exists (RDU with an exact transform), else as a flagged numerical tie.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -70,14 +72,24 @@ RDU_EXACT_LIMIT = 20_000
 # valuations
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ExactValue:
-    value: Fraction
+    """numerator / denominator, ints with denominator > 0, unreduced; ``value`` reduces it."""
+
+    numerator: int
+    denominator: int
     is_exact = True
     bound = 0.0
 
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.numerator, self.denominator)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ExactValue) and self.value == other.value
+
     def __float__(self) -> float:
-        return float(self.value)
+        return self.numerator / self.denominator  # int true division rounds correctly
 
     def __str__(self) -> str:
         return f"{format_level(self.value)} (exact)"
@@ -100,11 +112,20 @@ Valuation = ExactValue | FloatValue
 
 
 def _float_or_inf(x) -> float:
-    """x as a float, or +-inf when it lies beyond the float range."""
+    """x (a ``Fraction`` or an ``ExactValue``) as a float, or +-inf beyond the float range."""
     try:
         return float(x)
     except OverflowError:
-        return math.inf if x > 0 else -math.inf
+        return math.inf if x.numerator > 0 else -math.inf
+
+
+def _weighted_sum(*terms: tuple[int, int, int, int]) -> ExactValue:
+    """The sum of (wn / wd) * (a / d) over int terms (wn, wd, a, d), wd, d > 0, unreduced."""
+    num, den = 0, 1
+    for wn, wd, a, d in terms:
+        d *= wd
+        num, den = num * d + wn * a * den, den * d
+    return ExactValue(num, den)
 
 
 def _float_sum(terms: list[float], errors: list[float]) -> FloatValue:
@@ -303,11 +324,11 @@ class _Shortfall(_Ordering):
     schedule: LambdaSchedule
     config_fields = {"theta_p": LEVEL, "schedule": _SCHEDULE}
 
-    def lambda_for(self, n: int) -> Fraction:
+    def lambda_for(self, n: int) -> tuple[int, int]:
         lam = self.schedule.value_for(n)
-        if not 0 < lam < 1:
+        if not 0 < lam.numerator < lam.denominator:
             raise ConfigError(f"weight {format_level(lam)} outside (0, 1)")
-        return lam
+        return lam.numerator, lam.denominator
 
 
 @dataclass(frozen=True)
@@ -323,7 +344,10 @@ class SuffAvg(_Shortfall):
         return ()
 
     def value(self, u):
-        return ExactValue(suffavg_value(u, self))
+        """lambda_n * shortfall + (1 - lambda_n) * mean, exact."""
+        ln, ld = self.lambda_for(len(u))
+        short, mean = _shortfall(u, self.theta_p), u.scaled_mean()
+        return _weighted_sum((ln, ld, *short), (ld - ln, ld, *mean))
 
 
 _WEIGHTS_TABLE = table(LEVELS)
@@ -375,7 +399,9 @@ class MultiThreshold(_Ordering):
         return _tabulated(self.weights_table, n, "weights")
 
     def value(self, u):
-        return ExactValue(multithreshold_value(u, self))
+        weights = self.weights_for(len(u))
+        terms = [(*w.as_integer_ratio(), *_shortfall(u, t)) for t, w in zip(self.thetas, weights)]
+        return _weighted_sum(*terms, (*weights[-1].as_integer_ratio(), *u.scaled_mean()))
 
 
 @dataclass(frozen=True)
@@ -388,6 +414,7 @@ class RankWeighted(_Shortfall):
 
     def __post_init__(self):
         super().__post_init__()
+        prefix = []  # per n: the prefix sums of its weights, as ints over one denominator
         for n, w in self.weights_table:
             if len(w) != n:
                 raise ConfigError(f"need {n} rank weights for population size {n}")
@@ -397,12 +424,17 @@ class RankWeighted(_Shortfall):
                 raise ConfigError("rank weights must sum to 1 exactly")
             if any(b > a for a, b in zip(w, w[1:])):
                 raise ConfigError("rank weights must be nonincreasing in rank")
-
-    def weights_for(self, n: int) -> tuple[Fraction, ...]:
-        return _tabulated(self.weights_table, n, "rank weights")
+            prefix.append((n, over_common_denominator(list(itertools.accumulate(w, initial=0)))))
+        object.__setattr__(self, "_prefix", tuple(prefix))
 
     def value(self, u):
-        return ExactValue(rankweighted_value(u, self))
+        ln, ld = self.lambda_for(len(u))
+        wden, prefix = _tabulated(self._prefix, len(u), "rank weights")
+        den, numerators, counts = u.ranked
+        ends = itertools.accumulate(counts)  # ranks e-c..e-1 weigh prefix[e] - prefix[e-c]
+        weighted = sum(a * (prefix[e] - prefix[e - c]) for a, c, e in zip(numerators, counts, ends))
+        short = _shortfall(u, self.theta_p)
+        return _weighted_sum((ln, ld, *short), (ld - ln, ld, weighted, den * wden))
 
 
 @dataclass(frozen=True)
@@ -523,7 +555,12 @@ def rdu_value(u: Profile, p: Rdu) -> FloatValue:
 
 
 def rdu_value_exact(u: Profile, p: Rdu) -> Fraction:
-    """Exact rational RDU value; requires an exact transform.
+    """Exact rational RDU value, reduced; requires an exact transform."""
+    return _rdu_exact(u, p).value
+
+
+def _rdu_exact(u: Profile, p: Rdu) -> ExactValue:
+    """Exact RDU value; requires an exact transform.
 
     With rho = a/b, rank i weighs a**(n-1-i) * b**i over a**(n-1), so c ranks
     from rank s weigh b**s * a**(n-s-c) * G(a, b, c) over a**(n-1), all in ints.
@@ -536,7 +573,7 @@ def rdu_value_exact(u: Profile, p: Rdu) -> Fraction:
     for gx, count in zip(gs, counts):
         total += gx * b**start * a ** (n - start - count) * geometric_sum(a, b, count)
         start += count
-    return Fraction(total, den * a ** (n - 1))
+    return ExactValue(total, den * a ** (n - 1))
 
 
 def rdu_compare(u: Profile, v: Profile, p: Rdu) -> CompareResult:
@@ -546,8 +583,8 @@ def rdu_compare(u: Profile, v: Profile, p: Rdu) -> CompareResult:
     larger ones by float values with an exact retry of a near-tie.
     """
     if p.g.is_exact and len(u) + len(v) <= RDU_EXACT_LIMIT:
-        return _resolve(u, v, ExactValue(rdu_value_exact(u, p)), ExactValue(rdu_value_exact(v, p)))
-    exact = (lambda: rdu_value_exact(u, p) - rdu_value_exact(v, p)) if p.g.is_exact else None
+        return _resolve(u, v, _rdu_exact(u, p), _rdu_exact(v, p))
+    exact = (lambda: (_rdu_exact(u, p), _rdu_exact(v, p))) if p.g.is_exact else None
     return _resolve(u, v, rdu_value(u, p), rdu_value(v, p), exact)
 
 
@@ -563,72 +600,47 @@ def _sign_verdict(diff) -> Verdict:
 # sufficientarian-average rule and variants
 
 
-def _shortfall(u: Profile, theta: Fraction) -> Fraction:
-    """Sum of (level - theta) over entries strictly below theta (<= 0)."""
+def _shortfall(u: Profile, theta: Fraction) -> tuple[int, int]:
+    """Sum of (level - theta) over entries strictly below theta (<= 0), as (num, den)."""
     den, numerators = u.scaled
-    q = theta.denominator
-    t = theta.numerator * den  # a / den < theta  <=>  a * q < t
-    below = sum((a * q - t) * c for a, (_, c) in zip(numerators, u.blocks) if a * q < t)
-    return Fraction(below, den * q)
+    q, t = theta.denominator, theta.numerator * den  # a / den < theta  <=>  a * q < t
+    return sum((a * q - t) * c for a, (_, c) in zip(numerators, u.blocks) if a * q < t), den * q
 
 
 def _below(u: Profile, theta: Fraction) -> list[tuple[Fraction, int]]:
     """The blocks of u whose level lies strictly below theta."""
     den, numerators = u.scaled
-    q = theta.denominator
-    t = theta.numerator * den
+    q, t = theta.denominator, theta.numerator * den
     return [block for block, a in zip(u.blocks, numerators) if a * q < t]
 
 
 def suffavg_value(u: Profile, p: SuffAvg) -> Fraction:
-    """lambda_n * shortfall + (1 - lambda_n) * mean, exact."""
-    lam = p.lambda_for(len(u))
-    return lam * _shortfall(u, p.theta_p) + (1 - lam) * u.mean()
+    return p.value(u).value
 
 
 def gn_eval(x, n: int, p: SuffAvg) -> Fraction:
-    """Per-person value whose sum over a profile equals suffavg_value."""
-    x = as_level(x)
-    lam = p.lambda_for(n)
-    base = (1 - lam) * x / n
-    if x < p.theta_p:
-        return lam * (x - p.theta_p) + base
-    return base
+    """Per-person value whose sum over a profile equals suffavg_value: an nth of n people at x."""
+    return p.value(Profile.constant(x, n)).value / n
 
 
 def multithreshold_value(u: Profile, p: MultiThreshold) -> Fraction:
-    n = len(u)
-    weights = p.weights_for(n)
-    total = Fraction(0)
-    for theta, w in zip(p.thetas, weights):
-        total += w * _shortfall(u, theta)
-    return total + weights[-1] * u.mean()
+    return p.value(u).value
 
 
 def rankweighted_value(u: Profile, p: RankWeighted) -> Fraction:
-    n = len(u)
-    lam = p.lambda_for(n)
-    weights = p.weights_for(n)
-    den, numerators, counts = u.ranked
-    weighted = Fraction(0)
-    position = 0
-    for a, count in zip(numerators, counts):
-        weighted += a * sum(weights[position : position + count])
-        position += count
-    return lam * _shortfall(u, p.theta_p) + (1 - lam) * weighted / den
+    return p.value(u).value
 
 
-def _transformed_sum(g: GFunction, pairs, offset: Fraction, scale: Fraction) -> Valuation:
-    """offset + scale * (sum of g(x) * w over (level x, int weight w) pairs).
-
-    Exact when g is; otherwise a term float(scale) * w * g(x) is off by g's
-    error times |scale * w| plus four roundings, and float(offset) by one.
+def _transformed_sum(g: GFunction, pairs, offset: tuple, scale: tuple) -> Valuation:
+    """offset + scale * (sum of g(x) * w over (level x, int weight w) pairs), offset and
+    scale as (num, den) int pairs. Exact when g is; otherwise a term float(scale) * w * g(x)
+    is off by g's error times |scale * w| plus four roundings, and float(offset) by one.
     """
     if g.is_exact:
         den, gs = g.exact_scaled(*over_common_denominator([x for x, _ in pairs]))
         total = sum(gx * w for gx, (_, w) in zip(gs, pairs))
-        return ExactValue(offset + scale * Fraction(total, den))
-    sc = float(scale)
+        return _weighted_sum((1, 1, *offset), (*scale, total, den))
+    sc = scale[0] / scale[1]
     terms, errors = [], []
     for x, w in pairs:
         gx = g.value(x)
@@ -636,7 +648,7 @@ def _transformed_sum(g: GFunction, pairs, offset: Fraction, scale: Fraction) -> 
         t = gx * f
         terms.append(t)
         errors.append(g.error(x, gx) * abs(f) + 3 * EPS * abs(t) + (abs(gx) + 1) * TINY)
-    off = float(offset)  # after the levels, so a level beyond the float range is named first
+    off = offset[0] / offset[1]  # after g, which names a level beyond the float range
     terms.append(off)
     errors.append(EPS * abs(off) + TINY)
     return _float_sum(terms, errors)
@@ -644,19 +656,20 @@ def _transformed_sum(g: GFunction, pairs, offset: Fraction, scale: Fraction) -> 
 
 def boundedg_value(u: Profile, p: BoundedG) -> Valuation:
     """lambda_n * shortfall + (1 - lambda_n) * mean of g over the entries."""
-    n = len(u)
-    lam = p.lambda_for(n)
-    return _transformed_sum(p.g, u.blocks, lam * _shortfall(u, p.theta_p), (1 - lam) / n)
+    ln, ld = p.lambda_for(len(u))
+    below, den = _shortfall(u, p.theta_p)
+    return _transformed_sum(p.g, u.blocks, (ln * below, ld * den), (ld - ln, ld * len(u)))
 
 
 def concavepoor_value(u: Profile, p: ConcavePoor) -> Valuation:
     """lambda_n * sum of (g(x) - g(theta_p)) over entries below theta_p, plus
     (1 - lambda_n) * mean; g(theta_p) enters as one pair, so the difference
     cancels inside the sum."""
-    lam = p.lambda_for(len(u))
+    ln, ld = p.lambda_for(len(u))
     below = _below(u, p.theta_p)
     pairs = below + [(p.theta_p, -sum(c for _, c in below))]
-    return _transformed_sum(p.g, pairs, (1 - lam) * u.mean(), lam)
+    total, den = u.scaled_mean()
+    return _transformed_sum(p.g, pairs, ((ld - ln) * total, ld * den), (ln, ld))
 
 
 # ---------------------------------------------------------------------------
@@ -675,12 +688,10 @@ def _resolve(u: Profile, v: Profile, a: Valuation, b: Valuation, exact=None) -> 
     difference exceeds the combined error bound plus ``TOLERANCE`` times
     the larger magnitude; otherwise u and v with the same levels are
     equivalent (every value rule here is anonymous), else ``exact()``, when
-    given, supplies the exact difference, else the result is a flagged
+    given, supplies exact valuations of both, else the result is a flagged
     numerical tie.
     """
-    if a.is_exact and b.is_exact:
-        diff = a.value - b.value
-    else:
+    if not (a.is_exact and b.is_exact):
         af, bf = float(a), float(b)
         diff = af - bf
         threshold = a.bound + b.bound + TOLERANCE * max(abs(af), abs(bf))
@@ -695,8 +706,12 @@ def _resolve(u: Profile, v: Profile, a: Valuation, b: Valuation, exact=None) -> 
                 numerically_tied=True,
                 note="difference within combined error bound",
             )
-        diff = exact()
-    return CompareResult(_sign_verdict(diff), margin=_float_or_inf(diff))
+        a, b = exact()
+    # the sign of one cross-multiplication; the margin is one correctly rounded division
+    diff = ExactValue(
+        a.numerator * b.denominator - b.numerator * a.denominator, a.denominator * b.denominator
+    )
+    return CompareResult(_sign_verdict(diff.numerator), margin=_float_or_inf(diff))
 
 
 def swo_compare(

@@ -239,8 +239,11 @@ class Profile:
         return self.mean() * self.n
 
     def mean(self) -> Fraction:
-        den, numerators = self.scaled
-        return Fraction(sum(a * c for a, (_, c) in zip(numerators, self.blocks)), den * self.n)
+        return Fraction(*self.scaled_mean())
+
+    def scaled_mean(self) -> tuple[int, int]:
+        """The mean level as ``(numerator, denominator)``: ints over ``scaled``'s den times n."""
+        return sum(a * c for a, (_, c) in zip(self.scaled[1], self.blocks)), self.scaled[0] * self.n
 
     def sorted_blocks(self) -> tuple[tuple[Fraction, int], ...]:
         """``ranked`` as (level, count) blocks."""

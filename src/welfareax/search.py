@@ -46,8 +46,10 @@ class Witness:
 
 
 def _metric(inst: AxiomInstance) -> tuple[int, Fraction]:
-    total = sum(abs(x) * c for x, c in inst.u.blocks)
-    total += sum(abs(x) * c for x, c in inst.v.blocks)
+    """The population, then the sum of |level| over both profiles, one Fraction per profile."""
+    total = Fraction(0)
+    for u in (inst.u, inst.v):
+        total += Fraction(sum(abs(a) * c for a, (_, c) in zip(u.scaled[1], u.blocks)), u.scaled[0])
     return len(inst.u), total
 
 

@@ -2,13 +2,16 @@
 
 These stay deliberately naive: plain sorted-list comparison for the
 lexicographic maximin rule, term-by-term high-precision summation for
-rank-discounted values, and 300-bit blockwise closed forms (geometric
+rank-discounted values, 300-bit blockwise closed forms (geometric
 series for RDU weights, transforms written out in mpmath) for the float
-valuations. They share no code path with the package's engines.
+valuations, and the exact rules summed entry by entry in ``Fraction``
+arithmetic over plain level lists. They share no code path with the
+package's engines.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -128,3 +131,70 @@ def prop5_sides(transform: tuple, rho, theta_p, theta_r, alpha, beta, prec_bits:
         lhs = g_mp(transform, theta_p) - g_mp(transform, theta_p - alpha)
         rise = g_mp(transform, theta_r + beta) - g_mp(transform, theta_r)
         return lhs, _mpf(rho) / (_mpf(rho) - 1) * rise
+
+
+# Exact rules entry by entry, on lists of Fraction levels; g is a callable
+# on Fractions (identity, or ``piecewise_linear`` over a knot list).
+
+
+def identity(x: Fraction) -> Fraction:
+    return x
+
+
+def piecewise_linear(points, x: Fraction) -> Fraction:
+    """Linear interpolation through the knots (x_k, y_k) at a level inside their span."""
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if x0 <= x <= x1:
+            return Fraction(y0) + (Fraction(y1) - y0) * (x - x0) / (Fraction(x1) - x0)
+    raise ValueError(f"level {x} outside the knots")
+
+
+def fraction_rdu(levels, rho: Fraction, g=identity) -> Fraction:
+    """Ascending ranks, the worst-off weighted 1 and each next rank 1/rho times the last."""
+    total, weight = Fraction(0), Fraction(1)
+    for x in sorted(levels):
+        total += weight * g(x)
+        weight /= rho
+    return total
+
+
+def fraction_shortfall(levels, theta: Fraction, g=identity) -> Fraction:
+    return sum((g(x) - g(theta) for x in levels if x < theta), Fraction(0))
+
+
+def fraction_mean(levels, g=identity) -> Fraction:
+    return sum((g(x) for x in levels), Fraction(0)) / len(levels)
+
+
+def fraction_suffavg(levels, theta, lam) -> Fraction:
+    return lam * fraction_shortfall(levels, theta) + (1 - lam) * fraction_mean(levels)
+
+
+def fraction_multithreshold(levels, thetas, weights) -> Fraction:
+    terms = [w * fraction_shortfall(levels, t) for w, t in zip(weights, thetas)]
+    return sum(terms, Fraction(0)) + weights[-1] * fraction_mean(levels)
+
+
+def fraction_rankweighted(levels, theta, lam, weights) -> Fraction:
+    weighted = sum((w * x for w, x in zip(weights, sorted(levels))), Fraction(0))
+    return lam * fraction_shortfall(levels, theta) + (1 - lam) * weighted
+
+
+def fraction_boundedg(levels, theta, lam, g) -> Fraction:
+    return lam * fraction_shortfall(levels, theta) + (1 - lam) * fraction_mean(levels, g)
+
+
+def fraction_concavepoor(levels, theta, lam, g) -> Fraction:
+    return lam * fraction_shortfall(levels, theta, g) + (1 - lam) * fraction_mean(levels)
+
+
+def fraction_verdict(a: Fraction, b: Fraction) -> tuple[Verdict, float]:
+    """The verdict on value a against b, and a - b as a float (+-inf beyond the range)."""
+    diff = a - b
+    try:
+        margin = float(diff)
+    except OverflowError:
+        margin = math.inf if diff > 0 else -math.inf
+    if diff == 0:
+        return Verdict.EQUIVALENT, margin
+    return (Verdict.STRICTLY_BETTER if diff > 0 else Verdict.STRICTLY_WORSE), margin

@@ -66,6 +66,63 @@ def test_compare_exact_difference_beyond_float_range(workdir, capsys, config):
     assert out.splitlines()[0] == "verdict: strictly-better"
 
 
+# compare and value print exact values in full, also one beyond the float range
+PINNED = [
+    pytest.param(
+        "ordering: suffavg\ntheta_p: 0\nlambda: 1/5\n",
+        [f"{2 * 10**400 + 2}/5 (exact)", "6/5 (exact)", "37/45 (exact)"],
+        id="suffavg",
+    ),
+    pytest.param(
+        "ordering: multithreshold\nthetas: [0, 2]\nweights: [1/2, 1/3, 1/6]\n",
+        [f"{10**400 - 3}/12 (exact)", "-1/12 (exact)", "-28/27 (exact)"],
+        id="multithreshold",
+    ),
+    pytest.param(
+        "ordering: rankweighted\ntheta_p: 1\nlambda: 1/2\n"
+        "weights_table: {2: [2/3, 1/3], 3: [1/2, 1/3, 1/6]}\n",
+        [f"{(10**400 + 2) // 6} (exact)", "2/3 (exact)", "-25/72 (exact)"],
+        id="rankweighted",
+    ),
+]
+
+
+@pytest.mark.parametrize("config,values", PINNED)
+def test_exact_compare_and_value_output_is_pinned(workdir, capsys, config, values):
+    (workdir / "o.yaml").write_text(config)
+    (workdir / "pair.txt").write_text("1e400,1\n1,2\n")
+    (workdir / "p.txt").write_text("1e400,1\n1,2\n-1/3, 5/2, 7/6\n")
+    argv = ["--ordering", workdir / "o.yaml", "--profiles"]
+    assert run(capsys, ["compare", *argv, workdir / "pair.txt"]) == (
+        0, f"verdict: strictly-better\nvalue(u) = {values[0]}\nvalue(v) = {values[1]}\n", ""
+    )
+    listed = "".join(f"value[{i}] = {value}\n" for i, value in enumerate(values))
+    assert run(capsys, ["value", *argv, workdir / "p.txt"]) == (0, listed, "")
+
+
+def test_rdu_identity_compare_and_value_output_is_pinned(workdir, capsys):
+    (workdir / "o.yaml").write_text("ordering: rdu\nrho: 101/100\ng: identity\n")
+    (workdir / "pair.txt").write_text("1e400,1\n1,2\n")
+    (workdir / "p.txt").write_text("1,2\n-1/3, 5/2, 7/6\n")
+    argv = ["--ordering", workdir / "o.yaml", "--profiles"]
+    # the float values of the pair are beyond the float range; its exact verdict is not
+    assert run(capsys, ["compare", *argv, workdir / "pair.txt"]) == (
+        0, "verdict: strictly-better\n", ""
+    )
+    assert run(capsys, ["value", *argv, workdir / "pair.txt"]) == (
+        2, "", "error: level 1e+400 is too large for a float\n"
+    )
+    values = (
+        "value(u) = 2.98019801980198 (error bound 6.847e-15)\n"
+        "value(v) = 3.272522301735124 (error bound 8.998e-15)\n"
+    )
+    assert run(capsys, ["compare", *argv, workdir / "p.txt"]) == (
+        0, "verdict: strictly-worse\n" + values, ""
+    )
+    listed = values.replace("value(u)", "value[0]").replace("value(v)", "value[1]")
+    assert run(capsys, ["value", *argv, workdir / "p.txt"]) == (0, listed, "")
+
+
 def test_compare_size_mismatch_under_leximin(workdir, capsys):
     profiles = workdir / "p.txt"
     profiles.write_text("1,2\n1,2,3\n")

@@ -212,8 +212,8 @@ def test_bounded_and_concavepoor_reduce_with_identity():
     for levels in ([-5, 10], [0, 1, 2], [4, 4, 4, -1]):
         u = Profile.from_levels(levels)
         expected = suffavg_value(u, base)
-        assert boundedg_value(u, bounded) == ExactValue(expected)
-        assert concavepoor_value(u, poor) == ExactValue(expected)
+        assert boundedg_value(u, bounded) == ExactValue(*expected.as_integer_ratio())
+        assert concavepoor_value(u, poor) == ExactValue(*expected.as_integer_ratio())
 
 
 def test_concavepoor_example():

@@ -14,6 +14,7 @@ Usage: python scripts/threshold_weight_scan.py
 from fractions import Fraction
 
 from welfareax import lambda_feasible_interval
+from welfareax.orderings import lambda_midpoint
 from welfareax.propositions import prop5_ratio_failure, scan_ratio_coefficients
 from welfareax.gfunctions import Identity
 
@@ -37,7 +38,7 @@ def main() -> None:
     print("  n  lower  upper  midpoint")
     for n in (2, 3, 5, 10, 20, 50, 100):
         lower, upper, feasible = lambda_feasible_interval(n, 10, 1, 10, 1, lam)
-        mid = (max(lower, Fraction(0)) + min(upper, Fraction(1))) / 2
+        mid = lambda_midpoint(lower, upper)
         print(f"  {n:3d}  {float(lower):+.4f}  {float(upper):.4f}  "
               f"{float(mid):.4f}  feasible={feasible}")
 

@@ -13,6 +13,7 @@ import argparse
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import yaml
@@ -31,6 +32,7 @@ from .gfunctions import g_from_config
 from .orderings import (
     evaluate,
     lambda_feasible_interval,
+    lambda_midpoint,
     ordering_from_config,
     swo_compare,
 )
@@ -297,14 +299,14 @@ def cmd_plot_data(args) -> int:
         lower, upper, feasible = lambda_feasible_interval(
             n, args.alpha, args.beta, args.gamma, args.delta, args.ratio
         )
-        midpoint = (max(lower, Fraction(0)) + min(upper, Fraction(1))) / 2
         print(
             f"{n}\t{format_level(lower)}\t{format_level(upper)}\t"
-            f"{format_level(midpoint) if feasible else '-'}\t{int(feasible)}"
+            f"{format_level(lambda_midpoint(lower, upper)) if feasible else '-'}\t{int(feasible)}"
         )
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="welfareax",
@@ -401,14 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except WelfareaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (WelfareaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

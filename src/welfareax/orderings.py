@@ -205,7 +205,7 @@ class MidpointLambda(Record):
                     f"feasibility interval empty at n={n}: "
                     f"({format_level(lower)}, {format_level(upper)})"
                 )
-            self._cache[n] = (max(lower, Fraction(0)) + min(upper, Fraction(1))) / 2
+            self._cache[n] = lambda_midpoint(lower, upper)
         return self._cache[n]
 
 
@@ -252,6 +252,11 @@ def lambda_feasible_interval(
     upper = Fraction(q * gamma - delta, (n - 1) * delta + q * gamma)
     feasible = max(lower, Fraction(0)) < min(upper, Fraction(1))
     return lower, upper, feasible
+
+
+def lambda_midpoint(lower: Fraction, upper: Fraction) -> Fraction:
+    """The weight ``MidpointLambda`` takes: the midpoint of (max(lower, 0), min(upper, 1))."""
+    return (max(lower, Fraction(0)) + min(upper, Fraction(1))) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -286,10 +286,18 @@ def _materializable(u: Profile) -> int:
 
 
 def replicate(u: Profile, k: int) -> Profile:
-    """Concatenate k copies of u."""
+    """Concatenate k copies of u; u's blocks are merged, so the copies merge only at the seams."""
     if k < 1:
         raise InfeasibleParameters("replication factor must be a positive integer")
-    return Profile(_normalize_blocks(u.blocks * k))
+    if k == 1:
+        return u
+    blocks = u.blocks
+    (first, head), (last, tail) = blocks[0], blocks[-1]
+    if first != last:
+        return Profile(blocks * k)
+    if len(blocks) == 1:
+        return Profile(((first, head * k),))
+    return Profile(blocks[:1] + (blocks[1:-1] + ((first, head + tail),)) * (k - 1) + blocks[1:])
 
 
 def check_permutation(pi: Sequence[int], n: int) -> None:

@@ -438,8 +438,9 @@ def _ratio_terms(rho: Fraction, lam: Fraction, n: int, step: int = 1):
     """Endless (n, num, den) with num / den = ratio_coefficient(rho, lam, n), n += step.
 
     With rho = a/b and q = ceil(lam n), num = b^(n+2-q) * G(a, b, q) and
-    den = a^(n+1), in lowest terms. The ints carry from n to n + step,
-    through G(a, b, q+d) = a^d * G(a, b, q) + b^q * G(a, b, d).
+    den = a^(n+1) are coprime, as gcd(a, b) = 1 and G(a, b, q) = b^(q-1)
+    mod a. The ints carry from n to n + step, through G(a, b, q+d) =
+    a^d * G(a, b, q) + b^q * G(a, b, d).
     """
     a, b = rho.numerator, rho.denominator
     q = ceil_ratio(lam, n)
@@ -463,8 +464,7 @@ def ratio_coefficient(rho: Fraction, lam: Fraction, n: int) -> Fraction:
     times larger. Both vanish as n grows, which is what the failure scan
     relies on; the reports carry both population sizes.
     """
-    _, num, den = next(_ratio_terms(as_level(rho), as_level(lam), n))
-    return Fraction(num, den)
+    return next(scan_ratio_coefficients(rho, lam, n, n))[1]
 
 
 def scan_ratio_coefficients(rho, lam, n_from: int, n_to: int, step: int = 1):
@@ -475,7 +475,11 @@ def scan_ratio_coefficients(rho, lam, n_from: int, n_to: int, step: int = 1):
     for n, num, den in _ratio_terms(rho, lam, n_from, step):
         if n > n_to:
             return
-        yield n, Fraction(num, den)
+        # num / den is in lowest terms (see _ratio_terms): set the two slots
+        # with no gcd, as Python 3.12's Fraction._from_coprime_ints does
+        coefficient = object.__new__(Fraction)
+        coefficient._numerator, coefficient._denominator = num, den
+        yield n, coefficient
 
 
 @dataclass(frozen=True)

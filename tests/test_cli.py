@@ -1,5 +1,7 @@
+import hashlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -11,6 +13,7 @@ SUFFAVG_CONFIG = "ordering: suffavg\ntheta_p: 0\nlambda: '1/5'\n"
 LEXIMIN_CONFIG = "ordering: leximin\n"
 # rho = 1 + 10^-330: rho / (rho - 1) is beyond the float range
 RHO_NEAR_ONE = f"{10**330 + 1}/{10**330}"
+CERTIFICATES = Path(__file__).parent / "data" / "certificates"
 
 
 @pytest.fixture()
@@ -348,13 +351,64 @@ def test_plot_data_lambda_interval(workdir, capsys):
     assert all(line.endswith("\t1") for line in lines[1:])  # all feasible
 
 
-def test_plot_data_ratio_coefficient_deterministic(workdir, capsys):
-    argv = ["plot-data", "--kind", "ratio-coefficient", "--rho", "101/100",
-            "--lam", "1/2", "--n-from", 2, "--n-to", 50, "--n-step", 2]
-    code, out1, _ = run(capsys, argv)
-    code2, out2, _ = run(capsys, argv)
-    assert code == code2 == 0
-    assert out1 == out2
+@pytest.mark.parametrize(
+    "argv, lines, digest",
+    [
+        pytest.param(
+            ["--kind", "ratio-coefficient", "--rho", "101/100", "--lam", "1/2",
+             "--n-from", 2, "--n-to", 2000, "--n-step", 2],
+            1001,
+            "9daa4258e620a9cbe08742958aa3ff803adc2dfbf12d60d6e8fcced346d89fd0",
+            id="ratio-coefficient",
+        ),
+        pytest.param(
+            ["--kind", "lambda-interval"],
+            100,
+            "96e4e929b9c0fb65cc6da2b889e31b8d47daacf19a5196f39174bc9783397e4d",
+            id="lambda-interval-defaults",
+        ),
+        pytest.param(
+            # feasible at n = 2 only; every later row prints '-' for its midpoint
+            ["--kind", "lambda-interval", "--alpha", 3, "--beta", 2, "--gamma", 5,
+             "--delta", 4, "--ratio", "1/3", "--n-from", 2, "--n-to", 30, "--n-step", 3],
+            11,
+            "cd024a36479319dcab07e80339bb0f75ac419921d92219a9d2d39d1ed08f81a9",
+            id="lambda-interval-infeasible",
+        ),
+    ],
+)
+def test_plot_data_output_is_pinned(capsys, argv, lines, digest):
+    # sha256 of known-good tables: the coefficients are exact reduced
+    # fractions, and each midpoint is the weight MidpointLambda takes
+    code, out, _ = run(capsys, ["plot-data", *argv])
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_shared_parser_keeps_calls_apart(workdir, capsys):
+    # main builds its parser once per process; each call in this sequence
+    # must print what the same call prints in a process of its own
+    leximin = workdir / "leximin.yaml"
+    calls = [
+        ["axiom-suite", "--ordering", leximin, "--axiom", "anonymity", "--count", 20],
+        ["axiom-suite", "--ordering", leximin, "--axiom", "strong_pareto", "--count", 20],
+        ["axiom-suite", "--ordering", leximin],  # --axiom missing: argparse exits 2
+        ["prop5", "condition", "--rho", "2", "--theta-p", "4", "--theta-r", "100",
+         "--alpha", "3", "--beta", "1"],
+        ["validate", "--certificate", CERTIFICATES / "chain1_0.cert"],
+    ]
+    for argv in calls:
+        argv = [str(a) for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        alone = subprocess.run(
+            [sys.executable, "-m", "welfareax", *argv], capture_output=True, text=True
+        )
+        assert (code, out.out, out.err) == (alone.returncode, alone.stdout, alone.stderr), argv
 
 
 QA_INSTANCE = (

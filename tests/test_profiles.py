@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from welfareax import (
     IndexSet,
+    InfeasibleParameters,
     MaterializeError,
     Profile,
     ProfileParseError,
@@ -59,9 +61,35 @@ def test_replicate_blocks_and_length():
     u = Profile.from_levels([1, 2])
     assert replicate(u, 2).levels() == (1, 2, 1, 2)
     assert replicate(Profile.from_levels([7]), 3).levels() == (7, 7, 7)
-    assert replicate(u, 1) == u
-    with pytest.raises(ValueError):
-        replicate(u, 0)
+    assert replicate(u, 1) is u
+    for k in (0, -1):
+        with pytest.raises(InfeasibleParameters):
+            replicate(u, k)
+
+
+def test_replicate_equals_merged_copies_seeded():
+    # the copies of merged blocks merge only where one copy's last level
+    # meets the next copy's first; single-block and equal-end profiles
+    # are the draws where that happens
+    rng = random.Random(2024)
+    shapes = {"single": 0, "equal ends": 0, "distinct ends": 0}
+    for _ in range(600):
+        pool = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)]
+        counts = (1, 2, 5, 10**12)
+        blocks = [(rng.choice(pool), rng.choice(counts)) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.4:
+            blocks.append((blocks[0][0], rng.randint(1, 4)))
+        u = Profile.from_blocks(blocks)
+        first, last = u.blocks[0][0], u.blocks[-1][0]
+        if len(u.blocks) == 1:
+            shape = "single"
+        else:
+            shape = "equal ends" if first == last else "distinct ends"
+        shapes[shape] += 1
+        for k in range(1, 7):
+            assert replicate(u, k) == Profile.from_blocks(u.blocks * k), (u, k)
+        assert replicate(u, 1) is u
+    assert min(shapes.values()) >= 50, shapes
 
 
 def test_replicate_then_rank_repeats_each_level():

@@ -154,6 +154,33 @@ class TestCoefficientScan:
                 assert coefficient == want
                 assert ratio_coefficient(rho, lam, n) == want
 
+    def test_coefficients_are_reduced_fractions_seeded(self):
+        # the scan sets a Fraction's slots directly, trusting _ratio_terms'
+        # proof that num and den are coprime; check the result is the
+        # Fraction that Fraction(num, den) would have built
+        rng = random.Random(1062)
+        for draw in range(150):
+            b = 1 if draw % 5 == 0 else rng.randint(1, 60)
+            rho = Fraction(rng.randint(b + 1, 3 * b + 40), b)
+            q = rng.randint(2, 25)
+            lam, step = Fraction(rng.randint(1, q - 1), q), rng.randint(1, 3)
+            n_from = rng.randint(1, 40)
+            scanned = list(scan_ratio_coefficients(rho, lam, n_from, n_from + 60, step))
+            assert [n for n, _ in scanned] == list(range(n_from, n_from + 61, step))
+            for n, c in scanned:
+                num, den = c.numerator, c.denominator
+                assert type(c) is Fraction and den > 0 and math.gcd(num, den) == 1
+                built = Fraction(num, den)
+                assert (c, hash(c), repr(c)) == (built, hash(built), repr(built))
+                assert ratio_coefficient(rho, lam, n) == c
+
+    def test_coefficient_needs_rho_above_one(self):
+        # the scan's guard: at rho = 0 the denominator a^(n+1) is 0, and
+        # below 0 it can be negative
+        for rho in (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(-3, 2)):
+            with pytest.raises(InfeasibleParameters):
+                ratio_coefficient(rho, Fraction(1, 2), 5)
+
     def test_rises_to_a_peak_then_decays(self):
         # for weak discounting the donor count ceil(lam * n) grows faster
         # than the weights decay, so the coefficient rises before its

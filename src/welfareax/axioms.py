@@ -9,7 +9,8 @@ that knows the rules of its axiom:
   ``params`` through ``codec.read_fields`` (the magnitudes, and the
   type's ``options``, epsilon_max and k_max, typed in ``_FIELDS`` but
   fields of no instance) and runs the same clauses on them before it
-  returns the stream;
+  returns the stream, and the chain builders of
+  :mod:`welfareax.propositions` run them on their arguments;
 * ``profile_clauses`` checks the clauses on the profiles in exact
   arithmetic (rank conditions, threshold caps, unaffected-agent
   equality), on int numerators over one common denominator of the
@@ -29,7 +30,9 @@ that knows the rules of its axiom:
 tests whether an ordering's verdict meets the conclusion. Each instance
 type is a ``codec.Record`` whose ``config_fields`` are its own dataclass
 fields, taken from ``_FIELDS``: one codec field per name, in the key
-order of instance documents and certificate lines. ``Record`` normalizes
+order of instance documents and certificate lines. A type's
+``magnitudes`` are not declared but derived with them: those of its
+fields that ``_MAGNITUDES`` names. ``Record`` normalizes
 the fields on construction, and ``instance_to_config`` and
 ``instance_from_config`` write and read them under the ``axiom`` tag.
 
@@ -112,6 +115,18 @@ def _permutation(value) -> tuple[int, ...]:
     return tuple(int(x) for x in (value.split(",") if isinstance(value, str) else value))
 
 
+# the magnitudes of the premises: what magnitude_clauses checks
+_MAGNITUDES = {
+    "theta_p": LEVEL,
+    "theta_r": LEVEL,
+    "alpha": LEVEL,
+    "beta": LEVEL,
+    "gamma": LEVEL,
+    "delta": LEVEL,
+    "lam": LEVEL,
+    "m": INTEGER,
+}
+
 # field name -> (type, encode, decode); this order is the key order of documents
 _FIELDS = {
     "u": PROFILE,
@@ -122,14 +137,7 @@ _FIELDS = {
     "j": INTEGER,
     "epsilon": LEVEL,
     "M": (IndexSet, IndexSet.serialize, _index_set),
-    "theta_p": LEVEL,
-    "theta_r": LEVEL,
-    "alpha": LEVEL,
-    "beta": LEVEL,
-    "gamma": LEVEL,
-    "delta": LEVEL,
-    "lam": LEVEL,
-    "m": INTEGER,
+    **_MAGNITUDES,
     # options of generation: no instance type has them as fields
     "epsilon_max": LEVEL,
     "k_max": INTEGER,
@@ -173,14 +181,14 @@ class _Scale:
         )
 
 
+@dataclass(frozen=True)
 class _Axiom(Record):
     """Rules shared by the axiom dataclasses; each overrides what differs."""
 
+    u: Profile  # every instance's first field
     tag = ""
     # fields holding the (worse, better) profiles of the conclusion
     endpoint_fields = ("u", "v")
-    # the parameters magnitude_clauses reads; generation takes them from params
-    magnitudes = ()
     # whether the conclusion ranks its two profiles, so that it can justify a chain step
     ranks_profiles = True
     # optional positive parameters of generation (_FIELDS keys), with their defaults
@@ -219,7 +227,6 @@ class _Axiom(Record):
 
 @dataclass(frozen=True)
 class Anonymity(_Axiom):
-    u: Profile
     pi: tuple[int, ...]
     tag = "anonymity"
 
@@ -245,9 +252,11 @@ class Anonymity(_Axiom):
         return cls(ctx.profile(ctx.draws(n)), tuple(pi))
 
 
+@dataclass(frozen=True)
 class _Pareto(_Axiom):
     """u dominates v; ``strict`` requires it at every position."""
 
+    v: Profile
     endpoint_fields = ("v", "u")
     strict = False
 
@@ -263,8 +272,6 @@ class _Pareto(_Axiom):
 
 @dataclass(frozen=True)
 class StrongPareto(_Pareto):
-    u: Profile  # the (weakly) dominating profile
-    v: Profile
     tag = "strong_pareto"
 
     def relation(self) -> Relation:
@@ -281,8 +288,6 @@ class StrongPareto(_Pareto):
 
 @dataclass(frozen=True)
 class WeakPareto(_Pareto):
-    u: Profile  # strictly dominating everywhere
-    v: Profile
     tag = "weak_pareto"
     strict = True
 
@@ -301,7 +306,6 @@ class WeakPareto(_Pareto):
 class PigouDalton(_Axiom):
     """Transfer of epsilon from richer i to poorer j, order preserved."""
 
-    u: Profile
     i: int
     j: int
     epsilon: Fraction
@@ -337,7 +341,6 @@ class PigouDalton(_Axiom):
 
 @dataclass(frozen=True)
 class ReplicationInvariance(_Axiom):
-    u: Profile
     v: Profile
     k: int
     tag = "replication_invariance"
@@ -367,8 +370,13 @@ class ReplicationInvariance(_Axiom):
         return cls(u, v, ctx.rng.randint(1, ctx.p.k_max))
 
 
+@dataclass(frozen=True)
 class _Donors(_Axiom):
     """One recipient i and a set M of donors (or gainers); everyone else unaffected."""
+
+    v: Profile
+    i: int
+    M: IndexSet
 
     def count_clauses(self) -> list[str]:
         """Clauses on the size of M, checked before the profiles are walked."""
@@ -458,16 +466,11 @@ def _poor_recipient(ctx) -> tuple[int, int]:
 class MinimalNonAggregation(_Donors):
     """Poorest below theta_p gains >= alpha; richest above theta_r each lose <= beta."""
 
-    u: Profile
-    v: Profile
-    i: int
-    M: IndexSet
     theta_p: Fraction
     theta_r: Fraction
     alpha: Fraction
     beta: Fraction
     tag = "minimal_non_aggregation"
-    magnitudes = ("theta_p", "theta_r", "alpha", "beta")
     magnitude_clauses = staticmethod(_thresholds_alpha_beta)
 
     def donor_rule(self, s):
@@ -502,14 +505,9 @@ class StrongNonAggregation(_Donors):
     """One person gains exactly alpha; members of M each lose exactly beta
     and stay strictly above the recipient. No thresholds."""
 
-    u: Profile
-    v: Profile
-    i: int
-    M: IndexSet
     alpha: Fraction
     beta: Fraction
     tag = "strong_non_aggregation"
-    magnitudes = ("alpha", "beta")
     magnitude_clauses = staticmethod(_alpha_beta)
 
     def donor_rule(self, s):
@@ -541,16 +539,11 @@ class StrongNonAggThreshold(_Donors):
     """Exact-magnitude strong non-aggregation with threshold constraints:
     the recipient ends at or below theta_p, donors end at or above theta_r."""
 
-    u: Profile
-    v: Profile
-    i: int
-    M: IndexSet
     theta_p: Fraction
     theta_r: Fraction
     alpha: Fraction
     beta: Fraction
     tag = "strong_non_aggregation_threshold"
-    magnitudes = ("theta_p", "theta_r", "alpha", "beta")
     magnitude_clauses = staticmethod(_thresholds_alpha_beta)
 
     def donor_rule(self, s):
@@ -585,15 +578,10 @@ class StrongerNonAggregation(_Donors):
     below theta_p gains >= alpha while donors lose <= beta and stay at or
     above theta_p after paying."""
 
-    u: Profile
-    v: Profile
-    i: int
-    M: IndexSet
     theta_p: Fraction
     alpha: Fraction
     beta: Fraction
     tag = "stronger_non_aggregation"
-    magnitudes = ("theta_p", "alpha", "beta")
 
     @staticmethod
     def magnitude_clauses(p):
@@ -652,19 +640,15 @@ class _Aggregation(_Donors):
 class QuantitativeAggregation(_Aggregation):
     """At least m persons gain >= gamma while one person loses <= delta."""
 
-    u: Profile
-    v: Profile
-    i: int
-    M: IndexSet
     m: int
     gamma: Fraction
     delta: Fraction
     tag = "quantitative_aggregation"
-    magnitudes = ("m", "gamma", "delta")
 
     @staticmethod
     def magnitude_clauses(p):
-        return _gamma_delta(p) + ([] if p.m > 2 else ["need integer m > 2"])
+        m_ok = isinstance(p.m, int) and p.m > 2  # a builder's m arrives undecoded
+        return _gamma_delta(p) + ([] if m_ok else ["need integer m > 2"])
 
     def count_clauses(self):
         n, m = len(self.u), self.m
@@ -688,15 +672,10 @@ class QuantitativeAggregation(_Aggregation):
 class RatioAggregation(_Aggregation):
     """At least ceil(lam * n) persons gain >= gamma while one loses <= delta."""
 
-    u: Profile
-    v: Profile
-    i: int
-    M: IndexSet
     lam: Fraction
     gamma: Fraction
     delta: Fraction
     tag = "ratio_aggregation"
-    magnitudes = ("lam", "gamma", "delta")
 
     @staticmethod
     def magnitude_clauses(p):
@@ -731,13 +710,11 @@ class RatioAggregation(_Aggregation):
 class MinimalAggregation(_Axiom):
     """Everyone except i gains >= gamma while i loses <= delta."""
 
-    u: Profile
     v: Profile
     i: int
     gamma: Fraction
     delta: Fraction
     tag = "minimal_aggregation"
-    magnitudes = ("gamma", "delta")
     magnitude_clauses = staticmethod(_gamma_delta)
 
     def profile_clauses(self):
@@ -782,8 +759,11 @@ AxiomInstance = (
 
 AXIOM_TAGS = {cls.tag: cls for cls in AxiomInstance.__args__}
 
-for _cls in AxiomInstance.__args__:  # each type's own fields, in document key order
+# each type's own fields, in document key order, and of them its magnitudes: the
+# parameters magnitude_clauses reads, which generation takes from params
+for _cls in AxiomInstance.__args__:
     _cls.config_fields = {k: f for k, f in _FIELDS.items() if k in _cls.__dataclass_fields__}
+    _cls.magnitudes = tuple(k for k in _cls.config_fields if k in _MAGNITUDES)
 
 
 # ---------------------------------------------------------------------------

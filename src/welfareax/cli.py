@@ -19,6 +19,7 @@ from pathlib import Path
 import yaml
 
 from .axioms import (
+    _FIELDS,
     CheckStatus,
     check_axiom,
     instance_from_config,
@@ -26,7 +27,7 @@ from .axioms import (
     run_suite,
 )
 from .chains import parse_chain, serialize_chain, validate_chain
-from .codec import INTEGER, LEVEL, decode
+from .codec import INTEGER, LEVEL, read_fields
 from .errors import ConfigError, InfeasibleParameters, WelfareaxError
 from .gfunctions import g_from_config
 from .orderings import (
@@ -166,39 +167,32 @@ def cmd_axiom_suite(args) -> int:
     return exit_code
 
 
-_COMMON_PARAMS = ("theta_p", "theta_r", "alpha", "beta", "gamma", "delta")
-
-
-def _builder_params(params, *names) -> list:
-    """The named chain-builder parameters: the counts m, h and n as integers,
-    the rest as levels."""
-    try:
-        return [
-            decode(name, INTEGER if name in ("m", "h", "n") else LEVEL, params[name])
-            for name in names
-        ]
-    except KeyError as exc:
-        raise ConfigError(f"missing builder parameter {exc}") from exc
+# the chain builders' parameters: axiom magnitudes, the counts h and n, chain 4's beta_ratio
+_BUILDER_FIELDS = {**_FIELDS, "h": INTEGER, "n": INTEGER, "beta_ratio": LEVEL}
+# replay --id: (builder, the --params keys it reads, those a document may omit)
+_REPLAY = {
+    1: (build_prop1_chain, "theta_p theta_r alpha beta gamma delta m", ()),
+    2: (build_prop2_chain, "theta_p theta_r alpha beta gamma delta lam n", ("n",)),
+    3: (build_prop3_chain, "theta_p theta_r alpha beta gamma delta lam h n", ()),
+    4: (build_prop4_chain, "beta_ratio", ("beta_ratio",)),
+}
 
 
 def cmd_replay(args) -> int:
     spec = _load_ordering(args.locate) if args.locate else None
     params = _load_yaml(args.params) if args.params else {}
-    if args.id == 1:
-        chain = build_prop1_chain(*_builder_params(params, *_COMMON_PARAMS, "m"))
-    elif args.id == 2:
-        n = _builder_params(params, "n")[0] if "n" in params else None
-        chain = build_prop2_chain(*_builder_params(params, *_COMMON_PARAMS, "lam"), n)
-    elif args.id == 3:
-        chain = build_prop3_chain(*_builder_params(params, *_COMMON_PARAMS, "lam", "h", "n"))
-    else:
+    profiles = ()
+    if args.id == 4:
         if not args.profiles:
             raise ConfigError("replay --id 4 needs --profiles")
         profiles = _load_profiles(args.profiles)
         if len(profiles) != 2:
             raise ConfigError("replay 4 needs a profile file with exactly two profiles")
-        ratio = _builder_params(params, "beta_ratio") if "beta_ratio" in params else []
-        chain = build_prop4_chain(*profiles, *ratio)
+    builder, names, optional = _REPLAY[args.id]
+    fields = {name: _BUILDER_FIELDS[name] for name in names.split()}
+    given = read_fields(params, fields, dict.fromkeys(optional), "builder parameter")
+    # an omitted optional key is not passed: the builder's own default applies
+    chain = builder(*profiles, **{name: x for name, x in given.items() if x is not None})
 
     text = serialize_chain(chain)
     if args.out:

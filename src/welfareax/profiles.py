@@ -134,7 +134,10 @@ def _normalize_blocks(blocks: Iterable[tuple]) -> tuple[tuple[Fraction, int], ..
     for block in blocks:
         value, count = block
         if type(block) is not tuple or type(value) is not Fraction or type(count) is not int:
-            value, count = block = as_level(value), int(count)
+            exact = Fraction(count)  # an integral count in any form: 3, 3.0, "3"
+            if exact.denominator != 1:
+                raise InfeasibleParameters(f"block count {count!r} is not an integer")
+            value, count = block = as_level(value), exact.numerator
         if count < 0:
             raise InfeasibleParameters("negative block count")
         if count == 0:

@@ -32,8 +32,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .axioms import (
+    _MAGNITUDES,
     Anonymity,
     CheckResult,
     MinimalNonAggregation,
@@ -43,9 +45,11 @@ from .axioms import (
     StrongNonAggregation,
     StrongPareto,
     WeakPareto,
+    _require,
     check_axiom,
 )
 from .chains import AxiomStep, ChainKind, DerivationChain, DescentStep, LiftStep
+from .codec import LEVEL
 from .errors import FloatRangeError, InfeasibleParameters
 from .gfunctions import EPS, TINY, GFunction
 from .orderings import Rdu, _float_or_inf, _float_sum, geometric_sum, leximin_compare
@@ -62,23 +66,22 @@ from .profiles import (
 )
 
 
-def _guard(condition: bool, message: str) -> None:
-    if not condition:
-        raise InfeasibleParameters(message)
-
-
 def _count_exceeding(threshold: Fraction, unit: Fraction) -> int:
     """Smallest positive integer c with c * unit > threshold."""
     return int(threshold // unit) + 1
 
 
-def _common_guards(*params) -> list[Fraction]:
-    """theta_p, theta_r, alpha, beta, gamma and delta as exact levels, checked."""
-    theta_p, theta_r, alpha, beta, gamma, delta = levels = [as_level(x) for x in params]
-    _guard(theta_r > theta_p > 0, "need theta_r > theta_p > 0")
-    _guard(alpha > beta > 0, "need alpha > beta > 0")
-    _guard(gamma > delta > 0, "need gamma > delta > 0")
-    return levels
+def _magnitudes(arguments: dict, *types) -> list:
+    """The magnitudes among a builder's ``arguments`` (its ``locals()`` before it
+    rebinds one), in order, levels exact, checked by the ``magnitude_clauses`` of
+    the axiom ``types`` its chain instantiates."""
+    p = SimpleNamespace()
+    for name, x in arguments.items():
+        if name in _MAGNITUDES:
+            setattr(p, name, as_level(x) if _MAGNITUDES[name] is LEVEL else x)
+    failures = [text for cls in types for text in cls.magnitude_clauses(p)]
+    _require(not failures, "; ".join(failures))
+    return list(vars(p).values())
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +97,9 @@ def build_prop1_chain(theta_p, theta_r, alpha, beta, gamma, delta, m: int) -> De
     paid for by fresh blocks of m rich; weak Pareto then ranks the start
     strictly above the end.
     """
-    theta_p, theta_r, alpha, beta, gamma, delta = _common_guards(
-        theta_p, theta_r, alpha, beta, gamma, delta
+    theta_p, theta_r, alpha, beta, gamma, delta, m = _magnitudes(
+        locals(), MinimalNonAggregation, QuantitativeAggregation
     )
-    _guard(isinstance(m, int) and m > 2, "need integer m > 2")
 
     h = _count_exceeding(alpha, delta)  # h * delta > alpha
     l = _count_exceeding(gamma, beta)  # l * beta > gamma
@@ -148,7 +150,7 @@ def build_prop1_chain(theta_p, theta_r, alpha, beta, gamma, delta, m: int) -> De
 def _smallest_ratio_population(lam: Fraction) -> int:
     # n - 1 >= ceil(lam * n) holds exactly when n * (1 - lam) >= 1
     n = max(3, math.ceil(1 / (1 - lam)))
-    _guard(n <= 10_000, "no workable population size below 10000")
+    _require(n <= 10_000, "no workable population size below 10000")
     return n
 
 
@@ -168,15 +170,13 @@ def build_prop2_chain(
     l * alpha / k < delta while the rich pay l * beta > gamma; weak
     Pareto contradicts the accumulated weak ranking.
     """
-    theta_p, theta_r, alpha, beta, gamma, delta = _common_guards(
-        theta_p, theta_r, alpha, beta, gamma, delta
+    theta_p, theta_r, alpha, beta, gamma, delta, lam = _magnitudes(
+        locals(), MinimalNonAggregation, RatioAggregation
     )
-    lam = as_level(lam)
-    _guard(0 < lam < 1, "need lam strictly between 0 and 1")
     if n is None:
         n = _smallest_ratio_population(lam)
-    _guard(n >= 3, "need population size n > 2")
-    _guard(n - 1 >= ceil_ratio(lam, n), "need n - 1 >= ceil(lam * n)")
+    _require(isinstance(n, int) and n >= 3, "need integer population size n > 2")
+    _require(n - 1 >= ceil_ratio(lam, n), "need n - 1 >= ceil(lam * n)")
 
     l = _count_exceeding(gamma, beta)  # l * beta > gamma
     k = _count_exceeding(l * alpha, delta)  # l * alpha / k < delta
@@ -233,15 +233,14 @@ def build_prop3_chain(
     aggregation steps (donor sets of exactly ceil(lam * n)) take back the
     poor person's gain; weak Pareto closes the contradiction.
     """
-    theta_p, theta_r, alpha, beta, gamma, delta = _common_guards(
-        theta_p, theta_r, alpha, beta, gamma, delta
+    theta_p, theta_r, alpha, beta, gamma, delta, lam = _magnitudes(
+        locals(), MinimalNonAggregation, RatioAggregation
     )
-    lam = as_level(lam)
-    _guard(0 < lam < 1, "need lam strictly between 0 and 1")
-    _guard(isinstance(h, int) and h >= 1, "need integer h >= 1")
+    _require(isinstance(h, int) and h >= 1, "need integer h >= 1")
+    _require(isinstance(n, int) and n >= 1, "need integer population size n >= 1")
     q = ceil_ratio(lam, n)
-    _guard(n > h * q, f"hypothesis n > h * ceil(lam * n) fails ({n} <= {h * q})")
-    _guard(h * delta > alpha, "hypothesis h * delta > alpha fails")
+    _require(n > h * q, f"hypothesis n > h * ceil(lam * n) fails ({n} <= {h * q})")
+    _require(h * delta > alpha, "hypothesis h * delta > alpha fails")
 
     k = _count_exceeding(gamma, beta)  # k * beta > gamma
     u_low = theta_p - alpha
@@ -294,9 +293,9 @@ def build_prop4_chain(u: Profile, v: Profile, beta_ratio=Fraction(1, 2)) -> Deri
     uses a per-step loss beta' strictly inside (0, beta).
     """
     beta_ratio = as_level(beta_ratio)
-    _guard(0 < beta_ratio < 1, "need 0 < beta_ratio < 1")
+    _require(0 < beta_ratio < 1, "need 0 < beta_ratio < 1")
     res = leximin_compare(u, v)
-    _guard(
+    _require(
         res.verdict is Verdict.STRICTLY_BETTER,
         f"leximin must rank u strictly above v (got {res.verdict.value})",
     )
@@ -400,9 +399,9 @@ def prop5_nonagg_condition(
     rho = as_level(rho)
     theta_p, theta_r = as_level(theta_p), as_level(theta_r)
     alpha, beta = as_level(alpha), as_level(beta)
-    _guard(rho > 1, "need rho > 1")
-    _guard(theta_r > theta_p, "need theta_r > theta_p")
-    _guard(alpha > beta > 0, "need alpha > beta > 0")
+    _require(rho > 1, "need rho > 1")
+    _require(theta_r > theta_p, "need theta_r > theta_p")
+    _require(alpha > beta > 0, "need alpha > beta > 0")
     for point in (theta_p, theta_p - alpha, theta_r, theta_r + beta):
         g.check_domain(point)
     if g.is_exact:
@@ -470,8 +469,8 @@ def ratio_coefficient(rho: Fraction, lam: Fraction, n: int) -> Fraction:
 def scan_ratio_coefficients(rho, lam, n_from: int, n_to: int, step: int = 1):
     """Yield (n, coefficient) over a range, exact, from ints carried from one n to the next."""
     rho, lam = as_level(rho), as_level(lam)
-    _guard(rho > 1, "need rho > 1")
-    _guard(step >= 1, "need step >= 1")
+    _require(rho > 1, "need rho > 1")
+    _require(step >= 1, "need step >= 1")
     for n, num, den in _ratio_terms(rho, lam, n_from, step):
         if n > n_to:
             return
@@ -507,11 +506,9 @@ def prop5_ratio_failure(
     The witness population may exceed n_star slightly because the actual
     rank weights are rho**2 times the displayed coefficient.
     """
-    rho, lam = as_level(rho), as_level(lam)
-    gamma, delta, u1 = as_level(gamma), as_level(delta), as_level(u1)
-    _guard(rho > 1, "need rho > 1")
-    _guard(0 < lam < 1, "need lam strictly between 0 and 1")
-    _guard(gamma > delta > 0, "need gamma > delta > 0")
+    rho, u1 = as_level(rho), as_level(u1)
+    _require(rho > 1, "need rho > 1")
+    lam, gamma, delta = _magnitudes(locals(), RatioAggregation)
     g.check_domain(u1 - delta)
     g.check_domain(u1 + gamma)
 

@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from welfareax import (
+    Identity,
     InfeasibleParameters,
     Leximin,
     MidpointLambda,
@@ -16,6 +19,7 @@ from welfareax import (
     leximin_compare,
 )
 from welfareax.axioms import (
+    _MAGNITUDES,
     MinimalNonAggregation,
     PigouDalton,
     QuantitativeAggregation,
@@ -36,6 +40,7 @@ from welfareax.propositions import (
     build_prop2_chain,
     build_prop3_chain,
     build_prop4_chain,
+    prop5_ratio_failure,
 )
 
 P = Profile.from_levels
@@ -166,6 +171,71 @@ class TestProp3:
         chain = build_prop3_chain(**PROP3_SETS[0])
         descents = [s for s in chain.steps if isinstance(s, DescentStep)]
         assert len(descents) == 1
+
+
+@pytest.mark.parametrize(
+    "builder,params",
+    [
+        (build_prop2_chain, dict(PROP2_SETS[0], n=4.5)),
+        (build_prop3_chain, dict(PROP3_SETS[0], n=41.5)),
+    ],
+    ids=["chain2", "chain3"],
+)
+def test_non_integer_population_refused_up_front(builder, params):
+    # before, a Pigou-Dalton or ratio step refused it, naming j or i
+    with pytest.raises(InfeasibleParameters, match="need integer population size n"):
+        builder(**params)
+
+
+# Each builder checks its magnitudes by the magnitude_clauses of the axiom
+# types its chain instantiates: (builder, sound arguments, those types).
+GUARDED = {
+    "chain1": (build_prop1_chain, PROP1_SETS[0], (MinimalNonAggregation, QuantitativeAggregation)),
+    "chain2": (build_prop2_chain, PROP2_SETS[0], (MinimalNonAggregation, RatioAggregation)),
+    "chain3": (build_prop3_chain, PROP3_SETS[0], (MinimalNonAggregation, RatioAggregation)),
+    "ratio-failure": (
+        prop5_ratio_failure,
+        dict(g=Identity(), rho=Fraction(101, 100), lam=Fraction(1, 2), gamma=2, delta=1, u1=10),
+        (RatioAggregation,),
+    ),
+}
+# one broken magnitude rule: the arguments that break it, and the text it had
+# before the builders shared the axioms' clauses
+BROKEN = {
+    "thresholds": (dict(theta_r=5), "need theta_r > theta_p > 0"),
+    "alpha-beta": (dict(beta=4), "need alpha > beta > 0"),
+    "gamma-delta": (dict(delta=5), "need gamma > delta > 0"),
+    "m": (dict(m=2), "need integer m > 2"),
+    "m-not-an-integer": (dict(m=3.0), "need integer m > 2"),
+    "lam": (dict(lam=1), "need lam strictly between 0 and 1"),
+}
+
+
+def _broken_cases():
+    for chain, (_, sound, types) in GUARDED.items():
+        rules = [rule for rule, (change, _) in BROKEN.items() if change.keys() <= sound.keys()]
+        for rule in rules:
+            yield pytest.param(chain, (rule,), id=f"{chain}-{rule}")
+        for pair in itertools.combinations(rules, 2):
+            if not BROKEN[pair[0]][0].keys() & BROKEN[pair[1]][0].keys():
+                yield pytest.param(chain, pair, id=f"{chain}-{'+'.join(pair)}")
+
+
+@pytest.mark.parametrize("chain,rules", list(_broken_cases()))
+def test_magnitude_guards_are_the_axioms_clauses(chain, rules):
+    builder, sound, types = GUARDED[chain]
+    params = dict(sound)
+    for rule in rules:
+        params.update(BROKEN[rule][0])
+    with pytest.raises(InfeasibleParameters) as exc:
+        builder(**params)
+    # the clauses read the magnitudes as the builder does: levels exact, m as given
+    p = SimpleNamespace(
+        **{k: x if k == "m" else Fraction(x) for k, x in params.items() if k in _MAGNITUDES}
+    )
+    clauses = [text for cls in types for text in cls.magnitude_clauses(p)]
+    assert str(exc.value) == "; ".join(clauses)
+    assert sorted(clauses) == sorted(BROKEN[rule][1] for rule in rules)
 
 
 class TestProp4:

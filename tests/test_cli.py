@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 import yaml
 
+from welfareax.chains import serialize_chain
 from welfareax.cli import main
+from welfareax.propositions import build_prop2_chain
 
 RDU_CONFIG = "ordering: rdu\nrho: '101/100'\ng: {kind: sqrt}\n"
 SUFFAVG_CONFIG = "ordering: suffavg\ntheta_p: 0\nlambda: '1/5'\n"
@@ -276,6 +278,39 @@ def test_replay_prop4(workdir, capsys):
     )
     assert code == 0
     assert "affirms every step" in out
+
+
+# the parameters of the fixtures chain{k}_0.cert; "note" is a key no chain reads
+REPLAY_PARAMS = {
+    1: dict(theta_p=10, theta_r=20, alpha=2, beta=1, gamma=2, delta=1, m=3),
+    2: dict(theta_p=10, theta_r=20, alpha=2, beta=1, gamma=2, delta=1, lam="1/2", n=4),
+    3: dict(theta_p=10, theta_r=20, alpha=3, beta=1, gamma=3, delta=2, lam="1/10", h=2, n=41),
+    4: {},  # beta_ratio omitted: the builder's default
+}
+
+
+@pytest.mark.parametrize("chain", [1, 2, 3, 4])
+def test_replay_writes_the_library_certificate(workdir, capsys, chain):
+    params = _write(workdir, "p.yaml", dict(REPLAY_PARAMS[chain], note="ignored"))
+    profiles = workdir / "pair.txt"
+    profiles.write_text("1,2,3\n1,1,5\n")
+    cert = workdir / "c.cert"
+    code, _, _ = run(
+        capsys,
+        ["replay", "--id", chain, "--params", params, "--profiles", profiles, "--out", cert],
+    )
+    assert code == 0
+    assert cert.read_bytes() == (CERTIFICATES / f"chain{chain}_0.cert").read_bytes()
+
+
+def test_replay_2_without_n_uses_the_builder_default(workdir, capsys):
+    given = {k: x for k, x in REPLAY_PARAMS[2].items() if k != "n"}
+    cert = workdir / "c.cert"
+    code, _, _ = run(
+        capsys, ["replay", "--id", 2, "--params", _write(workdir, "p.yaml", given), "--out", cert]
+    )
+    assert code == 0
+    assert cert.read_text() == serialize_chain(build_prop2_chain(**given))
 
 
 def test_replay_reads_the_locate_ordering_before_writing(workdir, capsys):

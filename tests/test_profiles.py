@@ -184,6 +184,16 @@ def test_index_set_roundtrip_and_overlap():
     assert s.overlap(1, 8) == 3
 
 
+def test_block_counts_must_be_integral():
+    # an integral count in any form is read; a fractional one is refused,
+    # not truncated (2.5 once gave 2 entries and 0.5 dropped its block)
+    for count in (3, 3.0, "3", Fraction(3)):
+        assert Profile.from_blocks([(1, count)]) == Profile.from_levels([1, 1, 1])
+    for blocks in ([(1, 2.5)], [(1, Fraction(5, 2))], [(2, 0.5), (1, 1)], [(1, "2.5")]):
+        with pytest.raises(InfeasibleParameters, match="is not an integer"):
+            Profile.from_blocks(blocks)
+
+
 def test_aligned_runs_covers_mismatched_blocks():
     u = Profile.from_blocks([(1, 3), (2, 2)])
     v = Profile.from_blocks([(1, 2), (5, 3)])

@@ -165,10 +165,10 @@ class _Scale:
         self.profiles = u, v = inst.u, inst.v
         if len(u) != len(v):
             raise SizeMismatch(f"profiles have sizes {len(u)} and {len(v)}")
-        (du, nu), (dv, nv) = u.scaled, v.scaled
-        self.den = math.lcm(du, dv, *[getattr(inst, name).denominator for name in inst.magnitudes])
-        self.u = [a * (self.den // du) for a in nu]
-        self.v = [a * (self.den // dv) for a in nv]
+        magnitudes = [getattr(inst, name).denominator for name in inst.magnitudes]
+        self.den = math.lcm(u.den, v.den, *magnitudes)
+        self.u = [a * (self.den // u.den) for a in u.numerators]
+        self.v = [a * (self.den // v.den) for a in v.numerators]
 
     def __call__(self, x: Fraction) -> int:
         return x.numerator * (self.den // x.denominator)
@@ -176,9 +176,7 @@ class _Scale:
     def runs(self):
         """Maximal runs (start, count, u numerator, v numerator)."""
         u, v = self.profiles
-        return block_runs(
-            zip(self.u, (c for _, c in u.blocks)), zip(self.v, (c for _, c in v.blocks))
-        )
+        return block_runs(zip(self.u, u.counts), zip(self.v, v.counts))
 
 
 @dataclass(frozen=True)

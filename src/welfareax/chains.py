@@ -44,7 +44,6 @@ from .axioms import (
     Relation,
     StrongPareto,
     WeakPareto,
-    instance_from_config,
     instance_to_config,
     validate_preconditions,
 )
@@ -347,13 +346,12 @@ def _parse_instance(fields: dict, ends: tuple[Profile, ...] = ()) -> AxiomInstan
     ``ends`` gives the (worse, better) endpoints when the line writes them
     under other names; a derived endpoint (a property, not a field) is ignored.
     """
-    tag = fields.pop("axiom")
-    cls = lookup_tag(AXIOM_TAGS, tag, "axiom")
-    doc = dict(zip(cls.endpoint_fields, ends), axiom=tag)
+    cls = lookup_tag(AXIOM_TAGS, fields.pop("axiom"), "axiom")
+    doc = dict(zip(cls.endpoint_fields, ends))
     for name in cls.config_fields:
         if name not in doc and name in fields:
             doc[name] = fields.pop(name)
-    return instance_from_config(doc)
+    return cls.from_fields(doc, "axiom field")
 
 
 def _parse_tokens(line: str) -> dict:

@@ -95,7 +95,7 @@ class Sqrt(_Transform):
         raise DomainError("sqrt has no exact rational evaluation")
 
     def value(self, x) -> float:
-        self.check_domain(as_level(x) if not isinstance(x, float) else Fraction(x))
+        self.check_domain(as_level(x))
         return math.sqrt(_float(x))
 
 
@@ -119,12 +119,12 @@ class LogShifted(_Transform):
         raise DomainError("log has no exact rational evaluation")
 
     def value(self, x) -> float:
-        xf = as_level(x) if not isinstance(x, float) else Fraction(x)
-        self.check_domain(xf)
+        x = as_level(x)
+        self.check_domain(x)
         a = _float(x) + _float(self.shift)
         if a <= 0:
             raise DomainError(
-                f"level {format_level(xf)} is within float rounding of the log's pole "
+                f"level {format_level(x)} is within float rounding of the log's pole "
                 f"at {format_level(-self.shift)}"
             )
         return math.log(a)

@@ -23,7 +23,7 @@ on two profiles, refusing different population sizes unless asked
 codec in :mod:`welfareax.codec` reads and writes.
 
 Piecewise-linear rules evaluate in exact rational arithmetic, on int
-numerators over a common denominator (the profile's ``scaled`` view, its
+numerators over a common denominator (the profile's stored form, its
 ascending ``ranked`` view for rank-order rules, or their images under an
 exact transform, ``exact_scaled``), into an ``ExactValue``: an int over a
 positive int, not reduced on the way to a verdict. Exact RDU weighs each
@@ -607,16 +607,14 @@ def _sign_verdict(diff) -> Verdict:
 
 def _shortfall(u: Profile, theta: Fraction) -> tuple[int, int]:
     """Sum of (level - theta) over entries strictly below theta (<= 0), as (num, den)."""
-    den, numerators = u.scaled
-    q, t = theta.denominator, theta.numerator * den  # a / den < theta  <=>  a * q < t
-    return sum((a * q - t) * c for a, (_, c) in zip(numerators, u.blocks) if a * q < t), den * q
+    q, t = theta.denominator, theta.numerator * u.den  # a / den < theta  <=>  a * q < t
+    return sum((a * q - t) * c for a, c in zip(u.numerators, u.counts) if a * q < t), u.den * q
 
 
 def _below(u: Profile, theta: Fraction) -> list[tuple[Fraction, int]]:
     """The blocks of u whose level lies strictly below theta."""
-    den, numerators = u.scaled
-    q, t = theta.denominator, theta.numerator * den
-    return [block for block, a in zip(u.blocks, numerators) if a * q < t]
+    q, t = theta.denominator, theta.numerator * u.den
+    return [block for block, a in zip(u.blocks, u.numerators) if a * q < t]
 
 
 def suffavg_value(u: Profile, p: SuffAvg) -> Fraction:

@@ -3,13 +3,13 @@
 A profile is a finite vector of well-being levels. Levels are exact
 rationals (``fractions.Fraction``), so rankings, axiom preconditions and
 piecewise-linear social values are decided without rounding. Profiles
-are stored as run-length blocks ``(value, count)``, which keeps
-million-entry constant runs O(1) and mirrors the ``k*x`` text syntax.
-Each profile also caches its size and two integer views over one common
-denominator (``over_common_denominator``): ``scaled``, one numerator
-per block, on which the exact sums and the precondition walks run, and
-``ranked``, the distinct levels ascending with their counts, which
-every reader of the profile's order uses.
+are stored as run-length blocks, which keeps million-entry constant runs
+O(1) and mirrors the ``k*x`` text syntax, in one integer form: the least
+common denominator of the levels, one int numerator per block, and the
+block counts. The exact sums and the precondition walks run on that form.
+Derived from it and cached are the size, the ``blocks`` as (Fraction
+level, count) pairs, and ``ranked``, the distinct levels ascending with
+their counts, which every reader of the profile's order uses.
 
 Profile text format (consumed by the CLI, emitted by search and replay):
 one profile per line; entries separated by commas; an entry is either a
@@ -24,11 +24,12 @@ comment. Example::
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InfeasibleParameters, MaterializeError, ProfileParseError, SizeMismatch
@@ -128,91 +129,98 @@ def over_common_denominator(levels: Sequence[Fraction]) -> tuple[int, tuple[int,
 _fraction = lru_cache(maxsize=1024)(Fraction)
 
 
-def _normalize_blocks(blocks: Iterable[tuple]) -> tuple[tuple[Fraction, int], ...]:
-    """Merged (level, count) blocks; a (Fraction, int) tuple is kept, not copied."""
-    out: list[tuple[Fraction, int]] = []
-    for block in blocks:
-        value, count = block
-        if type(block) is not tuple or type(value) is not Fraction or type(count) is not int:
-            exact = Fraction(count)  # an integral count in any form: 3, 3.0, "3"
-            if exact.denominator != 1:
+def _normalize_blocks(blocks: Iterable[tuple]) -> tuple[list[Fraction], list[int]]:
+    """The levels and the counts of (level, count) blocks, coerced to Fractions and ints."""
+    levels, counts = [], []
+    for value, count in blocks:
+        if type(value) is not Fraction or type(count) is not int:
+            try:
+                exact = Fraction(count)  # an integral count in any form: 3, 3.0, "3"
+            except (TypeError, ValueError, OverflowError):
+                exact = None  # "x", None, nan, inf
+            if exact is None or exact.denominator != 1:
                 raise InfeasibleParameters(f"block count {count!r} is not an integer")
-            value, count = block = as_level(value), exact.numerator
+            value, count = as_level(value), exact.numerator
         if count < 0:
             raise InfeasibleParameters("negative block count")
-        if count == 0:
-            continue
-        if out and out[-1][0] == value:
-            out[-1] = (value, out[-1][1] + count)
-        else:
-            out.append(block)
-    return tuple(out)
+        levels.append(value)
+        counts.append(count)
+    return levels, counts
 
 
 @dataclass(frozen=True)
 class Profile:
     """Positional vector of levels, stored as merged run-length blocks.
 
-    Equality is positional (two profiles are equal iff they list the
-    same levels in the same order); use :meth:`same_multiset` for
-    anonymity-insensitive comparison.
+    Block i holds ``counts[i]`` entries of ``numerators[i] / den``, den the
+    least common denominator. Every constructor ends in :meth:`from_numerators`,
+    so the form is canonical and equality is positional (two profiles are
+    equal iff they list the same levels in the same order); use
+    :meth:`same_multiset` for anonymity-insensitive comparison.
     """
 
-    blocks: tuple[tuple[Fraction, int], ...]
+    den: int
+    numerators: tuple[int, ...]
+    counts: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.blocks:
+        if not self.counts:
             raise InfeasibleParameters("profile must have at least one entry")
+        if self.n > sys.maxsize:
+            raise InfeasibleParameters(f"profile has more than {sys.maxsize} entries")
 
     @staticmethod
     def from_levels(levels: Iterable) -> "Profile":
-        return Profile(_normalize_blocks([(x, 1) for x in levels]))
+        return Profile.from_numerators(*over_common_denominator([as_level(x) for x in levels]))
 
     @staticmethod
     def from_blocks(blocks: Iterable[tuple]) -> "Profile":
-        return Profile(_normalize_blocks(blocks))
+        levels, counts = _normalize_blocks(blocks)
+        return Profile.from_numerators(*over_common_denominator(levels), counts)
 
     @staticmethod
     def constant(value, n: int) -> "Profile":
         return Profile.from_blocks([(value, n)])
 
     @staticmethod
-    def from_numerators(den: int, numerators: Iterable[int]) -> "Profile":
-        """Profile of the levels ``a / den``, merged into blocks on the integers."""
-        runs = [(a, len(list(run))) for a, run in itertools.groupby(numerators)]
-        # tuples built from lists are allocated at their final size; from a
-        # generator they are resized, which strands memory in the tuple free lists
-        profile = Profile(tuple([(_fraction(a, den), c) for a, c in runs]))
-        # the cached values, known already
-        profile.__dict__.update(n=sum(c for _, c in runs), scaled=(den, tuple([a for a, _ in runs])))
-        return profile
+    def from_numerators(den: int, numerators: Iterable[int], counts=None) -> "Profile":
+        """Profile of the levels ``a / den``, each ``counts`` times (once if omitted).
+
+        Adjacent equal numerators merge, zero counts drop, and the common
+        factor of den and the numerators divides out.
+        """
+        merged, merged_counts = [], []
+        for a, c in zip(numerators, itertools.repeat(1) if counts is None else counts):
+            if merged and merged[-1] == a:
+                merged_counts[-1] += c
+            elif c:
+                merged.append(a)
+                merged_counts.append(c)
+        g = gcd(den, *merged)
+        return Profile(den // g, tuple([a // g for a in merged]), tuple(merged_counts))
 
     @cached_property
     def n(self) -> int:
-        return sum(c for _, c in self.blocks)
+        return sum(self.counts)
 
     def __len__(self) -> int:
         return self.n
 
     @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...]]:
-        """``(den, numerators)``: the level of each block as an int over one common denominator."""
-        return over_common_denominator([v for v, _ in self.blocks])
+    def blocks(self) -> tuple[tuple[Fraction, int], ...]:
+        """The (level, count) blocks, levels as Fractions."""
+        return tuple([(_fraction(a, self.den), c) for a, c in zip(self.numerators, self.counts)])
 
     @cached_property
     def ranked(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """``(den, numerators, counts)``: each level once, ascending, over the least den.
+        """``(den, numerators, counts)``: each level once, ascending.
 
-        The int view is built afresh, not read from ``scaled``: it is then over
-        the least denominator, which ``scaled`` of ``from_numerators`` need not
-        be, and a profile that is only ranked keeps no ``scaled``. Two flat
-        tuples, not one of (numerator, count) pairs, hold 48 bytes less a run."""
-        den, numerators = over_common_denominator([v for v, _ in self.blocks])
+        Two flat tuples, not one of (numerator, count) pairs, hold 48 bytes less a run."""
         counts: dict[int, int] = {}
-        for a, (_, c) in zip(numerators, self.blocks):
-            counts[a] = counts[a] + c if a in counts else c  # once: the block's own int
+        for a, c in zip(self.numerators, self.counts):
+            counts[a] = counts[a] + c if a in counts else c
         keys = sorted(counts)
-        return den, tuple(keys), tuple([counts[a] for a in keys])
+        return self.den, tuple(keys), tuple([counts[a] for a in keys])
 
     def iter_levels(self) -> Iterator[Fraction]:
         for value, count in self.blocks:
@@ -226,17 +234,17 @@ class Profile:
         if index < 0:
             raise IndexError("negative profile index")
         offset = 0
-        for value, count in self.blocks:
-            if index < offset + count:
-                return value
+        for a, count in zip(self.numerators, self.counts):
             offset += count
+            if index < offset:
+                return _fraction(a, self.den)
         raise IndexError(f"index {index} out of range for profile of size {len(self)}")
 
     def min_level(self) -> Fraction:
-        return min(v for v, _ in self.blocks)
+        return _fraction(min(self.numerators), self.den)
 
     def max_level(self) -> Fraction:
-        return max(v for v, _ in self.blocks)
+        return _fraction(max(self.numerators), self.den)
 
     def total(self) -> Fraction:
         return self.mean() * self.n
@@ -245,8 +253,8 @@ class Profile:
         return Fraction(*self.scaled_mean())
 
     def scaled_mean(self) -> tuple[int, int]:
-        """The mean level as ``(numerator, denominator)``: ints over ``scaled``'s den times n."""
-        return sum(a * c for a, (_, c) in zip(self.scaled[1], self.blocks)), self.scaled[0] * self.n
+        """The mean level as ``(numerator, denominator)``: ints over den times n."""
+        return sum(a * c for a, c in zip(self.numerators, self.counts)), self.den * self.n
 
     def sorted_blocks(self) -> tuple[tuple[Fraction, int], ...]:
         """``ranked`` as (level, count) blocks."""
@@ -264,14 +272,14 @@ class Profile:
         offset = 0
         for bval, count in self.blocks:
             if offset <= index < offset + count:
-                left = index - offset  # _normalize_blocks drops the empty sides
+                left = index - offset  # from_blocks drops the empty sides
                 out += [(bval, left), (value, 1), (bval, count - left - 1)]
             else:
                 out.append((bval, count))
             offset += count
         if not 0 <= index < offset:
             raise IndexError(f"index {index} out of range")
-        return Profile(_normalize_blocks(out))
+        return Profile.from_blocks(out)
 
     def __str__(self) -> str:
         return serialize_profile(self)
@@ -294,13 +302,13 @@ def replicate(u: Profile, k: int) -> Profile:
         raise InfeasibleParameters("replication factor must be a positive integer")
     if k == 1:
         return u
-    blocks = u.blocks
-    (first, head), (last, tail) = blocks[0], blocks[-1]
-    if first != last:
-        return Profile(blocks * k)
-    if len(blocks) == 1:
-        return Profile(((first, head * k),))
-    return Profile(blocks[:1] + (blocks[1:-1] + ((first, head + tail),)) * (k - 1) + blocks[1:])
+    den, numerators, counts = u.den, u.numerators, u.counts
+    if numerators[0] != numerators[-1]:
+        return Profile(den, numerators * k, counts * k)
+    if len(counts) == 1:
+        return Profile(den, numerators, (counts[0] * k,))
+    counts = counts[:1] + (counts[1:-1] + (counts[-1] + counts[0],)) * (k - 1) + counts[1:]
+    return Profile(den, numerators[:-1] * k + numerators[-1:], counts)
 
 
 def check_permutation(pi: Sequence[int], n: int) -> None:
@@ -313,12 +321,11 @@ def permute(u: Profile, pi: Sequence[int]) -> Profile:
     """Scatter permutation: result[pi[i]] = u[i]. Indices are 0-based."""
     n = _materializable(u)
     check_permutation(pi, n)
-    den, numerators = u.scaled
     out = [0] * n
-    entries = (a for a, (_, c) in zip(numerators, u.blocks) for _ in range(c))
+    entries = (a for a, c in zip(u.numerators, u.counts) for _ in range(c))
     for target, a in zip(pi, entries):
         out[target] = a
-    return Profile.from_numerators(den, out)
+    return Profile.from_numerators(u.den, out)
 
 
 def argsort(u: Profile) -> tuple[int, ...]:
@@ -327,8 +334,8 @@ def argsort(u: Profile) -> tuple[int, ...]:
     It is also the scatter permutation pi with permute(ranked u, pi) == u.
     """
     _materializable(u)
-    starts = list(itertools.accumulate((c for _, c in u.blocks), initial=0))
-    order = sorted(range(len(u.blocks)), key=u.scaled[1].__getitem__)
+    starts = list(itertools.accumulate(u.counts, initial=0))
+    order = sorted(range(len(u.counts)), key=u.numerators.__getitem__)
     return tuple(i for b in order for i in range(starts[b], starts[b + 1]))
 
 

@@ -309,10 +309,10 @@ def build_prop4_chain(u: Profile, v: Profile, beta_ratio=Fraction(1, 2)) -> Deri
 
     if uh >= sv[-1][0]:
         # pure strong-Pareto certificate on the sorted rearrangements
-        u_sorted = Profile(su)
+        u_sorted = Profile.from_blocks(su)
         instances = (
             Anonymity(v, sorting_permutation(v)),
-            StrongPareto(u_sorted, Profile(sv)),
+            StrongPareto(u_sorted, Profile.from_blocks(sv)),
             Anonymity(u_sorted, argsort(u)),
         )
         return DerivationChain(tuple(map(AxiomStep.of, instances)), None, ChainKind.DOMINANCE)
@@ -517,8 +517,8 @@ def prop5_ratio_failure(
         lhs = g.exact(u1) - g.exact(u1 - delta)
         gain = g.exact(u1 + gamma) - g.exact(u1)
     else:
-        lhs = Fraction(g.value(u1) - g.value(float(u1 - delta)))
-        gain = Fraction(g.value(float(u1 + gamma)) - g.value(u1))
+        lhs = Fraction(g.value(u1) - g.value(u1 - delta))
+        gain = Fraction(g.value(u1 + gamma) - g.value(u1))
 
     # lhs > (num / den) * gain, cross-multiplied over positive denominators
     left, right = lhs.numerator * gain.denominator, gain.numerator * lhs.denominator

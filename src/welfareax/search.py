@@ -49,7 +49,7 @@ def _metric(inst: AxiomInstance) -> tuple[int, Fraction]:
     """The population, then the sum of |level| over both profiles, one Fraction per profile."""
     total = Fraction(0)
     for u in (inst.u, inst.v):
-        total += Fraction(sum(abs(a) * c for a, (_, c) in zip(u.scaled[1], u.blocks)), u.scaled[0])
+        total += Fraction(sum(abs(a) * c for a, c in zip(u.numerators, u.counts)), u.den)
     return len(inst.u), total
 
 

@@ -53,6 +53,19 @@ def test_compare_identical_profiles(workdir, capsys):
     assert "equivalent" in out
 
 
+@pytest.mark.parametrize("ordering", ["rdu.yaml", "suffavg.yaml", "leximin.yaml"])
+@pytest.mark.parametrize("command", ["compare", "value"])
+def test_profile_beyond_an_index_is_refused(workdir, capsys, command, ordering):
+    profiles = workdir / "huge.txt"
+    profiles.write_text(f"{10**30}*1\n2\n")
+    code, _, err = run(
+        capsys, [command, "--ordering", workdir / ordering, "--profiles", profiles]
+    )
+    assert code == 2
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert "profile has more than" in err
+
+
 @pytest.mark.parametrize(
     "config",
     [

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,7 @@ from conftest import profiles
 
 
 def ranked(u: Profile) -> Profile:
-    return Profile(u.sorted_blocks())
+    return Profile.from_blocks(u.sorted_blocks())
 
 
 def test_rank_sorts_ascending():
@@ -194,6 +196,82 @@ def test_block_counts_must_be_integral():
             Profile.from_blocks(blocks)
 
 
+def test_malformed_block_counts_are_refused():
+    for count in ("x", float("nan"), None, float("inf"), object()):
+        with pytest.raises(InfeasibleParameters, match="is not an integer"):
+            Profile.from_blocks([(1, count)])
+    with pytest.raises(InfeasibleParameters, match="negative block count"):
+        Profile.from_blocks([(1, -1.0)])
+
+
+def test_profiles_beyond_an_index_are_refused():
+    huge = 10**30
+    for call in (
+        lambda: Profile.from_blocks([(1, huge), (2, 1)]),
+        lambda: Profile.constant(1, sys.maxsize + 1),
+        lambda: replicate(Profile.from_blocks([(1, 2**62), (2, 1)]), 2),
+    ):
+        with pytest.raises(InfeasibleParameters) as exc:
+            call()
+        assert str(exc.value) == f"profile has more than {sys.maxsize} entries"
+    assert len(Profile.constant(1, sys.maxsize)) == sys.maxsize
+
+
+def _merged(blocks) -> tuple:
+    """Reference merge on Fractions: zero counts dropped, adjacent repeats merged."""
+    out = []
+    for x, c in blocks:
+        x = Fraction(x)
+        if c and out and out[-1][0] == x:
+            out[-1] = (x, out[-1][1] + c)
+        elif c:
+            out.append((x, c))
+    return tuple(out)
+
+
+def _expanded(blocks) -> list:
+    return [Fraction(x) for x, c in blocks for _ in range(c)]
+
+
+def test_every_constructor_builds_the_canonical_form():
+    rng = random.Random(1519)
+    for _ in range(2000):
+        den = rng.choice([1, 2, 3, 4, 6, 8, 9, 12, 30])
+        numerators = [rng.randint(-3 * den, 3 * den) for _ in range(rng.randint(1, 6))]
+        numerators = [a if i == 0 or rng.random() < 0.6 else numerators[i - 1]
+                      for i, a in enumerate(numerators)]  # adjacent repeats
+        counts = [rng.randint(0, 3) for _ in numerators]
+        counts[rng.randrange(len(counts))] += 1  # at least one entry
+        # the text form "a/den" is not reduced: 4/6, 0/12
+        blocks = [(f"{a}/{den}", c) for a, c in zip(numerators, counts)]
+        levels = _expanded(blocks)
+        u = Profile.from_blocks(blocks)
+        m = rng.randint(1, 5)
+        i = rng.randrange(len(levels))
+        x = Fraction(rng.randint(-20, 20), rng.randint(1, 10))
+        k = rng.randint(1, 3)
+        pi = list(range(len(levels)))
+        rng.shuffle(pi)
+        scattered = [None] * len(levels)
+        for source, target in enumerate(pi):
+            scattered[target] = levels[source]
+        cases = [
+            (u, levels),
+            (Profile.from_levels(levels), levels),
+            (Profile.from_numerators(den * m, [a * m for a in numerators], counts), levels),
+            (u.with_value_at(i, x), levels[:i] + [x] + levels[i + 1:]),
+            (replicate(u, k), levels * k),
+            (permute(u, pi), scattered),
+        ]
+        for profile, expected in cases:
+            assert math.gcd(profile.den, *profile.numerators) == 1, profile
+            assert 0 not in profile.counts, profile
+            assert all(a != b for a, b in zip(profile.numerators, profile.numerators[1:])), profile
+            reference = Profile.from_levels(expected)
+            assert profile == reference and hash(profile) == hash(reference), (profile, expected)
+            assert profile.blocks == _merged((level, 1) for level in expected), profile
+
+
 def test_aligned_runs_covers_mismatched_blocks():
     u = Profile.from_blocks([(1, 3), (2, 2)])
     v = Profile.from_blocks([(1, 2), (5, 3)])
@@ -211,7 +289,7 @@ def test_bad_levels_are_package_errors():
         lambda: Profile.from_levels(["x"]),
         lambda: Profile.from_levels([object()]),
         lambda: build_prop4_chain(u, v, "abc"),
-        lambda: Profile(()),
+        lambda: Profile.from_blocks(()),
         lambda: Profile.from_blocks([(1, -1)]),
         lambda: replicate(u, 0),
         lambda: IndexSet.from_indices([-1]),

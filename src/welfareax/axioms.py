@@ -23,8 +23,8 @@ that knows the rules of its axiom:
   denominator per stream, and each profile is built once from merged
   blocks. The four donor axioms share one template, ``_Donors.generate``:
   size, positions, then the type's ``roles`` (the recipient's pair, a
-  donor draw, a bystander draw); ``_GenContext.build`` adds the stream's
-  magnitudes to the drawn fields.
+  donor draw, a bystander draw). Every ``generate`` ends in
+  ``_GenContext.build``, which adds the stream's magnitudes.
 
 ``validate_preconditions`` runs both clause lists; ``check_axiom`` then
 tests whether an ordering's verdict meets the conclusion. Each instance
@@ -32,9 +32,10 @@ type is a ``codec.Record`` whose ``config_fields`` are its own dataclass
 fields, taken from ``_FIELDS``: one codec field per name, in the key
 order of instance documents and certificate lines. A type's
 ``magnitudes`` are not declared but derived with them: those of its
-fields that ``_MAGNITUDES`` names. ``Record`` normalizes
-the fields on construction, and ``instance_to_config`` and
+fields that ``_MAGNITUDES`` names. ``instance_to_config`` and
 ``instance_from_config`` write and read them under the ``axiom`` tag.
+``Record`` decodes the fields of documents, certificates and constructor
+calls; generated instances, whose fields are typed as drawn, skip it.
 
 Reading of the rank clauses in minimal non-aggregation: the recipient i
 must be (tied for) worst-off before the change, end no higher than the
@@ -57,7 +58,7 @@ from types import SimpleNamespace
 from typing import Iterator, Mapping
 
 from .codec import INTEGER, LEVEL, PROFILE, Record, lookup_tag, read_fields, read_tagged
-from .errors import InfeasibleParameters, SizeMismatch
+from .errors import InfeasibleParameters
 from .orderings import OrderingSpec, swo_compare
 from .profiles import (
     IndexSet,
@@ -156,15 +157,13 @@ def _failed(*clauses: tuple[bool, str]) -> list[str]:
 class _Scale:
     """An instance's levels as int numerators over one common denominator.
 
-    The denominator covers both profiles and every magnitude; ``s(x)`` is
-    the numerator of the level x, ``s.u`` and ``s.v`` the numerators of
-    the blocks of the profiles.
+    The denominator covers both profiles (of one size, which each caller
+    checks first) and every magnitude; ``s(x)`` is the numerator of the
+    level x, ``s.u`` and ``s.v`` the numerators of the blocks of the profiles.
     """
 
     def __init__(self, inst: "_Axiom"):
         self.profiles = u, v = inst.u, inst.v
-        if len(u) != len(v):
-            raise SizeMismatch(f"profiles have sizes {len(u)} and {len(v)}")
         magnitudes = [getattr(inst, name).denominator for name in inst.magnitudes]
         self.den = math.lcm(u.den, v.den, *magnitudes)
         self.u = [a * (self.den // u.den) for a in u.numerators]
@@ -247,7 +246,7 @@ class Anonymity(_Axiom):
         n = ctx.size(1)
         pi = list(range(n))
         ctx.rng.shuffle(pi)
-        return cls(ctx.profile(ctx.draws(n)), tuple(pi))
+        return ctx.build(cls, ctx.profile(ctx.draws(n)), tuple(pi))
 
 
 @dataclass(frozen=True)
@@ -273,15 +272,15 @@ class StrongPareto(_Pareto):
     tag = "strong_pareto"
 
     def relation(self) -> Relation:
-        strict = any(uval > vval for _, _, uval, vval in _Scale(self).runs())
-        return Relation.STRICT if strict else Relation.WEAK
+        # validated, u >= v everywhere: u > v somewhere iff the canonical forms differ
+        return Relation.STRICT if self.u != self.v else Relation.WEAK
 
     @classmethod
     def generate(cls, ctx):
         n, rng = ctx.size(1), ctx.rng
         v = ctx.draws(n)
         u = [x + (0 if rng.random() < 0.4 else ctx.draw(0, 5 * ctx.den)) for x in v]
-        return cls(ctx.profile(u), ctx.profile(v))
+        return ctx.build(cls, ctx.profile(u), ctx.profile(v))
 
 
 @dataclass(frozen=True)
@@ -297,7 +296,7 @@ class WeakPareto(_Pareto):
         n = ctx.size(1)
         v = ctx.draws(n)
         u = [x + ctx.draw(ctx.den // 2, 5 * ctx.den) for x in v]
-        return cls(ctx.profile(u), ctx.profile(v))
+        return ctx.build(cls, ctx.profile(u), ctx.profile(v))
 
 
 @dataclass(frozen=True)
@@ -334,7 +333,7 @@ class PigouDalton(_Axiom):
         i, j = ctx.rng.sample(range(n), 2)
         levels = ctx.draws(n)
         levels[i], levels[j] = u_i, u_j
-        return cls(ctx.profile(levels), i, j, Fraction(epsilon, ctx.den))
+        return ctx.build(cls, ctx.profile(levels), i, j, Fraction(epsilon, ctx.den))
 
 
 @dataclass(frozen=True)
@@ -365,7 +364,7 @@ class ReplicationInvariance(_Axiom):
     def generate(cls, ctx):
         n = ctx.size(1)
         u, v = ctx.profile(ctx.draws(n)), ctx.profile(ctx.draws(n))
-        return cls(u, v, ctx.rng.randint(1, ctx.p.k_max))
+        return ctx.build(cls, u, v, ctx.rng.randint(1, ctx.p.k_max))
 
 
 @dataclass(frozen=True)
@@ -400,9 +399,8 @@ class _Donors(_Axiom):
             return failures + ["i must not belong to M"]
         s = _Scale(self)
         donor = self.donor_rule(s)
-        for start, count, uval, vval in s.runs():
+        for (start, count, uval, vval), m_cnt in M.tally(s.runs()):
             stop = start + count
-            m_cnt = M.overlap(start, stop)
             has_i = start <= i < stop
             if has_i:
                 u_i, v_i = uval, vval
@@ -891,8 +889,11 @@ class _GenContext:
     p_hi: int
 
     def build(self, cls, *drawn) -> AxiomInstance:
-        """The instance of ``cls`` with the drawn fields and the stream's magnitudes."""
-        return cls(*drawn, **{name: getattr(self.p, name) for name in cls.magnitudes})
+        """``cls`` of the drawn fields and the stream's magnitudes, typed already: not decoded."""
+        inst = object.__new__(cls)
+        inst.__dict__.update(zip(cls.__dataclass_fields__, drawn))
+        inst.__dict__.update((name, getattr(self.p, name)) for name in cls.magnitudes)
+        return inst
 
     def boundary(self) -> bool:
         return self.rng.random() < BOUNDARY_PROBABILITY

@@ -35,9 +35,12 @@ TINY = math.ulp(0.0)  # 2**-1074, the spacing of subnormal floats
 
 
 def _float(x) -> float:
-    """A level as a float; one beyond the float range is a ``DomainError`` naming it."""
+    """A level (text ``float`` refuses, as ``p/q``, read by ``as_level``) as a float;
+    one beyond the float range is a ``DomainError`` naming it."""
     try:
         return float(x)
+    except ValueError:
+        return _float(as_level(x))
     except OverflowError:
         x = as_level(x)
         level = (Decimal(x.numerator) / x.denominator).normalize()

@@ -28,8 +28,8 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import ceil, gcd, lcm
+from functools import lru_cache
+from math import ceil, gcd, inf, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InfeasibleParameters, MaterializeError, ProfileParseError, SizeMismatch
@@ -148,6 +148,20 @@ def _normalize_blocks(blocks: Iterable[tuple]) -> tuple[list[Fraction], list[int
     return levels, counts
 
 
+class _cached:
+    """``functools.cached_property`` without the lock Python 3.11 takes on each miss:
+    the first read stores the value in the instance's ``__dict__``."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Profile:
     """Positional vector of levels, stored as merged run-length blocks.
@@ -190,28 +204,32 @@ class Profile:
         factor of den and the numerators divides out.
         """
         merged, merged_counts = [], []
+        last = None
         for a, c in zip(numerators, itertools.repeat(1) if counts is None else counts):
-            if merged and merged[-1] == a:
+            if a == last:
                 merged_counts[-1] += c
             elif c:
                 merged.append(a)
                 merged_counts.append(c)
+                last = a
         g = gcd(den, *merged)
-        return Profile(den // g, tuple([a // g for a in merged]), tuple(merged_counts))
+        if g != 1:
+            den, merged = den // g, [a // g for a in merged]
+        return Profile(den, tuple(merged), tuple(merged_counts))
 
-    @cached_property
+    @_cached
     def n(self) -> int:
         return sum(self.counts)
 
     def __len__(self) -> int:
         return self.n
 
-    @cached_property
+    @_cached
     def blocks(self) -> tuple[tuple[Fraction, int], ...]:
         """The (level, count) blocks, levels as Fractions."""
         return tuple([(_fraction(a, self.den), c) for a, c in zip(self.numerators, self.counts)])
 
-    @cached_property
+    @_cached
     def ranked(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """``(den, numerators, counts)``: each level once, ascending.
 
@@ -230,21 +248,17 @@ class Profile:
         _materializable(self)
         return tuple(self.iter_levels())
 
+    def _block(self, index: int) -> tuple[int, int]:
+        """(block, end position of the block) of the entry at ``index``."""
+        end = 0
+        for b, count in enumerate(self.counts):
+            end += count
+            if 0 <= index < end:
+                return b, end
+        raise IndexError(f"index {index} out of range for profile of size {self.n}")
+
     def value_at(self, index: int) -> Fraction:
-        if index < 0:
-            raise IndexError("negative profile index")
-        offset = 0
-        for a, count in zip(self.numerators, self.counts):
-            offset += count
-            if index < offset:
-                return _fraction(a, self.den)
-        raise IndexError(f"index {index} out of range for profile of size {len(self)}")
-
-    def min_level(self) -> Fraction:
-        return _fraction(min(self.numerators), self.den)
-
-    def max_level(self) -> Fraction:
-        return _fraction(max(self.numerators), self.den)
+        return _fraction(self.numerators[self._block(index)[0]], self.den)
 
     def total(self) -> Fraction:
         return self.mean() * self.n
@@ -268,18 +282,13 @@ class Profile:
     def with_value_at(self, index: int, value) -> "Profile":
         """Copy with one entry replaced (used by builders and shrinking)."""
         value = as_level(value)
-        out: list[tuple[Fraction, int]] = []
-        offset = 0
-        for bval, count in self.blocks:
-            if offset <= index < offset + count:
-                left = index - offset  # from_blocks drops the empty sides
-                out += [(bval, left), (value, 1), (bval, count - left - 1)]
-            else:
-                out.append((bval, count))
-            offset += count
-        if not 0 <= index < offset:
-            raise IndexError(f"index {index} out of range")
-        return Profile.from_blocks(out)
+        b, end = self._block(index)
+        den = lcm(self.den, value.denominator)
+        numerators = [a * (den // self.den) for a in self.numerators]
+        a, right = numerators[b], end - index - 1  # from_numerators drops the empty sides
+        numerators[b:b + 1] = a, value.numerator * (den // value.denominator), a
+        counts = self.counts[:b] + (self.counts[b] - right - 1, 1, right) + self.counts[b + 1:]
+        return Profile.from_numerators(den, numerators, counts)
 
     def __str__(self) -> str:
         return serialize_profile(self)
@@ -403,12 +412,19 @@ class IndexSet:
         for start, stop in self.ranges:
             yield from range(start, stop)
 
-    def overlap(self, start: int, stop: int) -> int:
-        """Number of members in [start, stop)."""
-        return sum(
-            max(0, min(stop, rstop) - max(start, rstart))
-            for rstart, rstop in self.ranges
-        )
+    def tally(self, runs: Iterable[tuple]) -> Iterator[tuple[tuple, int]]:
+        """Each (start, count, ...) run with its number of members, for runs that
+        tile the positions from 0 in order: one cursor walks the ranges beside them."""
+        ranges = iter(self.ranges)
+        rstart, rstop = next(ranges, (inf, inf))
+        for run in runs:
+            start, stop, members = run[0], run[0] + run[1], 0
+            while rstart < stop:
+                members += min(stop, rstop) - max(start, rstart)
+                if rstop > stop:
+                    break
+                rstart, rstop = next(ranges, (inf, inf))
+            yield run, members
 
     def serialize(self) -> str:
         parts = []

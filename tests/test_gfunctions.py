@@ -6,6 +6,7 @@ from welfareax import (
     ConfigError,
     DomainError,
     Identity,
+    InfeasibleParameters,
     LogShifted,
     PiecewiseLinear,
     SaturatingExp,
@@ -52,6 +53,16 @@ def test_saturating_exp_shape():
     assert all(d2 <= d1 + 1e-12 for d1, d2 in zip(diffs, diffs[1:]))
     with pytest.raises(ConfigError):
         SaturatingExp(Fraction(-1), Fraction(2))
+
+
+@pytest.mark.parametrize(
+    "g", [Identity(), Sqrt(), LogShifted(Fraction(1)), SaturatingExp(Fraction(1), Fraction(1))]
+)
+def test_text_levels_read_as_levels(g):
+    # float() refuses "p/q"; the transform reads it as the level it names
+    assert g.value("1/2") == g.value(Fraction(1, 2))
+    with pytest.raises(InfeasibleParameters):
+        g.value("abc")
 
 
 def test_piecewise_linear_validation_and_eval():

@@ -178,6 +178,27 @@ def test_instance_stream_is_pinned(name):
     assert _dump(stream_documents(name)) == (INSTANCES / f"{name}.yaml").read_text()
 
 
+@pytest.mark.parametrize("name", list(STREAMS))
+def test_generated_instances_match_their_decoded_documents(name):
+    # generation builds instances without the codec's decode, so each field
+    # must already hold what decoding gives: a Fraction level (never an int),
+    # an int index or count (never a bool), a Profile, an IndexSet, a tuple
+    axiom, params, keywords = STREAMS[name]
+    stream = generate_instances(axiom, params, seed=SEED, **keywords)
+    for inst in itertools.islice(stream, 500):
+        decoded = instance_from_config(instance_to_config(inst))
+        assert decoded == inst and hash(decoded) == hash(inst), inst
+        assert vars(inst).keys() == inst.__dataclass_fields__.keys(), inst
+        for field, (kind, _, _) in inst.config_fields.items():
+            value = getattr(inst, field)
+            assert type(value) is kind is type(getattr(decoded, field)), (field, value)
+            if field in ("i", "j", "k", "m"):
+                assert type(value) is int, (field, value)
+            elif field in _MAGNITUDES:
+                assert type(value) is Fraction, (field, value)
+        assert all(type(x) is int for x in vars(inst).get("pi", ())), inst
+
+
 def test_streams_cover_every_axiom():
     assert {axiom for axiom, _, _ in STREAMS.values()} == set(AXIOM_TAGS)
 

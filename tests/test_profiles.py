@@ -23,7 +23,7 @@ from welfareax import (
     replicate,
     serialize_profile,
 )
-from welfareax.profiles import aligned_runs, argsort
+from welfareax.profiles import aligned_runs, argsort, block_runs
 from welfareax.propositions import build_prop4_chain
 
 from conftest import profiles
@@ -135,7 +135,6 @@ def test_profile_parsing_and_runs():
     assert p.blocks == ((Fraction(90), 1), (Fraction(100), 999), (Fraction(300), 999000))
     assert p.value_at(0) == 90
     assert p.value_at(1000) == 300
-    assert p.min_level() == 90 and p.max_level() == 300
 
 
 def test_profile_parse_errors_carry_position():
@@ -177,13 +176,32 @@ def test_with_value_at_splits_blocks():
     assert p.levels() == (5, 5, 5, 5)
 
 
-def test_index_set_roundtrip_and_overlap():
+def test_index_set_roundtrip_and_membership():
     s = IndexSet.from_indices([0, 1, 2, 7, 9, 10])
     assert s.serialize() == "0-2,7,9-10"
     assert IndexSet.parse(s.serialize()) == s
     assert len(s) == 6
     assert 7 in s and 8 not in s
-    assert s.overlap(1, 8) == 3
+
+
+def test_tally_counts_members_per_run_seeded():
+    s = IndexSet.from_indices([0, 1, 2, 7, 9, 10])
+    runs = [(0, 1), (1, 7), (8, 3), (11, 2)]
+    assert [members for _, members in s.tally(runs)] == [1, 3, 2, 0]
+    # multi-range sets against blocks that straddle their edges: the cursor
+    # must count what per-position membership counts, run by run
+    rng = random.Random(61)
+    for _ in range(2000):
+        n = rng.randint(2, 24)
+        M = IndexSet.from_indices(p for p in range(n) if rng.random() < 0.45)
+        u, v = (
+            Profile.from_levels([rng.randint(0, 2) for _ in range(n)]) for _ in range(2)
+        )
+        runs = list(block_runs(u.blocks, v.blocks))
+        got = list(M.tally(iter(runs)))
+        assert [run for run, _ in got] == runs
+        expected = [sum(p in M for p in range(start, start + count)) for start, count, *_ in runs]
+        assert [members for _, members in got] == expected, (M, runs)
 
 
 def test_block_counts_must_be_integral():

@@ -2,18 +2,21 @@
 
 Each transform is a frozen dataclass that owns its rules:
 
-* ``value`` evaluates it in floating point, refusing a level beyond the
-  float range, and ``exact`` (``exact_scaled`` on an int view) in exact
-  rational arithmetic, which identity and piecewise-linear tables
-  support (``is_exact``) and square root, shifted log and the
-  saturating exponential refuse;
-* ``error`` bounds |value(x) - g(x)|: ``ulps`` times EPS * |value| (at
-  least one ulp) plus ``floor``, the absolute error of roundings to
+* ``value(x, den=1)`` evaluates it in floating point on the level x / den,
+  an int numerator over a positive int as a profile stores it (any other
+  level is read once by ``as_level``), through one correctly rounded int
+  division, refusing a level beyond the float range, and ``exact``
+  (``exact_scaled``, from int view to int view) in exact rational
+  arithmetic, which identity and piecewise-linear tables support
+  (``is_exact``) and square root, shifted log and the saturating
+  exponential refuse;
+* ``error(x, gx, den=1)`` bounds |value - g|: ``ulps`` times EPS * |value|
+  (at least one ulp) plus ``floor``, the absolute error of roundings to
   subnormal floats, or an absolute model for the shifted log, assuming
   libm calls within one ulp and parameters that are normal floats;
-* ``check_domain`` refuses levels outside its domain, and construction
-  validates its shape: builtins are increasing and concave analytically,
-  tables are checked exactly through their slopes;
+* ``check_domain(x, den=1)`` refuses levels outside its domain, exactly on
+  the ints, and construction validates its shape: builtins are increasing
+  and concave analytically, tables are checked exactly through their slopes;
 * ``config_fields`` names its parameters for the field codec in
   :mod:`welfareax.codec`, so ``g_to_config`` and ``g_from_config`` read
   and write every transform the same way, keyed by its ``kind``.
@@ -27,23 +30,30 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .codec import LEVEL, Record, read_tagged
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, InfeasibleParameters
 from .profiles import as_level, format_level, over_common_denominator
 
 EPS = 2.0**-52  # the spacing of floats at 1
 TINY = math.ulp(0.0)  # 2**-1074, the spacing of subnormal floats
 
 
-def _float(x) -> float:
-    """A level (text ``float`` refuses, as ``p/q``, read by ``as_level``) as a float;
-    one beyond the float range is a ``DomainError`` naming it."""
+def _ints(x, den: int) -> tuple[int, int]:
+    """The level x / den as ints; an x that is not an int is read by ``as_level``."""
+    if type(x) is not int:
+        x, q = as_level(x).as_integer_ratio()
+        den *= q
+    if type(den) is not int or den < 1:
+        raise InfeasibleParameters(f"level denominator {den!r} is not a positive integer")
+    return x, den
+
+
+def _quotient(x, den: int = 1) -> float:
+    """x / den, correctly rounded; a level beyond the float range is a ``DomainError``."""
+    a, den = _ints(x, den)
     try:
-        return float(x)
-    except ValueError:
-        return _float(as_level(x))
+        return a / den
     except OverflowError:
-        x = as_level(x)
-        level = (Decimal(x.numerator) / x.denominator).normalize()
+        level = (Decimal(a) / den).normalize()
         raise DomainError(f"level {level:.6g} is too large for a float") from None
 
 
@@ -57,16 +67,12 @@ class _Transform(Record):
     # EPS/2 relative; ``floor`` bounds what such roundings move g by.
     floor = TINY
 
-    def error(self, x, gx: float) -> float:
-        """A bound on |value(x) - g(x)|, given gx = value(x)."""
+    def error(self, x, gx: float, den: int = 1) -> float:
+        """A bound on |value(x, den) - g(x / den)|, given gx = value(x, den)."""
         return self.ulps * EPS * abs(gx) + self.floor
 
-    def check_domain(self, x: Fraction) -> None:
+    def check_domain(self, x, den: int = 1) -> None:
         pass
-
-    def exact_scaled(self, den: int, numerators) -> tuple[int, tuple[int, ...]]:
-        """The exact images of the levels a / den, as ``(den', numerators')``."""
-        return over_common_denominator([self.exact(Fraction(a, den)) for a in numerators])
 
 
 @dataclass(frozen=True)
@@ -80,8 +86,8 @@ class Identity(_Transform):
     def exact_scaled(self, den, numerators):
         return den, numerators
 
-    def value(self, x) -> float:
-        return _float(x)
+    def value(self, x, den: int = 1) -> float:
+        return _quotient(x, den)
 
 
 @dataclass(frozen=True)
@@ -90,16 +96,18 @@ class Sqrt(_Transform):
     is_exact = False
     floor = 2.0**-537  # |sqrt(a) - sqrt(b)| <= sqrt(|a - b|); a subnormal level is off by 2**-1075
 
-    def check_domain(self, x: Fraction) -> None:
-        if x < 0:
-            raise DomainError(f"sqrt undefined for negative level {format_level(x)}")
+    def check_domain(self, x, den: int = 1) -> None:
+        a, den = _ints(x, den)
+        if a < 0:
+            raise DomainError(f"sqrt undefined for negative level {format_level(Fraction(a, den))}")
 
     def exact(self, x: Fraction) -> Fraction:
         raise DomainError("sqrt has no exact rational evaluation")
 
-    def value(self, x) -> float:
-        self.check_domain(as_level(x))
-        return math.sqrt(_float(x))
+    def value(self, x, den: int = 1) -> float:
+        a, den = _ints(x, den)
+        self.check_domain(a, den)
+        return math.sqrt(_quotient(a, den))
 
 
 @dataclass(frozen=True)
@@ -112,32 +120,34 @@ class LogShifted(_Transform):
     config_fields = {"shift": LEVEL}
     config_defaults = {"shift": 1}
 
-    def check_domain(self, x: Fraction) -> None:
-        if x + self.shift <= 0:
+    def check_domain(self, x, den: int = 1) -> None:
+        a, den = _ints(x, den)
+        if a * self.shift.denominator + self.shift.numerator * den <= 0:
             raise DomainError(
-                f"log undefined at level {format_level(x)} with shift {format_level(self.shift)}"
+                f"log undefined at level {format_level(Fraction(a, den))} "
+                f"with shift {format_level(self.shift)}"
             )
 
     def exact(self, x: Fraction) -> Fraction:
         raise DomainError("log has no exact rational evaluation")
 
-    def value(self, x) -> float:
-        x = as_level(x)
-        self.check_domain(x)
-        a = _float(x) + _float(self.shift)
-        if a <= 0:
+    def value(self, x, den: int = 1) -> float:
+        a, den = _ints(x, den)
+        self.check_domain(a, den)
+        s = _quotient(a, den) + _quotient(self.shift)
+        if s <= 0:
             raise DomainError(
-                f"level {format_level(x)} is within float rounding of the log's pole "
-                f"at {format_level(-self.shift)}"
+                f"level {format_level(Fraction(a, den))} is within float rounding of the "
+                f"log's pole at {format_level(-self.shift)}"
             )
-        return math.log(a)
+        return math.log(s)
 
-    def error(self, x, gx: float) -> float:
+    def error(self, x, gx: float, den: int = 1) -> float:
         """Absolute, as g's relative error is unbounded near log(1): a = float(x)
         + float(shift) is off by d = EPS (|float(x)| + |float(shift)| + a) + TINY
         or less (a subnormal level is off by 2**-1075), which moves log(a) by
         -log1p(-d / a) or less; log adds an ulp."""
-        xf, shift = _float(x), _float(self.shift)
+        xf, shift = _quotient(x, den), _quotient(self.shift)
         a = xf + shift
         r = (EPS * (abs(xf) + abs(shift) + a) + TINY) / a
         return EPS * abs(gx) + (-math.log1p(-r) if r < 1 else math.inf)
@@ -169,7 +179,7 @@ class SaturatingExp(_Transform):
         """In units of 2**-1075, half of TINY: a subnormal rounding of the level
         moves g by up to cap / scale units, of the product (x < 0) by 1 / scale,
         of the quotient (x >= 0) by cap, of expm1 (an ulp) by 2 cap, of g by 1."""
-        cap, scale = _float(self.cap), _float(self.scale)
+        cap, scale = _quotient(self.cap), _quotient(self.scale)
         return TINY * ((cap + 1) / scale + 2 * cap + 1)
 
     @property
@@ -179,8 +189,8 @@ class SaturatingExp(_Transform):
     def exact(self, x: Fraction) -> Fraction:
         raise DomainError("saturating_exp has no exact rational evaluation")
 
-    def value(self, x) -> float:
-        xf, cap, scale = _float(x), _float(self.cap), _float(self.scale)
+    def value(self, x, den: int = 1) -> float:
+        xf, cap, scale = _quotient(x, den), _quotient(self.cap), _quotient(self.scale)
         if xf < 0:
             return cap * xf / scale
         return -cap * math.expm1(-xf / scale)
@@ -221,27 +231,49 @@ class PiecewiseLinear(_Transform):
             raise ConfigError("piecewise_linear must be strictly increasing")
         if any(s1 > s0 for s0, s1 in zip(slopes, slopes[1:])):
             raise ConfigError("piecewise_linear must be concave (nonincreasing slopes)")
+        # segment k's line s_k x + c_k, as ints (p_k, q_k) over one denominator m
+        intercepts = [y - s * x for (x, y), s in zip(self.points, slopes)]
+        m, ints = over_common_denominator(slopes + intercepts)
+        lines = tuple(zip(ints, ints[len(slopes):]))
+        object.__setattr__(self, "_table", (*over_common_denominator(xs), m, lines))
 
     @staticmethod
     def from_pairs(pairs) -> "PiecewiseLinear":
         return PiecewiseLinear(_POINTS[2](pairs))
 
-    def check_domain(self, x: Fraction) -> None:
-        if not (self.points[0][0] <= x <= self.points[-1][0]):
-            raise DomainError(
-                f"level {format_level(x)} outside table domain "
-                f"[{format_level(self.points[0][0])}, {format_level(self.points[-1][0])}]"
-            )
+    def exact_scaled(self, den, numerators):
+        """The images of the levels a / den, as ints over m * den: (p_k a + q_k den) / (m den)
+        on the first segment k whose right knot is at or above a / den."""
+        xden, knots, m, lines = self._table
+        segments = [(x * den, p, q * den) for x, (p, q) in zip(knots[1:], lines)]
+        images = []
+        for a in numerators:
+            ax = a * xden
+            for right, p, c in segments:
+                if ax <= right:
+                    break
+            if not knots[0] * den <= ax <= right:
+                raise DomainError(
+                    f"level {format_level(Fraction(a, den))} outside table domain "
+                    f"[{format_level(self.points[0][0])}, {format_level(self.points[-1][0])}]"
+                )
+            images.append(p * a + c)
+        return m * den, tuple(images)
 
-    def exact(self, x: Fraction) -> Fraction:
-        self.check_domain(x)
-        for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
-            if x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        raise AssertionError("unreachable")
+    def _image(self, x, den: int) -> tuple[int, int]:
+        """The image of the level x / den, as an int over an int."""
+        a, den = _ints(x, den)
+        den, (y,) = self.exact_scaled(den, (a,))
+        return y, den
 
-    def value(self, x) -> float:
-        return _float(self.exact(as_level(x)))
+    def check_domain(self, x, den: int = 1) -> None:
+        self._image(x, den)
+
+    def exact(self, x) -> Fraction:
+        return Fraction(*self._image(x, 1))
+
+    def value(self, x, den: int = 1) -> float:
+        return _quotient(*self._image(x, den))
 
 
 GFunction = Identity | Sqrt | LogShifted | SaturatingExp | PiecewiseLinear

@@ -29,9 +29,10 @@ exact transform, ``exact_scaled``), into an ``ExactValue``: an int over a
 positive int, not reduced on the way to a verdict. Exact RDU weighs each
 block of ranks by one integer geometric sum, ``geometric_sum``, and the
 rank-weighted rule by differences of its weights' int prefix sums. RDU
-and the transformed variants sum floats with ``math.fsum`` in
-``_float_sum``, under a bound derived from each block's conditioning and
-each transform's stated error. One function, ``_resolve``, decides every
+and the transformed variants pass the same int numerators to the
+transform's ``value`` and sum floats with ``math.fsum`` in ``_float_sum``,
+under a bound derived from each block's conditioning and each
+transform's stated error. One function, ``_resolve``, decides every
 verdict on two valuations: by the sign of one cross-multiplication when
 both are exact, else by the float difference against the combined bound
 plus a fixed relative slack, ``TOLERANCE`` = 10^-12, then as equivalent
@@ -542,14 +543,15 @@ def rdu_value(u: Profile, p: Rdu) -> FloatValue:
         g = p.g
         terms, errors = [], []
         start = 0
-        for value, count in u.sorted_blocks():
-            gv = g.value(value)
+        den, numerators, counts = u.ranked
+        for a, count in zip(numerators, counts):
+            gv = g.value(a, den)
             e = math.exp(start * L)
             geom = math.expm1(count * L) / em1 if L else float(count)
             rel = (k_s * start + k_c * count + k0) * EPS
             terms.append(gv * e * geom)
             errors.append(
-                (g.error(value, gv) + abs(gv) * rel * (1 + rel)) * e * geom
+                (g.error(a, gv, den) + abs(gv) * rel * (1 + rel)) * e * geom
                 + (abs(gv) * geom + geom + 1) * TINY
             )
             start += count
@@ -611,12 +613,6 @@ def _shortfall(u: Profile, theta: Fraction) -> tuple[int, int]:
     return sum((a * q - t) * c for a, c in zip(u.numerators, u.counts) if a * q < t), u.den * q
 
 
-def _below(u: Profile, theta: Fraction) -> list[tuple[Fraction, int]]:
-    """The blocks of u whose level lies strictly below theta."""
-    q, t = theta.denominator, theta.numerator * u.den
-    return [block for block, a in zip(u.blocks, u.numerators) if a * q < t]
-
-
 def suffavg_value(u: Profile, p: SuffAvg) -> Fraction:
     return p.value(u).value
 
@@ -634,23 +630,25 @@ def rankweighted_value(u: Profile, p: RankWeighted) -> Fraction:
     return p.value(u).value
 
 
-def _transformed_sum(g: GFunction, pairs, offset: tuple, scale: tuple) -> Valuation:
-    """offset + scale * (sum of g(x) * w over (level x, int weight w) pairs), offset and
-    scale as (num, den) int pairs. Exact when g is; otherwise a term float(scale) * w * g(x)
-    is off by g's error times |scale * w| plus four roundings, and float(offset) by one.
+def _transformed_sum(
+    g: GFunction, den: int, numerators, weights, offset: tuple, scale: tuple
+) -> Valuation:
+    """offset + scale * (sum of g(a / den) * w over numerators a and int weights w), offset
+    and scale as (num, den) int pairs. Exact when g is; otherwise a term float(scale) * w *
+    g(x) is off by g's error times |scale * w| plus four roundings, and float(offset) by one.
     """
     if g.is_exact:
-        den, gs = g.exact_scaled(*over_common_denominator([x for x, _ in pairs]))
-        total = sum(gx * w for gx, (_, w) in zip(gs, pairs))
+        den, gs = g.exact_scaled(den, numerators)
+        total = sum(gx * w for gx, w in zip(gs, weights))
         return _weighted_sum((1, 1, *offset), (*scale, total, den))
     sc = scale[0] / scale[1]
     terms, errors = [], []
-    for x, w in pairs:
-        gx = g.value(x)
+    for a, w in zip(numerators, weights):
+        gx = g.value(a, den)
         f = sc * w
         t = gx * f
         terms.append(t)
-        errors.append(g.error(x, gx) * abs(f) + 3 * EPS * abs(t) + (abs(gx) + 1) * TINY)
+        errors.append(g.error(a, gx, den) * abs(f) + 3 * EPS * abs(t) + (abs(gx) + 1) * TINY)
     off = offset[0] / offset[1]  # after g, which names a level beyond the float range
     terms.append(off)
     errors.append(EPS * abs(off) + TINY)
@@ -661,18 +659,21 @@ def boundedg_value(u: Profile, p: BoundedG) -> Valuation:
     """lambda_n * shortfall + (1 - lambda_n) * mean of g over the entries."""
     ln, ld = p.lambda_for(len(u))
     below, den = _shortfall(u, p.theta_p)
-    return _transformed_sum(p.g, u.blocks, (ln * below, ld * den), (ld - ln, ld * len(u)))
+    offset, scale = (ln * below, ld * den), (ld - ln, ld * len(u))
+    return _transformed_sum(p.g, u.den, u.numerators, u.counts, offset, scale)
 
 
 def concavepoor_value(u: Profile, p: ConcavePoor) -> Valuation:
     """lambda_n * sum of (g(x) - g(theta_p)) over entries below theta_p, plus
-    (1 - lambda_n) * mean; g(theta_p) enters as one pair, so the difference
+    (1 - lambda_n) * mean; g(theta_p) enters as one more level, so the difference
     cancels inside the sum."""
     ln, ld = p.lambda_for(len(u))
-    below = _below(u, p.theta_p)
-    pairs = below + [(p.theta_p, -sum(c for _, c in below))]
+    q, t = p.theta_p.denominator, p.theta_p.numerator * u.den  # theta_p is t / (den q)
+    below = [(a * q, c) for a, c in zip(u.numerators, u.counts) if a * q < t]
+    numerators, weights = zip(*below, (t, -sum(c for _, c in below)))
     total, den = u.scaled_mean()
-    return _transformed_sum(p.g, pairs, ((ld - ln) * total, ld * den), (ln, ld))
+    offset = ((ld - ln) * total, ld * den)
+    return _transformed_sum(p.g, u.den * q, numerators, weights, offset, (ln, ld))
 
 
 # ---------------------------------------------------------------------------

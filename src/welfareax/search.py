@@ -58,9 +58,10 @@ def _reindex(index: int, dropped: int) -> int:
 
 
 def _without(profile: Profile, p: int) -> Profile:
-    levels = list(profile.levels())
-    del levels[p]
-    return Profile.from_levels(levels)
+    """The profile with the entry at position p dropped: one fewer in its block."""
+    counts = list(profile.counts)
+    counts[profile._block(p)[0]] -= 1
+    return Profile.from_numerators(profile.den, profile.numerators, counts)
 
 
 # Shrink edits read an instance's fields by name: the profiles u and v

@@ -305,8 +305,8 @@ def covers_all(seen: Counter, extremes: bool = True) -> bool:
 
 
 # A family's pairs, split by transform: three quarters under the identity, with extreme
-# levels, and a quarter under the table, without (its exact values are built from
-# Fractions, which on 10^400 denominators would dominate the test's time).
+# levels, and a quarter under the table, without (a level near 10^400 lies outside its
+# domain).
 TRANSFORMS = pytest.mark.parametrize(
     "g,g_ref,extremes,pairs",
     [(Identity(), O.identity, True, PAIRS * 3 // 4), (PL, PL_REF, False, PAIRS // 4)],

@@ -56,13 +56,27 @@ def test_saturating_exp_shape():
 
 
 @pytest.mark.parametrize(
-    "g", [Identity(), Sqrt(), LogShifted(Fraction(1)), SaturatingExp(Fraction(1), Fraction(1))]
+    "g",
+    [
+        Identity(),
+        Sqrt(),
+        LogShifted(Fraction(1)),
+        SaturatingExp(Fraction(1), Fraction(1)),
+        PiecewiseLinear.from_pairs([(0, 0), (1, 2), (3, 3)]),
+    ],
 )
 def test_text_levels_read_as_levels(g):
-    # float() refuses "p/q"; the transform reads it as the level it names
+    # float() refuses "p/q" and reads "inf", "nan" and "1e400"; every transform reads a
+    # text as the level it names, which "inf" and "nan" are not, and 10^400 is no float
     assert g.value("1/2") == g.value(Fraction(1, 2))
-    with pytest.raises(InfeasibleParameters):
-        g.value("abc")
+    for text in ("abc", "inf", "nan", "-inf"):
+        with pytest.raises(InfeasibleParameters):
+            g.value(text)
+    with pytest.raises(DomainError):
+        g.value("1e400")
+    for den in (0, -2, 1.5):  # an int level is a numerator over a positive int
+        with pytest.raises(InfeasibleParameters):
+            g.value(1, den)
 
 
 def test_piecewise_linear_validation_and_eval():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,13 @@ from welfareax import (
     Identity,
     Leximin,
     MidpointLambda,
+    Profile,
     Rdu,
     SuffAvg,
     check_axiom,
     validate_preconditions,
 )
-from welfareax.search import SearchBudget, find_counterexample, shrink
+from welfareax.search import SearchBudget, _without, find_counterexample, shrink
 
 # strong discounting makes ratio-aggregation violations reachable at
 # single-digit population sizes
@@ -87,3 +89,22 @@ def test_budget_validation():
         SearchBudget(0)
     with pytest.raises(ValueError):
         SearchBudget(10, populations=(5, 2))
+
+
+def test_dropping_an_entry_matches_list_deletion():
+    rng = random.Random(5)
+    for _ in range(2000):
+        size = rng.randint(2, 9)
+        levels = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(size)]
+        p = rng.randrange(len(levels))
+        rest = levels[:p] + levels[p + 1:]
+        assert _without(Profile.from_levels(levels), p) == Profile.from_levels(rest)
+
+
+def test_dropping_an_entry_of_a_huge_profile():
+    # 10^7 entries: past the materialization limit, which the stored counts never meet
+    k = 4 * 10**6
+    u = Profile.from_blocks([(1, k), (Fraction(1, 2), 1), (3, 6 * 10**6 - 1)])
+    assert _without(u, k) == Profile.from_blocks([(1, k), (3, 6 * 10**6 - 1)])
+    rest = Profile.from_blocks([(1, k - 1), (Fraction(1, 2), 1), (3, 6 * 10**6 - 1)])
+    assert _without(u, 0) == rest

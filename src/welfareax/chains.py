@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .axioms import (
     AXIOM_TAGS,
@@ -79,8 +80,8 @@ class AxiomStep:
         return _line(self.word, _instance_fields(self.instance, _ends(self)))
 
     @classmethod
-    def parse(cls, fields: dict) -> AxiomStep:
-        frm, to = _read(fields, "from", PROFILE), _read(fields, "to", PROFILE)
+    def parse(cls, fields: dict, profile: tuple) -> AxiomStep:
+        frm, to = _read(fields, "from", profile), _read(fields, "to", profile)
         return cls(frm, to, _parse_instance(fields, (frm, to)))
 
 
@@ -112,10 +113,10 @@ class LiftStep:
         return _line(self.word, {"k": self.k, **_instance_fields(self.base, ends)})
 
     @classmethod
-    def parse(cls, fields: dict) -> LiftStep:
+    def parse(cls, fields: dict, profile: tuple) -> LiftStep:
         k = _read(fields, "k", INTEGER)
-        frm, to = _read(fields, "from", PROFILE), _read(fields, "to", PROFILE)
-        base_from, base_to = _read(fields, "base_from", PROFILE), _read(fields, "base_to", PROFILE)
+        frm, to = _read(fields, "from", profile), _read(fields, "to", profile)
+        base_from, base_to = _read(fields, "base_from", profile), _read(fields, "base_to", profile)
         return cls(frm, to, k, _parse_instance(fields, (base_from, base_to)))
 
 
@@ -147,9 +148,9 @@ class DescentStep:
         return _line(self.word, {"k": self.k, **_ends(self)})
 
     @classmethod
-    def parse(cls, fields: dict) -> DescentStep:
+    def parse(cls, fields: dict, profile: tuple) -> DescentStep:
         k = _read(fields, "k", INTEGER)
-        return cls(_read(fields, "from", PROFILE), _read(fields, "to", PROFILE), k)
+        return cls(_read(fields, "from", profile), _read(fields, "to", profile), k)
 
 
 DerivationStep = AxiomStep | LiftStep | DescentStep
@@ -370,6 +371,8 @@ def parse_chain(text: str) -> DerivationChain:
     steps: list[DerivationStep] = []
     terminal: WeakPareto | StrongPareto | None = None
     kind: ChainKind | None = None
+    # PROFILE decoding each distinct token once in this call: step k's to is step k+1's from
+    profile = (*PROFILE[:2], cache(PROFILE[2]))
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -386,7 +389,7 @@ def parse_chain(text: str) -> DerivationChain:
                     raise ConfigError("terminal must be a Pareto instance")
                 terminal = _parse_instance(fields)
             elif word in _STEPS:
-                steps.append(_STEPS[word].parse(fields))
+                steps.append(_STEPS[word].parse(fields, profile))
             else:
                 raise ConfigError(f"unknown certificate line {word!r}")
             if fields:

@@ -51,8 +51,9 @@ from .search import SearchBudget, find_counterexample
 
 
 def _parse_yaml(text: str, where: str):
+    """The YAML document in text, read by libyaml's safe loader when PyYAML has it."""
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{where}: " + " ".join(str(exc).split())) from exc
 

@@ -649,7 +649,10 @@ def _transformed_sum(
         t = gx * f
         terms.append(t)
         errors.append(g.error(a, gx, den) * abs(f) + 3 * EPS * abs(t) + (abs(gx) + 1) * TINY)
-    off = offset[0] / offset[1]  # after g, which names a level beyond the float range
+    try:  # after g, which names a level beyond the float range
+        off = offset[0] / offset[1]
+    except OverflowError:
+        raise FloatRangeError("the mean term exceeds the float range") from None
     terms.append(off)
     errors.append(EPS * abs(off) + TINY)
     return _float_sum(terms, errors)

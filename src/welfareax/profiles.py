@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, gcd, inf, lcm
+from math import gcd, inf, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InfeasibleParameters, MaterializeError, ProfileParseError, SizeMismatch
@@ -65,12 +65,22 @@ def as_level(value) -> Fraction:
 def parse_level(text: str) -> Fraction:
     text = text.strip()
     try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(text)  # handles integers and exact decimals
+        return Fraction(*_level_ints(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise InfeasibleParameters(f"bad level literal {text!r}") from exc
+
+
+def _level_ints(text: str) -> tuple[int, int]:
+    """A level literal as an int numerator and denominator, neither reduced nor checked;
+    only exact decimals and exponents (``-1.25``, ``1e3``) go through ``Fraction``'s parser."""
+    if "/" in text:
+        num, den = text.split("/")
+        return int(num), int(den)
+    try:
+        return int(text), 1
+    except ValueError:
+        x = Fraction(text)
+        return x.numerator, x.denominator
 
 
 def format_level(x: Fraction) -> str:
@@ -363,7 +373,7 @@ def ceil_ratio(lam: Fraction, n: int) -> int:
         raise InfeasibleParameters("ratio must lie strictly between 0 and 1")
     if n < 1:
         raise InfeasibleParameters("population size must be positive")
-    return ceil(lam * n)
+    return -(-lam.numerator * n // lam.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +498,8 @@ def block_runs(ublocks, vblocks) -> Iterator[tuple[int, int, object, object]]:
 # profile text IO
 
 
-def _parse_entry(entry: str, line_no: int, col: int) -> tuple[Fraction, int]:
+def _parse_entry(entry: str, line_no: int, col: int) -> tuple[int, int, int]:
+    """An entry ``x`` or ``k*x`` as (numerator, nonzero denominator, count) ints."""
     entry = entry.strip()
     if "*" in entry:
         count_text, _, value_text = entry.partition("*")
@@ -500,23 +511,29 @@ def _parse_entry(entry: str, line_no: int, col: int) -> tuple[Fraction, int]:
             raise ProfileParseError("repeat count must be >= 1", line_no, col)
     else:
         count, value_text = 1, entry
+    value_text = value_text.strip()
     try:
-        value = parse_level(value_text)
+        num, den = _level_ints(value_text)
+        if den:
+            return num, den, count
     except ValueError:
-        raise ProfileParseError(f"bad level literal {value_text.strip()!r}", line_no, col)
-    return value, count
+        pass
+    raise ProfileParseError(f"bad level literal {value_text!r}", line_no, col)
 
 
 def parse_profile_line(line: str, line_no: int = 1) -> Profile:
+    """One line of profile text, read as ints and built once over the lcm of its denominators."""
     body = line.split("#", 1)[0]
-    blocks: list[tuple[Fraction, int]] = []
+    entries = []
     col = 1
     for entry in body.split(","):
         if entry.strip() == "":
             raise ProfileParseError("empty profile entry", line_no, col)
-        blocks.append(_parse_entry(entry, line_no, col))
+        entries.append(_parse_entry(entry, line_no, col))
         col += len(entry) + 1
-    return Profile.from_blocks(blocks)
+    numerators, dens, counts = zip(*entries)
+    den = lcm(*dens)
+    return Profile.from_numerators(den, [a * (den // b) for a, b in zip(numerators, dens)], counts)
 
 
 def parse_profiles(text: str) -> list[Profile]:
@@ -530,8 +547,10 @@ def parse_profiles(text: str) -> list[Profile]:
 
 
 def serialize_profile(p: Profile) -> str:
-    parts = []
-    for value, count in p.blocks:
-        text = format_level(value)
+    """The text form of p, each level written from its numerator over den in lowest terms."""
+    den, parts = p.den, []
+    for a, count in zip(p.numerators, p.counts):
+        g = gcd(a, den)
+        text = str(a // g) if g == den else f"{a // g}/{den // g}"
         parts.append(text if count == 1 else f"{count}*{text}")
     return ",".join(parts)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -370,6 +371,35 @@ class TestSerialization:
         text = f"# welfareax certificate v1\nchain kind=dominance\n{line}\n"
         with pytest.raises(CertificateError, match=f"in line {line!r}"):
             parse_chain(text)
+
+    def test_profile_tokens_decode_once_per_certificate(self):
+        text = (CERTIFICATES / "chain1_0.cert").read_text()
+        chain, again = parse_chain(text), parse_chain(text)
+        assert again == chain
+        # step k's to-profile is step k+1's from-profile: one decoded profile serves both
+        for step, after in zip(chain.steps, chain.steps[1:]):
+            assert step.to_profile is after.from_profile
+        # the memo lives in one call: the two parses share no profile object
+        decoded = [{id(p) for s in c.steps for p in (s.from_profile, s.to_profile)}
+                   for c in (chain, again)]
+        assert not decoded[0] & decoded[1]
+
+    def test_a_bad_level_in_a_repeated_token_names_its_line(self):
+        from welfareax import CertificateError
+
+        lines = (CERTIFICATES / "chain1_0.cert").read_text().splitlines()
+        to = next(token for token in lines[2].split() if token.startswith("to="))
+        assert "from" + to[2:] in lines[3].split()  # the first step's to is the second's from
+        for bad in ("x", "1/0", "0x10"):
+            # line 2 decodes the token; line 3 carries it with a bad level
+            broken = list(lines)
+            broken[3] = broken[3].replace(" from=", f" from={bad},", 1)
+            with pytest.raises(CertificateError, match=re.escape(f"in line {broken[3]!r}")):
+                parse_chain("\n".join(broken) + "\n")
+            # the bad token in both lines: the first is named
+            broken[2] = broken[2].replace(" to=", f" to={bad},", 1)
+            with pytest.raises(CertificateError, match=re.escape(f"in line {broken[2]!r}")):
+                parse_chain("\n".join(broken) + "\n")
 
     def test_replication_invariance_cannot_justify_a_step(self):
         # a same-size pair meets the axiom's clauses, but its conclusion ranks

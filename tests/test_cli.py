@@ -1,4 +1,5 @@
 import hashlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,8 +7,9 @@ from pathlib import Path
 import pytest
 import yaml
 
+from welfareax import ConfigError
 from welfareax.chains import serialize_chain
-from welfareax.cli import main
+from welfareax.cli import _load_yaml, _parse_yaml, main
 from welfareax.propositions import build_prop2_chain
 
 RDU_CONFIG = "ordering: rdu\nrho: '101/100'\ng: {kind: sqrt}\n"
@@ -647,6 +649,12 @@ QA_INSTANCE = (
                 ("1e-400", f"{1 - 10**400}/{10**400}"),
             ]
         ],
+        pytest.param(
+            {"cp.yaml": "ordering: concavepoor\ntheta_p: 5\nlambda: 1/2\ng: sqrt\n",
+             "p.txt": "1e400,1\n"},
+            ["value", "--ordering", "cp.yaml", "--profiles", "p.txt"],
+            id="concavepoor-mean-beyond-float-range",
+        ),
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(workdir, capsys, files, argv):
@@ -697,6 +705,48 @@ def test_seed_and_format_only_where_honoured(workdir, capsys):
             main([str(a) for a in argv] + ["--tolerance", "1/10"])
         assert exc.value.code == 2, argv
     capsys.readouterr()
+
+
+ROOT = Path(__file__).parent.parent
+YAML_TEXTS = [
+    *((path.relative_to(ROOT).as_posix(), path.read_text()) for path in sorted(
+        (ROOT / "tests" / "data").rglob("*.yaml"))),
+    *((f"README.md example {k}", text) for k, text in enumerate(
+        re.findall(r"```yaml\n(.*?)```", (ROOT / "README.md").read_text(), re.S))),
+]
+
+
+@pytest.mark.parametrize("where,text", YAML_TEXTS, ids=[where for where, _ in YAML_TEXTS])
+def test_yaml_loads_as_the_pure_python_loader_does(where, text):
+    # the instance streams hold one document per instance, each read as one file would be
+    got = [_parse_yaml(doc, where) for doc in re.split(r"^---\n", text, flags=re.M)]
+    want = list(yaml.load_all(text, Loader=yaml.SafeLoader))
+    assert got == want and repr(got) == repr(want)
+
+
+def test_yaml_loader_falls_back_without_libyaml(monkeypatch):
+    used = []
+
+    class Recording(yaml.SafeLoader):
+        def __init__(self, stream):
+            used.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    monkeypatch.setattr(yaml, "SafeLoader", Recording)
+    assert _parse_yaml("ordering: leximin\n", "o.yaml") == {"ordering": "leximin"}
+    assert used == ["ordering: leximin\n"]
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["default-loader", "pure-python-loader"])
+def test_malformed_yaml_names_its_file(monkeypatch, tmp_path, libyaml):
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    bad = tmp_path / "bad.yaml"
+    for text in ("theta_p: [10\ntheta_r: 20\n", "a: b: c\n", "x: 1\n\tbad: 2\n"):
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{bad}: ")):
+            _load_yaml(str(bad))
 
 
 def test_console_entry_point():

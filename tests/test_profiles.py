@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from welfareax import (
     replicate,
     serialize_profile,
 )
-from welfareax.profiles import aligned_runs, argsort, block_runs
+from welfareax.profiles import aligned_runs, argsort, block_runs, parse_level
 from welfareax.propositions import build_prop4_chain
 
 from conftest import profiles
@@ -146,6 +147,93 @@ def test_profile_parse_errors_carry_position():
         parse_profile_line("0*5")
     with pytest.raises(ProfileParseError):
         parse_profile_line("1,,2")
+
+
+def fraction_level(text: str) -> Fraction:
+    """A level literal read by ``Fraction`` alone: ``p/q`` from its two ints, else its parser."""
+    text = text.strip()
+    try:
+        if "/" in text:
+            num, den = text.split("/")
+            return Fraction(int(num), int(den))
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InfeasibleParameters(f"bad level literal {text!r}") from exc
+
+
+def fraction_profile_line(line: str, line_no: int = 1) -> Profile:
+    """Reference reader: a ``Fraction`` per entry, then ``Profile.from_blocks``."""
+    body = line.split("#", 1)[0]
+    blocks, col = [], 1
+    for entry in body.split(","):
+        if entry.strip() == "":
+            raise ProfileParseError("empty profile entry", line_no, col)
+        count, value_text = 1, entry.strip()
+        if "*" in value_text:
+            count_text, _, value_text = value_text.partition("*")
+            try:
+                count = int(count_text.strip())
+            except ValueError:
+                raise ProfileParseError(f"bad repeat count {count_text.strip()!r}", line_no, col)
+            if count < 1:
+                raise ProfileParseError("repeat count must be >= 1", line_no, col)
+        try:
+            blocks.append((fraction_level(value_text), count))
+        except InfeasibleParameters:
+            raise ProfileParseError(f"bad level literal {value_text.strip()!r}", line_no, col)
+        col += len(entry) + 1
+    return Profile.from_blocks(blocks)
+
+
+GOOD_LEVELS = ["0/5", "-0", "+3", "3_000", "1.25", "-0.5", "1e3", "2E-2", "1e400", "-7", "1_0/2_0"]
+BAD_ENTRIES = ["1/0", "0x10", "1/2/3", "x", "", "0*1", "-2*1", "x*1", "2*", "1.5/2", " / "]
+
+
+def random_entry(rng) -> str:
+    kind = rng.randrange(5)
+    if kind == 0:  # a non-reduced p/q, the denominator of either sign
+        g = rng.randint(1, 12)
+        text = f"{rng.randint(-40, 40) * g}/{rng.choice((1, -1)) * rng.randint(1, 9) * g}"
+    elif kind == 1:
+        text = str(rng.randint(-10**6, 10**6))
+    elif kind == 2:  # an exact decimal or exponent
+        text = f"{rng.randint(-999, 999)}.{rng.randint(0, 999)}e{rng.randint(-5, 5)}"
+    else:
+        text = rng.choice(GOOD_LEVELS)
+    if rng.random() < 0.3:
+        text = f"{rng.randint(1, 10**6)} * {text}"
+    return " " * rng.randint(0, 2) + text + " " * rng.randint(0, 2)
+
+
+def test_int_reader_matches_the_fraction_reader_seeded():
+    rng = random.Random(2718)
+    entries = refusals = 0
+    while entries < 6000:
+        line = [random_entry(rng) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.15:
+            line.insert(rng.randrange(len(line) + 1), rng.choice(BAD_ENTRIES))
+        entries += len(line)
+        text, line_no = ",".join(line) + rng.choice(("", "  # note")), rng.randint(1, 50)
+        try:
+            want = fraction_profile_line(text, line_no)
+        except ProfileParseError as exc:
+            with pytest.raises(ProfileParseError) as got:
+                parse_profile_line(text, line_no)
+            assert str(got.value) == str(exc), text
+            assert (got.value.line, got.value.column) == (exc.line, exc.column), text
+            refusals += 1
+            continue
+        got = parse_profile_line(text, line_no)
+        assert got == want and hash(got) == hash(want), text
+    assert refusals >= 200, refusals
+    for level in GOOD_LEVELS + [e for e in BAD_ENTRIES if "*" not in e]:
+        try:
+            want = fraction_level(level)
+        except InfeasibleParameters as exc:
+            with pytest.raises(InfeasibleParameters, match=re.escape(str(exc))):
+                parse_level(level)
+        else:
+            assert parse_level(level) == want
 
 
 def test_profile_file_roundtrip():

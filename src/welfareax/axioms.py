@@ -24,7 +24,11 @@ that knows the rules of its axiom:
   blocks. The four donor axioms share one template, ``_Donors.generate``:
   size, positions, then the type's ``roles`` (the recipient's pair, a
   donor draw, a bystander draw). Every ``generate`` ends in
-  ``_GenContext.build``, which adds the stream's magnitudes.
+  ``_GenContext.build``, which adds the stream's magnitudes;
+* ``shrinks`` proposes the smaller instances counterexample search tries:
+  each person dropped from every field ``config_fields`` names, each donor
+  reverted (``_Donors.reverts``), each person's levels simplified; the types
+  that derive v, built once on its first read, simplify u alone (``_DerivedV``).
 
 ``validate_preconditions`` runs both clause lists; ``check_axiom`` then
 tests whether an ordering's verdict meets the conclusion. Each instance
@@ -51,7 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from types import SimpleNamespace
@@ -64,6 +68,7 @@ from .profiles import (
     IndexSet,
     Profile,
     Verdict,
+    _cached,
     as_level,
     block_runs,
     ceil_ratio,
@@ -154,6 +159,32 @@ def _failed(*clauses: tuple[bool, str]) -> list[str]:
     return [text for failed, text in clauses if failed]
 
 
+def _drop_index(index: int, p: int) -> int | None:
+    if index == p:
+        return None
+    return index - 1 if index > p else index
+
+
+def _drop_member(M: IndexSet, p: int) -> IndexSet | None:
+    rest = IndexSet.from_indices(_drop_index(m, p) for m in M if m != p)
+    return rest if len(rest) else None
+
+
+def _drop_target(pi: tuple[int, ...], p: int) -> tuple[int, ...]:
+    return tuple(t - 1 if t > pi[p] else t for t in pi[:p] + pi[p + 1:])
+
+
+# field name -> its value once person p is dropped; None when the field needs p
+_DROPS = {
+    "u": Profile.without,
+    "pi": _drop_target,
+    "v": Profile.without,
+    "i": _drop_index,
+    "j": _drop_index,
+    "M": _drop_member,
+}
+
+
 class _Scale:
     """An instance's levels as int numerators over one common denominator.
 
@@ -221,13 +252,54 @@ class _Axiom(Record):
     def generate(cls, ctx: "_GenContext") -> "_Axiom":
         raise NotImplementedError
 
+    def shrinks(self) -> Iterator["_Axiom"]:
+        """Smaller instances to try in its place, unvalidated, in search order: each
+        person dropped (not below three persons, nor one that a field needs), then
+        each donor reverted, then each person's levels simplified."""
+        n = len(self.u)
+        for p in range(n if n > 2 else 0):
+            changes = {name: _DROPS[name](getattr(self, name), p)
+                       for name in self.config_fields if name in _DROPS}
+            if None not in changes.values():
+                yield replace(self, **changes)
+        yield from self.reverts()
+        for p in range(n):
+            yield from self.simplified(p)
+
+    def reverts(self) -> Iterator["_Axiom"]:
+        """Each donor moved back among the bystanders: only ``_Donors`` have donors."""
+        return iter(())
+
+    def simplified(self, p: int) -> Iterator["_Axiom"]:
+        """Person p's levels moved toward small integers: a tie to 0 and to its
+        floor, an unequal pair to both floors."""
+        u_p, v_p = self.u.value_at(p), self.v.value_at(p)
+        floors = Fraction(u_p.__floor__()), Fraction(v_p.__floor__())
+        pairs = [(Fraction(0), Fraction(0)), floors] if u_p == v_p else [floors]
+        for cu, cv in pairs:
+            if (cu, cv) != (u_p, v_p):
+                yield replace(self, u=self.u.with_value_at(p, cu), v=self.v.with_value_at(p, cv))
+
+
+class _DerivedV(_Axiom):
+    """An axiom whose v follows from its fields: Anonymity and Pigou-Dalton. v is no
+    field, so only u is simplified, and never at i or j where the type has them."""
+
+    def simplified(self, p):
+        if p in [getattr(self, name) for name in ("i", "j") if name in self.config_fields]:
+            return
+        u_p = self.u.value_at(p)
+        for level in (Fraction(0), Fraction(u_p.__floor__())):
+            if level != u_p:
+                yield replace(self, u=self.u.with_value_at(p, level))
+
 
 @dataclass(frozen=True)
-class Anonymity(_Axiom):
+class Anonymity(_DerivedV):
     pi: tuple[int, ...]
     tag = "anonymity"
 
-    @property
+    @_cached
     def v(self) -> Profile:
         return permute(self.u, self.pi)
 
@@ -300,7 +372,7 @@ class WeakPareto(_Pareto):
 
 
 @dataclass(frozen=True)
-class PigouDalton(_Axiom):
+class PigouDalton(_DerivedV):
     """Transfer of epsilon from richer i to poorer j, order preserved."""
 
     i: int
@@ -309,7 +381,7 @@ class PigouDalton(_Axiom):
     tag = "pigou_dalton"
     options = {"epsilon_max": 3}
 
-    @property
+    @_cached
     def v(self) -> Profile:
         out = self.u.with_value_at(self.i, self.u.value_at(self.i) - self.epsilon)
         return out.with_value_at(self.j, self.u.value_at(self.j) + self.epsilon)
@@ -385,6 +457,14 @@ class _Donors(_Axiom):
 
     def recipient_clauses(self, s: _Scale, u_i: int, v_i: int) -> list[str]:
         raise NotImplementedError
+
+    def reverts(self):
+        """Each donor j moved out of M, its level in v back to its level in u;
+        none when M would be empty."""
+        if len(self.M) > 1:
+            for j in self.M:
+                M = IndexSet.from_indices(m for m in self.M if m != j)
+                yield replace(self, v=self.v.with_value_at(j, self.u.value_at(j)), M=M)
 
     def profile_clauses(self) -> list[str]:
         failures = self.count_clauses()

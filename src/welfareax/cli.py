@@ -10,6 +10,7 @@ files that ``validate`` re-checks bit-exactly. Indices in documents are
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
@@ -170,13 +171,9 @@ def cmd_axiom_suite(args) -> int:
 
 # the chain builders' parameters: axiom magnitudes, the counts h and n, chain 4's beta_ratio
 _BUILDER_FIELDS = {**_FIELDS, "h": INTEGER, "n": INTEGER, "beta_ratio": LEVEL}
-# replay --id: (builder, the --params keys it reads, those a document may omit)
-_REPLAY = {
-    1: (build_prop1_chain, "theta_p theta_r alpha beta gamma delta m", ()),
-    2: (build_prop2_chain, "theta_p theta_r alpha beta gamma delta lam n", ("n",)),
-    3: (build_prop3_chain, "theta_p theta_r alpha beta gamma delta lam h n", ()),
-    4: (build_prop4_chain, "beta_ratio", ("beta_ratio",)),
-}
+# replay --id: the builder; its parameters but the profiles u and v are the --params
+# keys it reads, and those with a default are the keys a document may omit
+_REPLAY = {1: build_prop1_chain, 2: build_prop2_chain, 3: build_prop3_chain, 4: build_prop4_chain}
 
 
 def cmd_replay(args) -> int:
@@ -189,8 +186,10 @@ def cmd_replay(args) -> int:
         profiles = _load_profiles(args.profiles)
         if len(profiles) != 2:
             raise ConfigError("replay 4 needs a profile file with exactly two profiles")
-    builder, names, optional = _REPLAY[args.id]
-    fields = {name: _BUILDER_FIELDS[name] for name in names.split()}
+    builder = _REPLAY[args.id]
+    keys = [p for p in inspect.signature(builder).parameters.values() if p.name not in ("u", "v")]
+    fields = {p.name: _BUILDER_FIELDS[p.name] for p in keys}
+    optional = [p.name for p in keys if p.default is not p.empty]
     given = read_fields(params, fields, dict.fromkeys(optional), "builder parameter")
     # an omitted optional key is not passed: the builder's own default applies
     chain = builder(*profiles, **{name: x for name, x in given.items() if x is not None})

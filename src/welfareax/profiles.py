@@ -28,7 +28,6 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, inf, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -72,13 +71,18 @@ def parse_level(text: str) -> Fraction:
 
 def _level_ints(text: str) -> tuple[int, int]:
     """A level literal as an int numerator and denominator, neither reduced nor checked;
-    only exact decimals and exponents (``-1.25``, ``1e3``) go through ``Fraction``'s parser."""
+    only exact decimals and exponents (``-1.25``, ``1e3``) go through ``Fraction``'s parser,
+    which builds 10**exponent in full: past ``int()``'s digit limit, a ``ValueError``."""
     if "/" in text:
         num, den = text.split("/")
         return int(num), int(den)
     try:
         return int(text), 1
     except ValueError:
+        _, e, exponent = text.lower().partition("e")
+        limit = sys.get_int_max_str_digits()
+        if e and limit and abs(int(exponent)) > limit:
+            raise ValueError(f"exponent beyond {limit} digits") from None
         x = Fraction(text)
         return x.numerator, x.denominator
 
@@ -132,11 +136,6 @@ def over_common_denominator(levels: Sequence[Fraction]) -> tuple[int, tuple[int,
     # star-args from a list: a generator's args tuple is resized, stranding free-list tuples
     den = lcm(*[x.denominator for x in levels])
     return den, tuple([x.numerator * (den // x.denominator) for x in levels])
-
-
-# Generated profiles repeat a few levels over one denominator; Fractions
-# are immutable, so they share one object per level.
-_fraction = lru_cache(maxsize=1024)(Fraction)
 
 
 def _normalize_blocks(blocks: Iterable[tuple]) -> tuple[list[Fraction], list[int]]:
@@ -237,7 +236,7 @@ class Profile:
     @_cached
     def blocks(self) -> tuple[tuple[Fraction, int], ...]:
         """The (level, count) blocks, levels as Fractions."""
-        return tuple([(_fraction(a, self.den), c) for a, c in zip(self.numerators, self.counts)])
+        return tuple([(Fraction(a, self.den), c) for a, c in zip(self.numerators, self.counts)])
 
     @_cached
     def ranked(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -268,7 +267,7 @@ class Profile:
         raise IndexError(f"index {index} out of range for profile of size {self.n}")
 
     def value_at(self, index: int) -> Fraction:
-        return _fraction(self.numerators[self._block(index)[0]], self.den)
+        return Fraction(self.numerators[self._block(index)[0]], self.den)
 
     def total(self) -> Fraction:
         return self.mean() * self.n
@@ -283,7 +282,7 @@ class Profile:
     def sorted_blocks(self) -> tuple[tuple[Fraction, int], ...]:
         """``ranked`` as (level, count) blocks."""
         den, numerators, counts = self.ranked
-        return tuple([(_fraction(a, den), c) for a, c in zip(numerators, counts)])
+        return tuple([(Fraction(a, den), c) for a, c in zip(numerators, counts)])
 
     def same_multiset(self, other: "Profile") -> bool:
         """Whether both hold the same levels as often."""
@@ -299,6 +298,12 @@ class Profile:
         numerators[b:b + 1] = a, value.numerator * (den // value.denominator), a
         counts = self.counts[:b] + (self.counts[b] - right - 1, 1, right) + self.counts[b + 1:]
         return Profile.from_numerators(den, numerators, counts)
+
+    def without(self, index: int) -> "Profile":
+        """Copy with the entry at ``index`` dropped: one fewer in its block."""
+        counts = list(self.counts)
+        counts[self._block(index)[0]] -= 1
+        return Profile.from_numerators(self.den, self.numerators, counts)
 
     def __str__(self) -> str:
         return serialize_profile(self)

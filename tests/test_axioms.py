@@ -209,6 +209,37 @@ class TestCheckAxiom:
         assert result.detail == "pi is not a permutation of 0..n-1"
         assert len(calls) == 1
 
+    def test_derived_v_is_built_once(self):
+        anonymity = Anonymity(P([1, 2, 3]), (1, 2, 0))
+        transfer = PigouDalton(P([5, 1, 2]), 0, 1, Fraction(1))
+        for inst in (anonymity, transfer):
+            assert inst.v is inst.v
+            # v is no field: equality, hashing and the document leave it out
+            again = type(inst)(*(getattr(inst, name) for name in inst.config_fields))
+            assert again == inst and hash(again) == hash(inst)
+            assert "v" not in instance_to_config(inst)
+        assert anonymity.v == P([3, 1, 2]) and transfer.v == P([4, 2, 2])
+
+    def test_chain4_replay_then_validation_permutes_once_per_anonymity_step(
+        self, monkeypatch, tmp_path
+    ):
+        from welfareax import axioms
+        from welfareax.cli import main
+
+        calls = []
+        permute = axioms.permute
+
+        def counting(u, pi):
+            calls.append(pi)
+            return permute(u, pi)
+
+        monkeypatch.setattr(axioms, "permute", counting)
+        pair, cert = tmp_path / "pair.txt", tmp_path / "chain4.cert"
+        pair.write_text("1,2,3,7\n1,1,5,6\n")
+        assert main(["replay", "--id", "4", "--profiles", str(pair), "--out", str(cert)]) == 0
+        steps = cert.read_text().count("axiom=anonymity")
+        assert steps > 0 and len(calls) == steps
+
     def test_replication_invariance_of_leximin(self):
         inst = ReplicationInvariance(P([1, 4]), P([2, 2]), 3)
         assert check_axiom(Leximin(), inst).status is CheckStatus.SATISFIED

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -400,6 +401,16 @@ class TestSerialization:
             broken[2] = broken[2].replace(" to=", f" to={bad},", 1)
             with pytest.raises(CertificateError, match=re.escape(f"in line {broken[2]!r}")):
                 parse_chain("\n".join(broken) + "\n")
+
+    def test_an_exponent_beyond_the_digit_limit_in_a_token_is_refused_at_once(self):
+        from welfareax import CertificateError
+
+        lines = (CERTIFICATES / "chain1_0.cert").read_text().splitlines()
+        lines[2] = lines[2].replace(" to=", " to=1e10000000,", 1)
+        start = time.perf_counter()
+        with pytest.raises(CertificateError, match=re.escape(f"in line {lines[2]!r}")):
+            parse_chain("\n".join(lines) + "\n")
+        assert time.perf_counter() - start < 0.1
 
     def test_replication_invariance_cannot_justify_a_step(self):
         # a same-size pair meets the axiom's clauses, but its conclusion ranks

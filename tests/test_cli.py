@@ -655,6 +655,11 @@ QA_INSTANCE = (
             ["value", "--ordering", "cp.yaml", "--profiles", "p.txt"],
             id="concavepoor-mean-beyond-float-range",
         ),
+        pytest.param(
+            {"pair.txt": "1e10000000,1\n1,2\n"},
+            ["compare", "--ordering", "leximin.yaml", "--profiles", "pair.txt"],
+            id="exponent-beyond-the-digit-limit",
+        ),
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(workdir, capsys, files, argv):

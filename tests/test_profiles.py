@@ -3,6 +3,7 @@ import math
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,28 @@ def test_levels_parse_exactly():
     assert as_level("-1.25") == Fraction(-5, 4)
     assert as_level("7/3") == Fraction(7, 3)
     assert as_level(0.2) == Fraction(1, 5)
+    assert as_level("1e400") == 10**400
+    assert as_level("1e-400") == Fraction(1, 10**400)
+    assert as_level("1.5e-3") == Fraction(3, 2000)
+    assert parse_profile_line("1e400, -1.25, 1.5e-3").blocks == (
+        (Fraction(10**400), 1),
+        (Fraction(-5, 4), 1),
+        (Fraction(3, 2000), 1),
+    )
+
+
+def test_an_exponent_beyond_the_digit_limit_is_refused_at_once():
+    # Fraction's parser would build 10**exponent in full (seconds for 1e10000000)
+    limit = sys.get_int_max_str_digits()
+    assert as_level(f"1e{limit}") == 10**limit
+    for literal in ("1e10000000", "-2.5E-10000000", "1e+1000000000", f"1e{limit + 1}"):
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleParameters, match="bad level literal"):
+            as_level(literal)
+        with pytest.raises(ProfileParseError, match="bad level literal") as err:
+            parse_profile_line(f"1, 2*{literal}")
+        assert err.value.column == 3
+        assert time.perf_counter() - start < 0.1, literal
 
 
 def test_profile_parsing_and_runs():

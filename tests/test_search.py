@@ -1,7 +1,10 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import yaml
 
 from welfareax import (
     CheckStatus,
@@ -14,13 +17,18 @@ from welfareax import (
     check_axiom,
     validate_preconditions,
 )
-from welfareax.search import SearchBudget, _without, find_counterexample, shrink
+from welfareax.axioms import generate_instances, instance_to_config
+from welfareax.search import SearchBudget, find_counterexample, shrink
+
+from test_pinned_streams import STREAMS
 
 # strong discounting makes ratio-aggregation violations reachable at
 # single-digit population sizes
 RDU_STEEP = Rdu(Fraction(2), Identity())
 RATIO_PARAMS = dict(lam="1/2", gamma=2, delta=1)
 RATIO_BUDGET = SearchBudget(20_000, seed=1, populations=(6, 12))
+# the profile edit of dropping a person, which shrinking applies to u and v
+_without = Profile.without
 
 
 def test_leximin_violates_quantitative_aggregation_quickly():
@@ -108,3 +116,21 @@ def test_dropping_an_entry_of_a_huge_profile():
     assert _without(u, k) == Profile.from_blocks([(1, k), (3, 6 * 10**6 - 1)])
     rest = Profile.from_blocks([(1, k - 1), (Fraction(1, 2), 1), (3, 6 * 10**6 - 1)])
     assert _without(u, 0) == rest
+
+
+# sha256 of the instance documents of every shrink candidate, in order, of the
+# first 60 instances at seed 7 of each pinned stream; recorded before the
+# shrink edits moved onto the axiom types
+CANDIDATE_DIGEST = "e786f7a6c6349a70841c6e633718c8718b682cd4ba6d6c43addfa5f9ef4b1f09"
+
+
+def test_shrink_candidate_stream_is_pinned():
+    digest, count = hashlib.sha256(), 0
+    for axiom, params, keywords in STREAMS.values():
+        stream = generate_instances(axiom, params, seed=7, **keywords)
+        for inst in itertools.islice(stream, 60):
+            for candidate in inst.shrinks():
+                doc = instance_to_config(candidate)
+                digest.update(yaml.safe_dump(doc, sort_keys=False).encode())
+                count += 1
+    assert (count, digest.hexdigest()) == (9459, CANDIDATE_DIGEST)

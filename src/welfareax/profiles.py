@@ -143,10 +143,10 @@ def _normalize_blocks(blocks: Iterable[tuple]) -> tuple[list[Fraction], list[int
     levels, counts = [], []
     for value, count in blocks:
         if type(value) is not Fraction or type(count) is not int:
-            try:
-                exact = Fraction(count)  # an integral count in any form: 3, 3.0, "3"
-            except (TypeError, ValueError, OverflowError):
-                exact = None  # "x", None, nan, inf
+            try:  # an integral count in any form: 3, 3.0, "3", "6/2" (text is read as a level)
+                exact = Fraction(*_level_ints(count)) if type(count) is str else Fraction(count)
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                exact = None  # "x", None, nan, inf, "1/0", "1e1000000"
             if exact is None or exact.denominator != 1:
                 raise InfeasibleParameters(f"block count {count!r} is not an integer")
             value, count = as_level(value), exact.numerator

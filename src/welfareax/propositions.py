@@ -438,19 +438,21 @@ def _ratio_terms(rho: Fraction, lam: Fraction, n: int, step: int = 1):
 
     With rho = a/b and q = ceil(lam n), num = b^(n+2-q) * G(a, b, q) and
     den = a^(n+1) are coprime, as gcd(a, b) = 1 and G(a, b, q) = b^(q-1)
-    mod a. The ints carry from n to n + step, through G(a, b, q+d) =
-    a^d * G(a, b, q) + b^q * G(a, b, d).
+    mod a. As G(a, b, q+d) = a^d * G(a, b, q) + b^q * G(a, b, d), num
+    carries to n + step, d = q(n+step) - q(n), as b^(step-d) * (a^d * num +
+    b^(n+2) * G(a, b, d)); 0 <= d <= ceil(lam step) <= step as 0 < lam < 1,
+    so each step multiplies the big ints only by ints of O(step) digits.
     """
-    a, b = rho.numerator, rho.denominator
+    a, b, p, r = rho.numerator, rho.denominator, lam.numerator, lam.denominator
     q = ceil_ratio(lam, n)
-    low, geom, den = b ** (n + 2 - q), geometric_sum(a, b, q), a ** (n + 1)
-    a_step = a**step
+    num, high, den = b ** (n + 2 - q) * geometric_sum(a, b, q), b ** (n + 2), a ** (n + 1)
+    a_step, b_step = a**step, b**step
     while True:
-        yield n, low * geom, den
+        yield n, num, den
         n += step
-        d = ceil_ratio(lam, n) - q
-        geom = a**d * geom + b**q * geometric_sum(a, b, d)
-        low *= b ** (step - d)
+        d = -(-p * n // r) - q
+        num = b ** (step - d) * (a**d * num + high * geometric_sum(a, b, d))
+        high *= b_step
         den *= a_step
         q += d
 

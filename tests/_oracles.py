@@ -4,8 +4,9 @@ These stay deliberately naive: plain sorted-list comparison for the
 lexicographic maximin rule, term-by-term high-precision summation for
 rank-discounted values, 300-bit blockwise closed forms (geometric
 series for RDU weights, transforms written out in mpmath) for the float
-valuations, and the exact rules summed entry by entry in ``Fraction``
-arithmetic over plain level lists. They share no code path with the
+valuations, the exact rules summed entry by entry in ``Fraction``
+arithmetic over plain level lists, and Proposition 5's coefficient ints
+from their closed form, afresh at each n. They share no code path with the
 package's engines.
 """
 
@@ -131,6 +132,13 @@ def prop5_sides(transform: tuple, rho, theta_p, theta_r, alpha, beta, prec_bits:
         lhs = g_mp(transform, theta_p) - g_mp(transform, theta_p - alpha)
         rise = g_mp(transform, theta_r + beta) - g_mp(transform, theta_r)
         return lhs, _mpf(rho) / (_mpf(rho) - 1) * rise
+
+
+def ratio_terms(a: int, b: int, lam_num: int, lam_den: int, n: int) -> tuple[int, int]:
+    """Proposition 5's coefficient at n for rho = a/b > 1 and lam = lam_num/lam_den,
+    as (b^(n+2-q) * G(a, b, q), a^(n+1)) with q = ceil(lam n), built from scratch."""
+    q = -(-lam_num * n // lam_den)
+    return b ** (n + 2 - q) * ((a**q - b**q) // (a - b)), a ** (n + 1)
 
 
 # Exact rules entry by entry, on lists of Fraction levels; g is a callable

@@ -318,19 +318,32 @@ def test_tally_counts_members_per_run_seeded():
 def test_block_counts_must_be_integral():
     # an integral count in any form is read; a fractional one is refused,
     # not truncated (2.5 once gave 2 entries and 0.5 dropped its block)
-    for count in (3, 3.0, "3", Fraction(3)):
+    for count in (3, 3.0, "3", Fraction(3), "6/2", "30e-1"):
         assert Profile.from_blocks([(1, count)]) == Profile.from_levels([1, 1, 1])
+    assert Profile.from_blocks([(1, "1e3")]) == Profile.constant(1, 1000)
     for blocks in ([(1, 2.5)], [(1, Fraction(5, 2))], [(2, 0.5), (1, 1)], [(1, "2.5")]):
         with pytest.raises(InfeasibleParameters, match="is not an integer"):
             Profile.from_blocks(blocks)
 
 
 def test_malformed_block_counts_are_refused():
-    for count in ("x", float("nan"), None, float("inf"), object()):
+    for count in ("x", float("nan"), None, float("inf"), object(), "1/0"):
         with pytest.raises(InfeasibleParameters, match="is not an integer"):
             Profile.from_blocks([(1, count)])
     with pytest.raises(InfeasibleParameters, match="negative block count"):
         Profile.from_blocks([(1, -1.0)])
+
+
+def test_huge_text_block_count_is_refused_before_it_is_expanded():
+    # text counts go through the level reader, whose exponent guard refuses
+    # "1e1000000" before 10**1000000 is built (Fraction's parser took 0.23 s)
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleParameters, match="is not an integer"):
+            Profile.from_blocks([(1, "1e1000000")])
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.01, seconds
 
 
 def test_profiles_beyond_an_index_are_refused():

@@ -17,13 +17,14 @@ from welfareax import (
     validate_preconditions,
 )
 from welfareax.propositions import (
+    _ratio_terms,
     prop5_nonagg_condition,
     prop5_ratio_failure,
     ratio_coefficient,
     scan_ratio_coefficients,
 )
 
-from _oracles import prop5_sides
+from _oracles import prop5_sides, ratio_terms
 
 # (transform, oracle name, exclusive lower end of the domain or None)
 FLOAT_TRANSFORMS = (
@@ -124,6 +125,12 @@ class TestRatioFailure:
         spec = Rdu(Fraction(101, 100), Identity())
         assert check_axiom(spec, report.witness).status is CheckStatus.VIOLATED
 
+    def test_weak_discounting_scan_reaches_fifteen_thousand(self):
+        # the scan carries its numerator, so n* = 15,208 is 15,208 cheap steps
+        report = prop5_ratio_failure(Identity(), Fraction(1001, 1000), Fraction(1, 2), 2, 1, 10)
+        assert (report.n_star, report.witness_n) == (15208, 15212)
+        assert report.check.status is CheckStatus.VIOLATED
+
     def test_larger_rho_fails_sooner(self):
         previous = None
         for rho in (Fraction(102, 100), Fraction(11, 10), Fraction(3, 2)):
@@ -173,6 +180,24 @@ class TestCoefficientScan:
                 built = Fraction(num, den)
                 assert (c, hash(c), repr(c)) == (built, hash(built), repr(built))
                 assert ratio_coefficient(rho, lam, n) == c
+
+    def test_carried_terms_match_closed_form_seeded(self):
+        # each (n, num, den) the scan carries from step to step equals the
+        # closed form b^(n+2-q) G(a, b, q) over a^(n+1), rebuilt at every n
+        rng = random.Random(15208)
+        for draw in range(200):
+            b = 1 if draw % 5 == 0 else rng.randint(2, 60)
+            rho = Fraction(rng.randint(b + 1, 3 * b + 40), b)
+            q = rng.randint(2, 25)
+            lam, step = Fraction(rng.randint(1, q - 1), q), rng.randint(1, 4)
+            n_from = rng.randint(1, 50)
+            a, b = rho.numerator, rho.denominator
+            terms = _ratio_terms(rho, lam, n_from, step)
+            for k in range(400):
+                n, num, den = next(terms)
+                assert n == n_from + k * step
+                assert (num, den) == ratio_terms(a, b, lam.numerator, lam.denominator, n), (
+                    rho, lam, n_from, step, n)
 
     def test_coefficient_needs_rho_above_one(self):
         # the scan's guard: at rho = 0 the denominator a^(n+1) is 0, and

@@ -907,9 +907,8 @@ def check_axiom(spec: OrderingSpec, inst: AxiomInstance) -> CheckResult:
 BOUNDARY_PROBABILITY = 0.25
 
 
-def _positions(rng: random.Random, n: int, m_count: int, i_pos: int | None = None):
-    if i_pos is None:
-        i_pos = rng.randrange(n)
+def _positions(rng: random.Random, n: int, m_count: int):
+    i_pos = rng.randrange(n)
     rest = [p for p in range(n) if p != i_pos]
     rng.shuffle(rest)
     return i_pos, sorted(rest[:m_count]), sorted(rest[m_count:])

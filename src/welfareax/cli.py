@@ -176,6 +176,14 @@ _BUILDER_FIELDS = {**_FIELDS, "h": INTEGER, "n": INTEGER, "beta_ratio": LEVEL}
 _REPLAY = {1: build_prop1_chain, 2: build_prop2_chain, 3: build_prop3_chain, 4: build_prop4_chain}
 
 
+def _count_line(report) -> str:
+    return (
+        f"steps={report.step_count} "
+        f"precondition_failures={len(report.precondition_failures)} "
+        f"linkage_failures={len(report.linkage_failures)}"
+    )
+
+
 def cmd_replay(args) -> int:
     spec = _load_ordering(args.locate) if args.locate else None
     params = _load_yaml(args.params) if args.params else {}
@@ -202,11 +210,7 @@ def cmd_replay(args) -> int:
         sys.stdout.write(text)
 
     report = validate_chain(chain, spec)
-    print(
-        f"validation: steps={report.step_count} "
-        f"precondition_failures={len(report.precondition_failures)} "
-        f"linkage_failures={len(report.linkage_failures)}"
-    )
+    print(f"validation: {_count_line(report)}")
     if spec is not None:
         for sv in report.denied_steps:
             label = "terminal" if sv.index == len(chain.steps) else f"step {sv.index}"
@@ -223,11 +227,7 @@ def cmd_validate(args) -> int:
     chain = parse_chain(Path(args.certificate).read_text(encoding="utf-8"))
     spec = _load_ordering(args.locate) if args.locate else None
     report = validate_chain(chain, spec)
-    print(
-        f"steps={report.step_count} "
-        f"precondition_failures={len(report.precondition_failures)} "
-        f"linkage_failures={len(report.linkage_failures)}"
-    )
+    print(_count_line(report))
     for idx, message in report.precondition_failures + report.linkage_failures:
         print(f"  step {idx}: {message}")
     if spec is not None:
@@ -349,24 +349,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("prop5", help="rank-discounting threshold reports")
+    p.set_defaults(func=cmd_prop5)
     mode = p.add_subparsers(dest="mode", required=True)
-    c = mode.add_parser("condition")
-    c.add_argument("--g", default="identity")
-    c.add_argument("--rho", type=as_level, required=True)
+    c, r = mode.add_parser("condition"), mode.add_parser("ratio-failure")
+    for q in (c, r):
+        q.add_argument("--g", default="identity")
+        q.add_argument("--rho", type=as_level, required=True)
     c.add_argument("--theta-p", dest="theta_p", type=as_level, required=True)
     c.add_argument("--theta-r", dest="theta_r", type=as_level, required=True)
     c.add_argument("--alpha", type=as_level, required=True)
     c.add_argument("--beta", type=as_level, required=True)
-    c.set_defaults(func=cmd_prop5, mode="condition")
-    r = mode.add_parser("ratio-failure")
-    r.add_argument("--g", default="identity")
-    r.add_argument("--rho", type=as_level, required=True)
     r.add_argument("--lam", type=as_level, required=True)
     r.add_argument("--gamma", type=as_level, required=True)
     r.add_argument("--delta", type=as_level, required=True)
     r.add_argument("--base", type=as_level, default=as_level(10), help="flat profile level")
     r.add_argument("--out", help="write the witness instance to this path")
-    r.set_defaults(func=cmd_prop5, mode="ratio-failure")
 
     p = sub.add_parser("search", help="counterexample search")
     p.add_argument("--ordering", required=True)

@@ -61,6 +61,7 @@ class _Transform(Record):
     """Base of the transforms; ``kind`` is the tag of its config document."""
 
     kind = ""
+    is_exact = False
     upper_bound = None
     ulps = 1  # one rounding of the level or of g (sqrt halves the level's)
     # A rounding to a subnormal float is off by up to 2**-1075 absolute, not
@@ -93,7 +94,6 @@ class Identity(_Transform):
 @dataclass(frozen=True)
 class Sqrt(_Transform):
     kind = "sqrt"
-    is_exact = False
     floor = 2.0**-537  # |sqrt(a) - sqrt(b)| <= sqrt(|a - b|); a subnormal level is off by 2**-1075
 
     def check_domain(self, x, den: int = 1) -> None:
@@ -116,7 +116,6 @@ class LogShifted(_Transform):
 
     shift: Fraction
     kind = "log_shifted"
-    is_exact = False
     config_fields = {"shift": LEVEL}
     config_defaults = {"shift": 1}
 
@@ -165,7 +164,6 @@ class SaturatingExp(_Transform):
     cap: Fraction
     scale: Fraction
     kind = "saturating_exp"
-    is_exact = False
     ulps = 4  # three conversions, a division, expm1 and a product
     config_fields = {"cap": LEVEL, "scale": LEVEL}
 

@@ -105,6 +105,9 @@ class FloatValue:
     def __float__(self) -> float:
         return self.value
 
+    def as_integer_ratio(self) -> tuple[int, int]:
+        return self.value.as_integer_ratio()
+
     def __str__(self) -> str:
         return f"{self.value!r} (error bound {self.bound:.3e})"
 

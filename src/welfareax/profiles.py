@@ -35,7 +35,7 @@ from .errors import InfeasibleParameters, MaterializeError, ProfileParseError, S
 
 Level = Fraction
 
-#: Largest profile that ``levels()`` / ``permute`` will expand entry-by-entry.
+#: Most entries ``levels()`` / ``permute`` expand one by one; most blocks ``replicate`` builds.
 MATERIALIZE_LIMIT = 2_000_000
 
 
@@ -327,10 +327,14 @@ def replicate(u: Profile, k: int) -> Profile:
     if k == 1:
         return u
     den, numerators, counts = u.den, u.numerators, u.counts
-    if numerators[0] != numerators[-1]:
-        return Profile(den, numerators * k, counts * k)
     if len(counts) == 1:
         return Profile(den, numerators, (counts[0] * k,))
+    seam = numerators[0] == numerators[-1]
+    blocks = (len(counts) - seam) * k + seam
+    if blocks > MATERIALIZE_LIMIT:
+        raise MaterializeError(f"{k} copies make {blocks} blocks, beyond the materialization limit")
+    if not seam:
+        return Profile(den, numerators * k, counts * k)
     counts = counts[:1] + (counts[1:-1] + (counts[-1] + counts[0],)) * (k - 1) + counts[1:]
     return Profile(den, numerators[:-1] * k + numerators[-1:], counts)
 

@@ -365,6 +365,15 @@ def build_prop4_chain(u: Profile, v: Profile, beta_ratio=Fraction(1, 2)) -> Deri
 # rank-discounting threshold condition
 
 
+def _difference(g: GFunction, x, y):
+    """g(x) - g(y): a ``Fraction`` for an exact g, else the ``_float_sum`` of the two
+    values within their ``g.error``, whose ``value`` is their correctly rounded difference."""
+    if g.is_exact:
+        return g.exact(x) - g.exact(y)
+    gx, gy = g.value(x), g.value(y)
+    return _float_sum([gx, -gy], [g.error(x, gx), g.error(y, gy)])
+
+
 @dataclass(frozen=True)
 class Prop5Report:
     """Two sides of the non-aggregation condition for discount rho > 1.
@@ -389,7 +398,7 @@ def prop5_nonagg_condition(
     """Evaluate g(theta_p) - g(theta_p - alpha) >= rho/(rho-1) * (g(theta_r + beta) - g(theta_r)).
 
     For a float transform each difference is a ``_float_sum`` of two terms
-    within their ``g.error``. The factor f = float(rho/(rho-1)) > 1 is off by
+    within their ``g.error`` (``_difference``). The factor f = float(rho/(rho-1)) > 1 is off by
     EPS/2 relative and the product t = f * rise by EPS/2 relative, or
     2**-1075 when it underflows, so t is within f * bound(rise) (1 + EPS) +
     2 EPS |t| + TINY of the true side; an f beyond the float range is a
@@ -404,19 +413,13 @@ def prop5_nonagg_condition(
     _require(alpha > beta > 0, "need alpha > beta > 0")
     for point in (theta_p, theta_p - alpha, theta_r, theta_r + beta):
         g.check_domain(point)
+    lhs = _difference(g, theta_p, theta_p - alpha)
+    rise = _difference(g, theta_r + beta, theta_r)
     if g.is_exact:
-        lhs = g.exact(theta_p) - g.exact(theta_p - alpha)
-        rhs = rho / (rho - 1) * (g.exact(theta_r + beta) - g.exact(theta_r))
+        rhs = rho / (rho - 1) * rise
         return Prop5Report(
             _float_or_inf(lhs), _float_or_inf(rhs), 0.0, 0.0, lhs >= rhs, True, True
         )
-
-    def difference(x, y):
-        gx, gy = g.value(x), g.value(y)
-        return _float_sum([gx, -gy], [g.error(x, gx), g.error(y, gy)])
-
-    lhs = difference(theta_p, theta_p - alpha)
-    rise = difference(theta_r + beta, theta_r)
     factor = _float_or_inf(rho / (rho - 1))
     if math.isinf(factor):
         raise FloatRangeError("rho/(rho-1) exceeds the float range")
@@ -505,8 +508,9 @@ def prop5_ratio_failure(
     """Smallest n where the displayed coefficient inequality fails, plus a
     concrete ratio-aggregation instance that the RDU ordering violates.
 
-    The witness population may exceed n_star slightly because the actual
-    rank weights are rho**2 times the displayed coefficient.
+    The scan reads ``_difference``'s lhs and gain as exact (a float one without its
+    bound). The witness population may exceed n_star slightly because the
+    actual rank weights are rho**2 times the displayed coefficient.
     """
     rho, u1 = as_level(rho), as_level(u1)
     _require(rho > 1, "need rho > 1")
@@ -514,16 +518,10 @@ def prop5_ratio_failure(
     g.check_domain(u1 - delta)
     g.check_domain(u1 + gamma)
 
-    exact = g.is_exact
-    if exact:
-        lhs = g.exact(u1) - g.exact(u1 - delta)
-        gain = g.exact(u1 + gamma) - g.exact(u1)
-    else:
-        lhs = Fraction(g.value(u1) - g.value(u1 - delta))
-        gain = Fraction(g.value(u1 + gamma) - g.value(u1))
-
+    lhs, gain = _difference(g, u1, u1 - delta), _difference(g, u1 + gamma, u1)
     # lhs > (num / den) * gain, cross-multiplied over positive denominators
-    left, right = lhs.numerator * gain.denominator, gain.numerator * lhs.denominator
+    (ln, ld), (gn, gd) = lhs.as_integer_ratio(), gain.as_integer_ratio()
+    left, right = ln * gd, gn * ld
     for n_star, num, den in _ratio_terms(rho, lam, 2):
         if n_star > n_max:
             raise InfeasibleParameters(f"no failure found up to n_max={n_max}")

@@ -2,6 +2,7 @@ import hashlib
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -669,6 +670,46 @@ def test_malformed_input_exits_2_with_one_error_line(workdir, capsys, files, arg
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        *[
+            pytest.param(
+                {"c.cert": (CERTIFICATES / fixture).read_text().replace(f"k={k} ", f"k={big} ", 1)},
+                ["validate", "--certificate", "c.cert"],
+                id=f"{word}-k-{big}",
+            )
+            for fixture, word, k in [("chain2_0.cert", "lift", 7), ("chain3_0.cert", "descent", 4)]
+            for big in ("1000000000000", "1e400")
+        ],
+        pytest.param(
+            {"inst.yaml": "axiom: replication_invariance\nu: 1,2\nv: 2,1\nk: 1000000000000\n"},
+            ["check-axiom", "--ordering", "leximin.yaml", "--instance", "inst.yaml"],
+            id="check-axiom",
+        ),
+        pytest.param(
+            {"pair.txt": "1/10,1000000\n0,1000000\n"},
+            ["replay", "--id", "4", "--profiles", "pair.txt"],
+            id="replay-4",
+        ),
+    ],
+)
+def test_replication_past_the_block_limit_exits_2_at_once(workdir, capsys, files, argv):
+    for name, text in files.items():
+        (workdir / name).write_text(text)
+    argv = [workdir / a if a in files or a.endswith(".yaml") else a for a in argv]
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        seconds.append(time.perf_counter() - start)
+        assert code == 2 and not out
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert lines[0].endswith("blocks, beyond the materialization limit")
+    assert min(seconds) < 0.1, seconds
 
 
 def test_seed_and_format_only_where_honoured(workdir, capsys):

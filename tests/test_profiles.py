@@ -5,6 +5,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -13,19 +14,23 @@ from hypothesis import strategies as st
 from welfareax import (
     IndexSet,
     InfeasibleParameters,
+    Leximin,
     MaterializeError,
     Profile,
     ProfileParseError,
+    ReplicationInvariance,
     WelfareaxError,
     as_level,
     ceil_ratio,
+    check_axiom,
     parse_profile_line,
     parse_profiles,
     permute,
     replicate,
     serialize_profile,
 )
-from welfareax.profiles import aligned_runs, argsort, block_runs, parse_level
+from welfareax.chains import parse_chain, validate_chain
+from welfareax.profiles import MATERIALIZE_LIMIT, aligned_runs, argsort, block_runs, parse_level
 from welfareax.propositions import build_prop4_chain
 
 from conftest import profiles
@@ -357,6 +362,43 @@ def test_profiles_beyond_an_index_are_refused():
             call()
         assert str(exc.value) == f"profile has more than {sys.maxsize} entries"
     assert len(Profile.constant(1, sys.maxsize)) == sys.maxsize
+
+
+def test_replication_past_the_block_limit_is_refused_before_it_is_built():
+    distinct, seam = Profile.from_levels([1, 2]), Profile.from_levels([1, 2, 1])
+    half = MATERIALIZE_LIMIT // 2
+    for u, k, blocks in [
+        (distinct, 10**12, 2 * 10**12),
+        (distinct, 10**400, 2 * 10**400),
+        (seam, 10**12, 2 * 10**12 + 1),
+        (distinct, half + 1, MATERIALIZE_LIMIT + 2),
+        (seam, half, MATERIALIZE_LIMIT + 1),
+    ]:
+        with pytest.raises(MaterializeError) as exc:
+            replicate(u, k)
+        assert str(exc.value) == (
+            f"{k} copies make {blocks} blocks, beyond the materialization limit"
+        )
+    # at the limit the copies are built; a single block takes O(1) at any factor
+    assert len(replicate(seam, half - 1).counts) == MATERIALIZE_LIMIT - 1
+    assert replicate(Profile.constant(1, 3), 10**12).counts == (3 * 10**12,)
+
+
+def test_replications_that_inputs_ask_for_are_refused():
+    fixtures = Path(__file__).parent / "data" / "certificates"
+    lifted = (fixtures / "chain2_0.cert").read_text().replace("lift k=7 ", "lift k=1000000000000 ")
+    descended = (fixtures / "chain3_0.cert").read_text().replace("descent k=4 ", "descent k=1e400 ")
+    u, v = Profile.from_levels([1, 2]), Profile.from_levels([2, 1])
+    for call in (
+        lambda: validate_chain(parse_chain(lifted)),
+        lambda: validate_chain(parse_chain(descended)),
+        lambda: check_axiom(Leximin(), ReplicationInvariance(u, v, 10**12)),
+        lambda: build_prop4_chain(
+            Profile.from_levels([Fraction(1, 10), 10**6]), Profile.from_levels([0, 10**6])
+        ),
+    ):
+        with pytest.raises(MaterializeError, match="blocks, beyond the materialization limit"):
+            call()
 
 
 def _merged(blocks) -> tuple:

@@ -17,6 +17,7 @@ from welfareax import (
     validate_preconditions,
 )
 from welfareax.propositions import (
+    _difference,
     _ratio_terms,
     prop5_nonagg_condition,
     prop5_ratio_failure,
@@ -142,6 +143,53 @@ class TestRatioFailure:
     def test_sqrt_transform_also_fails(self):
         report = prop5_ratio_failure(Sqrt(), Fraction(3, 2), Fraction(1, 2), 2, 1, 10)
         assert report.check.status is CheckStatus.VIOLATED
+
+    @pytest.mark.parametrize(
+        "g, base, pair",
+        [
+            (Identity(), 10, (1062, 1066)),
+            (Sqrt(), 10, (1048, 1052)),
+            (LogShifted(Fraction(1)), 10, (1036, 1040)),
+            (Sqrt(), 10**6, (1062, 1066)),
+        ],
+        ids=["identity", "sqrt", "log", "sqrt-base-1e6"],
+    )
+    def test_population_pairs_are_pinned(self, g, base, pair):
+        report = prop5_ratio_failure(g, Fraction(101, 100), Fraction(1, 2), 2, 1, base)
+        assert (report.n_star, report.witness_n) == pair
+        assert report.check.status is CheckStatus.VIOLATED
+
+    def test_shared_difference_is_the_float_difference_seeded(self):
+        # the scan reads _difference's value: fsum of two floats is their
+        # correctly rounded difference, the very float g.value(x) - g.value(y)
+        # (up to the sign of a zero, which its int ratio does not see)
+        rng = random.Random(1036)
+        checked = [0] * len(FLOAT_TRANSFORMS)
+        for i in range(4000):
+            g, _, floor = FLOAT_TRANSFORMS[i % len(FLOAT_TRANSFORMS)]
+            start = floor if floor is not None else -_magnitude(rng)
+            x, y = start + _magnitude(rng), start + _magnitude(rng)
+            try:
+                want = g.value(x) - g.value(y)
+            except DomainError:  # a level within float rounding of the log's pole
+                continue
+            got = _difference(g, x, y)
+            assert got.value.hex() == want.hex() or got.value == want == 0, (g, x, y)
+            assert got.bound >= g.error(x, g.value(x)) + g.error(y, g.value(y))
+            checked[i % len(FLOAT_TRANSFORMS)] += 1
+        assert min(checked) >= 150, checked
+
+    @pytest.mark.parametrize(
+        "n_max, message",
+        [
+            (1000, "no failure found up to n_max=1000"),
+            (1063, "no violated instance found up to n_max=1063"),
+        ],
+    )
+    def test_refusals_name_n_max(self, n_max, message):
+        with pytest.raises(InfeasibleParameters) as exc:
+            prop5_ratio_failure(Identity(), Fraction(101, 100), Fraction(1, 2), 2, 1, 10, n_max)
+        assert str(exc.value) == message
 
 
 class TestCoefficientScan:

@@ -17,7 +17,15 @@ quartile, the ratio of the medians, and the number of pairs the change
 won (a tie counts for neither side). A metric reads as a gain when the
 change won at least nine tenths of the pairs and its median is better
 than the parent's by more than the distance between the parent's
-quartiles.
+quartiles. It reads as beyond its bound when the change's median is worse
+than the parent's by more than the metric's ``BENCHMARK.json`` bound, a
+share of the parent's median; the failed share has bound 0, so any rise
+is beyond it.
+
+Each pair line and the summary also give each side's ``attempted`` op
+count (the summary its median): perfbench keeps every op's result until
+its gate, so peak RSS rises with the op count, and a faster side holds
+more.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ class Summary:
     wins: int
     pairs: int
     gain: bool
+    beyond_bound: bool | None  # None: the metric has no bound
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -48,9 +57,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[Summary]:
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> list[Summary]:
     """Per metric in ``better`` ("higher" or "lower"), the two sides' quartiles over
-    the (parent, change) metric dicts of ``pairs`` and the pairs the change won."""
+    the (parent, change) metric dicts of ``pairs``, the pairs the change won, and
+    whether its median is worse than the parent's by more than the metric's share
+    in ``bounds``."""
+    bounds = bounds or {}
     out = []
     for name, direction in better.items():
         sign = 1 if direction == "higher" else -1
@@ -59,12 +72,15 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[Su
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         p, c = quartiles(parent), quartiles(change)
         gain = wins >= 0.9 * len(pairs) and sign * (c[1] - p[1]) > p[2] - p[0]
-        out.append(Summary(name, p, c, wins, len(pairs), gain))
+        bound = bounds.get(name)
+        beyond = None if bound is None else sign * (p[1] - c[1]) > bound * abs(p[1])
+        out.append(Summary(name, p, c, wins, len(pairs), gain, beyond))
     return out
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run of ``checkout``: its end-to-end metrics and failed share."""
+    """One untraced perfbench run of ``checkout``: its end-to-end metrics, failed
+    share and attempted op count."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
@@ -73,6 +89,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"{checkout}: perfbench checks failed on {workload} seed {seed}")
     metrics = {name: m["value"] for name, m in doc["metrics"].items()}
     metrics["failed_share"] = doc["failed"] / doc["attempted"]
+    metrics["attempted"] = doc["attempted"]
     return metrics
 
 
@@ -89,6 +106,8 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     better["failed_share"] = "lower"
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    bounds["failed_share"] = 0.0
 
     pairs = []
     for i in range(args.pairs):
@@ -98,17 +117,20 @@ def main(argv=None) -> int:
                 for side in order}
         pairs.append((runs["parent"], runs["change"]))
         for side in order:
-            shown = " ".join(f"{name}={runs[side][name]:.6g}" for name in better)
+            shown = " ".join(f"{name}={runs[side][name]:.6g}" for name in [*better, "attempted"])
             print(f"pair {i + 1} seed {seed} {side}: {shown}", flush=True)
 
     print(f"\n{args.workload}: {args.pairs} pairs, {args.seconds:g} s runs, seeds {args.seeds}")
+    attempted = [statistics.median(pair[i]["attempted"] for pair in pairs) for i in (0, 1)]
+    print("median ops attempted: parent {:g}, change {:g}".format(*attempted))
     print(f"{'metric':<18} {'parent q1 / median / q3':>34} {'change q1 / median / q3':>34}"
-          f" {'ratio':>7} {'wins':>6}  gain")
-    for s in summarize(pairs, better):
+          f" {'ratio':>7} {'wins':>6}  gain  beyond bound")
+    for s in summarize(pairs, better, bounds):
         ratio = s.change[1] / s.parent[1] if s.parent[1] else float("nan")
         sides = ["{:.4g} / {:.4g} / {:.4g}".format(*q) for q in (s.parent, s.change)]
+        beyond = {None: "-", True: "YES", False: "no"}[s.beyond_bound]
         print(f"{s.name:<18} {sides[0]:>34} {sides[1]:>34} {ratio:>7.3f}"
-              f" {s.wins:>3}/{s.pairs:<2}  {'yes' if s.gain else 'no'}")
+              f" {s.wins:>3}/{s.pairs:<2}  {'yes' if s.gain else 'no':<4}  {beyond}")
     return 0
 
 

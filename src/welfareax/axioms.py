@@ -846,7 +846,7 @@ for _cls in AxiomInstance.__args__:
 # precondition validation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreconditionReport:
     ok: bool
     failures: tuple[str, ...] = ()
@@ -872,7 +872,7 @@ class CheckStatus(Enum):
     PRECONDITION_UNMET = "precondition-unmet"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     status: CheckStatus
     instance: AxiomInstance
@@ -970,8 +970,10 @@ class _GenContext:
     def build(self, cls, *drawn) -> AxiomInstance:
         """``cls`` of the drawn fields and the stream's magnitudes, typed already: not decoded."""
         inst = object.__new__(cls)
-        inst.__dict__.update(zip(cls.__dataclass_fields__, drawn))
-        inst.__dict__.update((name, getattr(self.p, name)) for name in cls.magnitudes)
+        for name, value in zip(cls.__dataclass_fields__, drawn):
+            object.__setattr__(inst, name, value)
+        for name in cls.magnitudes:
+            object.__setattr__(inst, name, getattr(self.p, name))
         return inst
 
     def boundary(self) -> bool:
@@ -1014,7 +1016,7 @@ class _GenContext:
 # suites
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuiteResult:
     axiom: str
     checked: int

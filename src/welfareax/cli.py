@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import re
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
@@ -398,7 +399,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (WelfareaxError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a refusal may echo an int of any size from the input: keep the line short
+        message = re.sub(r"\d{21,}", lambda m: f"about 10^{len(m[0]) - 1}", str(exc))
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

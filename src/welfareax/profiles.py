@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, inf, lcm, log10
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InfeasibleParameters, MaterializeError, ProfileParseError, SizeMismatch
@@ -159,7 +159,8 @@ def _normalize_blocks(blocks: Iterable[tuple]) -> tuple[list[Fraction], list[int
 
 class _cached:
     """``functools.cached_property`` without the lock Python 3.11 takes on each miss:
-    the first read stores the value in the instance's ``__dict__``."""
+    the first read sets the value through ``object.__setattr__``, which a frozen class
+    allows and which, unlike writing ``obj.__dict__``, builds no dict for the object."""
 
     def __init__(self, func):
         self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
@@ -167,7 +168,8 @@ class _cached:
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        value = obj.__dict__[self.name] = self.func(obj)
+        value = self.func(obj)
+        object.__setattr__(obj, self.name, value)
         return value
 
 
@@ -320,6 +322,15 @@ def _materializable(u: Profile) -> int:
     return u.n
 
 
+def _count_text(x: int) -> str:
+    """A positive count in full, or its power of ten from its bit length when it has
+    more digits than Python writes an int in (``sys.get_int_max_str_digits()``)."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"about 10^{round((x.bit_length() - 0.5) * log10(2))}"
+
+
 def replicate(u: Profile, k: int) -> Profile:
     """Concatenate k copies of u; u's blocks are merged, so the copies merge only at the seams."""
     if k < 1:
@@ -332,7 +343,10 @@ def replicate(u: Profile, k: int) -> Profile:
     seam = numerators[0] == numerators[-1]
     blocks = (len(counts) - seam) * k + seam
     if blocks > MATERIALIZE_LIMIT:
-        raise MaterializeError(f"{k} copies make {blocks} blocks, beyond the materialization limit")
+        raise MaterializeError(
+            f"{_count_text(k)} copies make {_count_text(blocks)} blocks,"
+            " beyond the materialization limit"
+        )
     if not seam:
         return Profile(den, numerators * k, counts * k)
     counts = counts[:1] + (counts[1:-1] + (counts[-1] + counts[0],)) * (k - 1) + counts[1:]
@@ -389,7 +403,7 @@ def ceil_ratio(lam: Fraction, n: int) -> int:
 # index sets (for axiom instances touching huge blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexSet:
     """Sorted union of half-open index ranges; text form uses closed ranges."""
 

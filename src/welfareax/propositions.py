@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from types import SimpleNamespace
 
 from .axioms import (
@@ -329,6 +330,7 @@ def build_prop4_chain(u: Profile, v: Profile, beta_ratio=Fraction(1, 2)) -> Deri
     prefix = [(level, count * k) for level, count in equal]
     n_rich = k * (n - h - 1)
 
+    @cache  # each W profile ends one step and starts the next: build it once
     def w_profile(t: int) -> Profile:
         return Profile.from_blocks(
             prefix

@@ -7,9 +7,14 @@ Each axiom type proposes its own smaller instances (``shrinks`` in
 reverts donors to bystanders, then simplifies values toward small
 integers. Shrinking here is greedy: it takes the first proposal that
 lowers the metric (population, then the sum of |level|) and still
-violates; every accepted shrink re-validates the hypothesis clauses and
-re-checks the violation, so a returned witness always reproduces.
-Deterministic throughout: identical budgets yield identical witnesses.
+violates. Deterministic throughout: identical budgets yield identical
+witnesses.
+
+Search asks the ordering first: an instance whose conclusion holds is no
+violation whatever its clauses say, and is passed over unvalidated. Every
+one whose conclusion fails (or raises) goes through ``check_axiom``, clauses
+first, so search finds the witnesses that validating every instance finds,
+and a returned witness always reproduces.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ class SearchBudget:
             raise InfeasibleParameters("empty population range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     instance: AxiomInstance
     result: CheckResult
@@ -55,6 +60,18 @@ def _metric(inst: AxiomInstance) -> tuple[int, Fraction]:
     return len(inst.u), total
 
 
+def _violated(spec: OrderingSpec, inst: AxiomInstance) -> bool:
+    """Whether inst's clauses hold and its conclusion fails, validated only when the
+    conclusion fails. An exception from the early conclusion goes to ``check_axiom``,
+    which reads a malformed instance as unmet and raises it again on a valid one."""
+    try:
+        if inst.conclusion(spec)[0]:
+            return False
+    except Exception:
+        pass
+    return check_axiom(spec, inst).violated
+
+
 def _shrink(spec: OrderingSpec, inst: AxiomInstance) -> tuple[AxiomInstance, int]:
     steps = 0
     current = inst
@@ -62,7 +79,7 @@ def _shrink(spec: OrderingSpec, inst: AxiomInstance) -> tuple[AxiomInstance, int
     for _ in range(_MAX_SHRINK_ROUNDS):
         for candidate in current.shrinks():
             metric = _metric(candidate)
-            if metric < current_metric and check_axiom(spec, candidate).violated:
+            if metric < current_metric and _violated(spec, candidate):
                 current, current_metric = candidate, metric
                 steps += 1
                 break
@@ -94,8 +111,7 @@ def find_counterexample(
         seed=budget.seed,
     )
     for inst in itertools.islice(stream, budget.max_instances):
-        result = check_axiom(spec, inst)
-        if result.violated:
+        if _violated(spec, inst):
             shrunk, steps = _shrink(spec, inst)
             return Witness(shrunk, check_axiom(spec, shrunk), steps)
     return None

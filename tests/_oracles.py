@@ -7,17 +7,21 @@ series for RDU weights, transforms written out in mpmath) for the float
 valuations, the exact rules summed entry by entry in ``Fraction``
 arithmetic over plain level lists, and Proposition 5's coefficient ints
 from their closed form, afresh at each n. They share no code path with the
-package's engines.
+package's engines, except the counterexample search reference, which runs
+the package's generation, shrink proposals and ``check_axiom`` in the
+plainest loop: every instance validated.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import mpmath
 
-from welfareax import Profile, Verdict
+from welfareax import Profile, Verdict, check_axiom
+from welfareax.axioms import generate_instances
 
 
 def naive_leximin(u: list, v: list) -> Verdict:
@@ -206,3 +210,33 @@ def fraction_verdict(a: Fraction, b: Fraction) -> tuple[Verdict, float]:
     if diff == 0:
         return Verdict.EQUIVALENT, margin
     return (Verdict.STRICTLY_BETTER if diff > 0 else Verdict.STRICTLY_WORSE), margin
+
+
+# Counterexample search with every drawn instance and every smaller shrink
+# candidate checked by ``check_axiom``, clauses first: the reference for search,
+# which asks the ordering first.
+
+
+def _search_metric(inst) -> tuple[int, Fraction]:
+    """The population, then the sum of |level| over both profiles, entry by entry."""
+    return len(inst.u), sum((abs(x) for p in (inst.u, inst.v) for x in p.levels()), Fraction(0))
+
+
+def search_reference(spec, axiom: str, params, budget) -> tuple | None:
+    """(instance, check result, shrink steps) of the first violation in the budget,
+    greedily shrunk, or None when the budget draws none."""
+    stream = generate_instances(axiom, params, populations=budget.populations,
+                                values=budget.values, seed=budget.seed)
+    for inst in itertools.islice(stream, budget.max_instances):
+        if not check_axiom(spec, inst).violated:
+            continue
+        current, metric, steps = inst, _search_metric(inst), 0
+        while True:
+            for candidate in current.shrinks():
+                smaller = _search_metric(candidate)
+                if smaller < metric and check_axiom(spec, candidate).violated:
+                    current, metric, steps = candidate, smaller, steps + 1
+                    break
+            else:
+                return current, check_axiom(spec, current), steps
+    return None

@@ -801,3 +801,14 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "compare" in result.stdout
+
+
+@pytest.mark.parametrize("big", ["1e400", "1e4300"])
+def test_a_replication_refusal_names_a_long_count_by_its_size(workdir, capsys, big):
+    # 1e4300 has more digits than Python converts an int to text
+    text = (CERTIFICATES / "chain2_0.cert").read_text()
+    (workdir / "c.cert").write_text(text.replace("lift k=7 ", f"lift k={big} ", 1))
+    code, out, err = run(capsys, ["validate", "--certificate", workdir / "c.cert"])
+    assert code == 2 and not out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and len(lines[0]) < 200, err

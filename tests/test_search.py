@@ -7,19 +7,23 @@ import pytest
 import yaml
 
 from welfareax import (
+    Anonymity,
     CheckStatus,
     Identity,
     Leximin,
     MidpointLambda,
     Profile,
     Rdu,
+    Sqrt,
     SuffAvg,
     check_axiom,
     validate_preconditions,
 )
 from welfareax.axioms import generate_instances, instance_to_config
-from welfareax.search import SearchBudget, find_counterexample, shrink
+from welfareax.errors import InfeasibleParameters
+from welfareax.search import SearchBudget, _violated, find_counterexample, shrink
 
+from _oracles import search_reference
 from test_pinned_streams import STREAMS
 
 # strong discounting makes ratio-aggregation violations reachable at
@@ -134,3 +138,66 @@ def test_shrink_candidate_stream_is_pinned():
                 digest.update(yaml.safe_dump(doc, sort_keys=False).encode())
                 count += 1
     assert (count, digest.hexdigest()) == (9459, CANDIDATE_DIGEST)
+
+
+# The shapes of the search-shrink benchmark roster: minimal non-aggregation on
+# undiscounted-enough RDU, below the criterion-5 bound alpha < beta / (rho - 1)
+# (theta_p 10, theta_r = theta_p + beta + 1), and four configurations of other rules.
+_FAILING_RHOS = (Fraction(11, 10), Fraction(6, 5), Fraction(5, 4), Fraction(4, 3), Fraction(3, 2))
+_BETAS = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3), Fraction(7, 2))
+_SHARES = (Fraction(1, 4), Fraction(3, 8), Fraction(1, 2))
+_MIDPOINT = MidpointLambda(Fraction(10), Fraction(1), Fraction(10), Fraction(1), Fraction(1, 2))
+_ROSTER = [
+    (Rdu(rho, Identity()), "minimal_non_aggregation",
+     dict(theta_p=10, theta_r=11 + beta, alpha=beta * (1 + (1 / (rho - 1) - 1) * f), beta=beta))
+    for rho in _FAILING_RHOS for beta in _BETAS for f in _SHARES
+] + [
+    (Leximin(), "quantitative_aggregation", dict(m=3, gamma=2, delta=1)),
+    (Leximin(), "ratio_aggregation", dict(lam=Fraction(1, 2), gamma=2, delta=1)),
+    (Leximin(), "minimal_aggregation", dict(gamma=2, delta=1)),
+    (SuffAvg(10, _MIDPOINT), "replication_invariance", {}),
+]
+_SEARCHES = [
+    (spec, axiom, params, SearchBudget(100_000, seed=1000 * round_ + i, populations=(6, 16)))
+    for round_ in range(3) for i, (spec, axiom, params) in enumerate(_ROSTER)
+] + [
+    # its conclusion raises on a drawn instance whose clauses hold
+    (Rdu(Fraction(3, 2), Sqrt()), "strong_pareto", {}, SearchBudget(2000, seed=1)),
+]
+
+
+def _outcome(run):
+    """A search's witness as comparable data, or the exception it raised."""
+    try:
+        found = run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    if found is None:
+        return None
+    inst, result, steps = found
+    return (instance_to_config(inst), result.status, result.detail, result.flagged, steps,
+            result.instance == inst)
+
+
+def test_search_matches_the_validate_first_reference():
+    assert len(_SEARCHES) >= 200
+    raised = witnesses = 0
+    for spec, axiom, params, budget in _SEARCHES:
+        def found():
+            w = find_counterexample(spec, axiom, params, budget)
+            return w and (w.instance, w.result, w.shrink_steps)
+
+        expected = _outcome(lambda: search_reference(spec, axiom, params, budget))
+        assert _outcome(found) == expected, (spec, axiom, params, budget)
+        raised += isinstance(expected[0], type)
+        witnesses += isinstance(expected[0], dict)
+    assert (witnesses, raised) == (len(_SEARCHES) - 1, 1)
+
+
+def test_a_conclusion_that_raises_on_a_malformed_candidate_is_unmet():
+    # pi is no permutation: the conclusion raises, and the clauses read it as unmet
+    malformed = Anonymity(Profile.from_levels([1, 2]), (0, 0))
+    with pytest.raises(InfeasibleParameters):
+        malformed.conclusion(Leximin())
+    assert check_axiom(Leximin(), malformed).status is CheckStatus.PRECONDITION_UNMET
+    assert not _violated(Leximin(), malformed)

@@ -905,6 +905,9 @@ def check_axiom(spec: OrderingSpec, inst: AxiomInstance) -> CheckResult:
 
 
 BOUNDARY_PROBABILITY = 0.25
+# the default draw ranges of a stream: population sizes and levels, inclusive
+POPULATIONS = (2, 10)
+VALUES = (-20, 20)
 
 
 def _positions(rng: random.Random, n: int, m_count: int):
@@ -923,8 +926,8 @@ def generate_instances(
     axiom: str,
     params: Mapping[str, object],
     *,
-    populations: tuple[int, int] = (2, 10),
-    values: tuple = (-20, 20),
+    populations: tuple[int, int] = POPULATIONS,
+    values: tuple = VALUES,
     seed: int = 0,
 ) -> Iterator[AxiomInstance]:
     """Deterministic infinite stream of valid instances of one axiom.
@@ -1036,19 +1039,14 @@ def run_suite(
     axiom: str,
     params: Mapping[str, object],
     count: int,
-    *,
-    populations: tuple[int, int] = (2, 10),
-    values: tuple = (-20, 20),
-    seed: int = 0,
+    **draws,
 ) -> SuiteResult:
-    """Run ``count`` generated instances of one axiom against an ordering."""
+    """Run ``count`` generated instances of one axiom against an ordering; the
+    ``draws`` keywords (populations, values, seed) go to ``generate_instances``."""
     _require(count >= 0, "instance count must be non-negative")
     satisfied = violated = unmet = flagged = 0
     first_violation = None
-    stream = generate_instances(
-        axiom, params, populations=populations, values=values, seed=seed
-    )
-    for inst in itertools.islice(stream, count):
+    for inst in itertools.islice(generate_instances(axiom, params, **draws), count):
         result = check_axiom(spec, inst)
         if result.status is CheckStatus.SATISFIED:
             satisfied += 1

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import re
 import sys
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -22,6 +22,8 @@ import yaml
 
 from .axioms import (
     _FIELDS,
+    POPULATIONS,
+    VALUES,
     CheckStatus,
     check_axiom,
     instance_from_config,
@@ -82,14 +84,13 @@ def _load_profiles(path: str):
     return parse_profiles(Path(path).read_text(encoding="utf-8"))
 
 
-def _int_pair(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(",")
-    return int(lo), int(hi)
-
-
-def _level_pair(text: str) -> tuple[Fraction, Fraction]:
-    lo, _, hi = text.partition(",")
-    return as_level(lo), as_level(hi)
+def _pair(read):
+    """The argparse type of a "lo,hi" pair, each end read by ``read``."""
+    def pair(text: str) -> tuple:
+        lo, _, hi = text.partition(",")
+        return read(lo), read(hi)
+    pair.__name__ = f"{read.__name__} pair"  # the type name a usage error prints
+    return pair
 
 
 def cmd_compare(args) -> int:
@@ -173,7 +174,7 @@ def cmd_axiom_suite(args) -> int:
 # the chain builders' parameters: axiom magnitudes, the counts h and n, chain 4's beta_ratio
 _BUILDER_FIELDS = {**_FIELDS, "h": INTEGER, "n": INTEGER, "beta_ratio": LEVEL}
 # replay --id: the builder; its parameters but the profiles u and v are the --params
-# keys it reads, and those with a default are the keys a document may omit
+# keys it reads, and a key a document omits takes the builder's default
 _REPLAY = {1: build_prop1_chain, 2: build_prop2_chain, 3: build_prop3_chain, 4: build_prop4_chain}
 
 
@@ -198,10 +199,8 @@ def cmd_replay(args) -> int:
     builder = _REPLAY[args.id]
     keys = [p for p in inspect.signature(builder).parameters.values() if p.name not in ("u", "v")]
     fields = {p.name: _BUILDER_FIELDS[p.name] for p in keys}
-    optional = [p.name for p in keys if p.default is not p.empty]
-    given = read_fields(params, fields, dict.fromkeys(optional), "builder parameter")
-    # an omitted optional key is not passed: the builder's own default applies
-    chain = builder(*profiles, **{name: x for name, x in given.items() if x is not None})
+    defaults = {p.name: p.default for p in keys if p.default is not p.empty}
+    chain = builder(*profiles, **read_fields(params, fields, defaults, "builder parameter"))
 
     text = serialize_chain(chain)
     if args.out:
@@ -261,12 +260,7 @@ def cmd_prop5(args) -> int:
 def cmd_search(args) -> int:
     spec = _load_ordering(args.ordering)
     params = _load_yaml(args.params) if args.params else {}
-    budget = SearchBudget(
-        max_instances=args.budget,
-        seed=args.seed,
-        populations=args.populations,
-        values=args.values,
-    )
+    budget = SearchBudget(args.budget, args.seed, args.populations, args.values)
     witness = find_counterexample(spec, args.axiom, params, budget)
     if witness is None:
         print(f"no violation found within {args.budget} instances")
@@ -279,25 +273,31 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _interval_row(args, n: int) -> str:
+    lower, upper, feasible = lambda_feasible_interval(
+        n, args.alpha, args.beta, args.gamma, args.delta, args.ratio
+    )
+    return (
+        f"{n}\t{format_level(lower)}\t{format_level(upper)}\t"
+        f"{format_level(lambda_midpoint(lower, upper)) if feasible else '-'}\t{int(feasible)}"
+    )
+
+
 def cmd_plot_data(args) -> int:
     if args.n_step < 1:
         raise InfeasibleParameters("need step >= 1")
     if args.kind == "ratio-coefficient":
-        print("n\tcoefficient")
-        for n, coeff in scan_ratio_coefficients(
-            args.rho, args.lam, args.n_from, args.n_to, args.n_step
-        ):
-            print(f"{n}\t{float(coeff):.17e}")
-        return 0
-    print("n\tlower\tupper\tmidpoint\tfeasible")
-    for n in range(max(2, args.n_from), args.n_to + 1, args.n_step):
-        lower, upper, feasible = lambda_feasible_interval(
-            n, args.alpha, args.beta, args.gamma, args.delta, args.ratio
-        )
-        print(
-            f"{n}\t{format_level(lower)}\t{format_level(upper)}\t"
-            f"{format_level(lambda_midpoint(lower, upper)) if feasible else '-'}\t{int(feasible)}"
-        )
+        header = "n\tcoefficient"
+        scan = scan_ratio_coefficients(args.rho, args.lam, args.n_from, args.n_to, args.n_step)
+        rows = (f"{n}\t{float(coeff):.17e}" for n, coeff in scan)
+    else:
+        header = "n\tlower\tupper\tmidpoint\tfeasible"
+        n_range = range(max(2, args.n_from), args.n_to + 1, args.n_step)
+        rows = (_interval_row(args, n) for n in n_range)
+    # both scans check their arguments on the first row: a refusal prints no header
+    first = list(itertools.islice(rows, 1))
+    for line in itertools.chain([header], first, rows):
+        print(line)
     return 0
 
 
@@ -308,45 +308,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Social welfare orderings, axiom checks, and ranking certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options that several commands share, each declared once
+    ordering = argparse.ArgumentParser(add_help=False)
+    ordering.add_argument("--ordering", required=True)
+    draws = argparse.ArgumentParser(add_help=False)
+    draws.add_argument("--params", help="YAML file with axiom magnitudes")
+    draws.add_argument("--populations", type=_pair(int), default=POPULATIONS)
+    draws.add_argument("--values", type=_pair(as_level), default=VALUES)
+    draws.add_argument("--seed", type=int, default=0)
+    locate = argparse.ArgumentParser(add_help=False)
+    locate.add_argument("--locate", help="ordering config; locate denied steps")
 
-    p = sub.add_parser("compare", help="compare two profiles")
-    p.add_argument("--ordering", required=True)
+    p = sub.add_parser("compare", parents=[ordering], help="compare two profiles")
     p.add_argument("--profiles", required=True)
     p.add_argument("--cross-size", action="store_true")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("value", help="evaluate profiles")
-    p.add_argument("--ordering", required=True)
+    p = sub.add_parser("value", parents=[ordering], help="evaluate profiles")
     p.add_argument("--profiles", required=True)
     p.set_defaults(func=cmd_value)
 
-    p = sub.add_parser("check-axiom", help="check one instance")
-    p.add_argument("--ordering", required=True)
+    p = sub.add_parser("check-axiom", parents=[ordering], help="check one instance")
     p.add_argument("--instance", required=True)
     p.set_defaults(func=cmd_check_axiom)
 
-    p = sub.add_parser("axiom-suite", help="randomized axiom suites")
-    p.add_argument("--ordering", required=True)
+    p = sub.add_parser("axiom-suite", parents=[ordering, draws], help="randomized axiom suites")
     p.add_argument("--axiom", action="append", required=True, help="repeatable axiom tag")
-    p.add_argument("--params", help="YAML file with axiom magnitudes")
     p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--populations", type=_int_pair, default=(2, 10))
-    p.add_argument("--values", type=_level_pair, default=(as_level(-20), as_level(20)))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("human", "tsv"), default="human")
     p.set_defaults(func=cmd_axiom_suite)
 
-    p = sub.add_parser("replay", help="build and validate a chain")
+    p = sub.add_parser("replay", parents=[locate], help="build and validate a chain")
     p.add_argument("--id", type=int, choices=(1, 2, 3, 4), required=True)
     p.add_argument("--params", help="YAML file with builder parameters")
     p.add_argument("--profiles", help="two profiles (replay 4)")
     p.add_argument("--out", help="certificate output path")
-    p.add_argument("--locate", help="ordering config; locate denied steps")
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("validate", help="re-check a certificate file")
+    p = sub.add_parser("validate", parents=[locate], help="re-check a certificate file")
     p.add_argument("--certificate", required=True)
-    p.add_argument("--locate", help="ordering config; locate denied steps")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("prop5", help="rank-discounting threshold reports")
@@ -366,14 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--base", type=as_level, default=as_level(10), help="flat profile level")
     r.add_argument("--out", help="write the witness instance to this path")
 
-    p = sub.add_parser("search", help="counterexample search")
-    p.add_argument("--ordering", required=True)
+    p = sub.add_parser("search", parents=[ordering, draws], help="counterexample search")
     p.add_argument("--axiom", required=True)
-    p.add_argument("--params", help="YAML file with axiom magnitudes")
     p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--populations", type=_int_pair, default=(2, 10))
-    p.add_argument("--values", type=_level_pair, default=(as_level(-20), as_level(20)))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the witness instance to this path")
     p.set_defaults(func=cmd_search)
 

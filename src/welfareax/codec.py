@@ -41,9 +41,9 @@ def _integer(value) -> int:
 
 
 def _entries(doc):
-    """The items of a document mapping; anything else is a ``TypeError``."""
+    """The items of a document mapping; anything else is a ``ConfigError``."""
     if not isinstance(doc, Mapping):
-        raise TypeError(f"expected a mapping, got {doc!r}")
+        raise ConfigError(f"expected a mapping, got {doc!r}")
     return doc.items()
 
 

@@ -75,6 +75,9 @@ class _Transform(Record):
     def check_domain(self, x, den: int = 1) -> None:
         pass
 
+    def exact_scaled(self, den, numerators):
+        raise DomainError(f"{self.kind} has no exact rational evaluation")
+
 
 @dataclass(frozen=True)
 class Identity(_Transform):

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, inf, lcm, log10
+from numbers import Integral
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InfeasibleParameters, MaterializeError, ProfileParseError, SizeMismatch
@@ -333,7 +334,7 @@ def _count_text(x: int) -> str:
 
 def replicate(u: Profile, k: int) -> Profile:
     """Concatenate k copies of u; u's blocks are merged, so the copies merge only at the seams."""
-    if k < 1:
+    if not isinstance(k, Integral) or k < 1:
         raise InfeasibleParameters("replication factor must be a positive integer")
     if k == 1:
         return u

@@ -408,11 +408,10 @@ def prop5_nonagg_condition(
     range as +-inf.
     """
     rho = as_level(rho)
-    theta_p, theta_r = as_level(theta_p), as_level(theta_r)
-    alpha, beta = as_level(alpha), as_level(beta)
     _require(rho > 1, "need rho > 1")
+    # StrongNonAggregation's clauses ask alpha > beta > 0 only: the thresholds need not be positive
+    theta_p, theta_r, alpha, beta = _magnitudes(locals(), StrongNonAggregation)
     _require(theta_r > theta_p, "need theta_r > theta_p")
-    _require(alpha > beta > 0, "need alpha > beta > 0")
     for point in (theta_p, theta_p - alpha, theta_r, theta_r + beta):
         g.check_domain(point)
     lhs = _difference(g, theta_p, theta_p - alpha)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .axioms import AxiomInstance, CheckResult, check_axiom, generate_instances
+from .axioms import POPULATIONS, VALUES, AxiomInstance, CheckResult, check_axiom, generate_instances
 from .errors import InfeasibleParameters
 from .orderings import OrderingSpec
 
@@ -35,8 +35,8 @@ _MAX_SHRINK_ROUNDS = 10_000
 class SearchBudget:
     max_instances: int
     seed: int = 0
-    populations: tuple[int, int] = (2, 10)
-    values: tuple = (-20, 20)
+    populations: tuple[int, int] = POPULATIONS
+    values: tuple = VALUES
 
     def __post_init__(self):
         if self.max_instances < 1:

@@ -812,3 +812,76 @@ def test_a_replication_refusal_names_a_long_count_by_its_size(workdir, capsys, b
     assert code == 2 and not out
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and len(lines[0]) < 200, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "ratio-coefficient", "--rho", "1"],
+        ["--kind", "lambda-interval", "--alpha", "1", "--beta", "2"],
+    ],
+    ids=["ratio-coefficient", "lambda-interval"],
+)
+def test_plot_data_prints_no_header_when_it_refuses(capsys, argv):
+    code, out, err = run(capsys, ["plot-data", *argv])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: need "), err
+
+
+# 1, 2 + 10^-15, 3 - 10^-15: within the float bound of 1, 2, 3 under sqrt, and not equal
+NEAR_TIE = "1,2000000000000001/1000000000000000,2999999999999999/1000000000000000"
+
+
+def test_compare_warns_of_a_numerical_tie(workdir, capsys):
+    (workdir / "p.txt").write_text(f"1,2,3\n{NEAR_TIE}\n")
+    code, out, _ = run(
+        capsys, ["compare", "--ordering", workdir / "rdu.yaml", "--profiles", workdir / "p.txt"]
+    )
+    assert code == 0
+    assert "warning: numerically tied within the combined error bound\n" in out
+
+
+def test_check_axiom_warns_of_a_numerical_tie(workdir, capsys):
+    instance = workdir / "inst.yaml"
+    instance.write_text(f"axiom: replication_invariance\nu: 1,2,3\nv: {NEAR_TIE}\nk: 2\n")
+    code, out, _ = run(
+        capsys, ["check-axiom", "--ordering", workdir / "rdu.yaml", "--instance", instance]
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "status: satisfied", "warning: floating comparison was numerically tied"
+    ]
+
+
+def test_replay_without_out_writes_the_certificate_to_stdout(workdir, capsys):
+    (workdir / "pair.txt").write_text("2,3\n1,1\n")
+    cert = workdir / "c.cert"
+    assert main(["replay", "--id", "4", "--profiles", str(workdir / "pair.txt"),
+                 "--out", str(cert)]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["replay", "--id", "4", "--profiles", workdir / "pair.txt"])
+    assert code == 0
+    validation = "validation: steps=3 precondition_failures=0 linkage_failures=0\n"
+    assert out == cert.read_text() + validation
+
+
+def test_prop5_ratio_failure_writes_its_witness(workdir, capsys):
+    witness = workdir / "w.yaml"
+    code, out, _ = run(
+        capsys,
+        ["prop5", "ratio-failure", "--rho", "3/2", "--lam", "1/2", "--gamma", "2",
+         "--delta", "1", "--out", witness],
+    )
+    assert code == 0
+    assert out.endswith(f"witness written to {witness}\n")
+    doc = yaml.safe_load(witness.read_text())
+    assert doc["axiom"] == "ratio_aggregation" and doc["u"] == "8*10"
+
+
+def test_search_reports_when_it_finds_no_violation(workdir, capsys):
+    code, out, _ = run(
+        capsys,
+        ["search", "--ordering", workdir / "leximin.yaml", "--axiom", "anonymity",
+         "--budget", 5],
+    )
+    assert (code, out) == (0, "no violation found within 5 instances\n")

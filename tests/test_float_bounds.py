@@ -38,6 +38,7 @@ from welfareax import (
     concavepoor_value,
     rdu_value,
 )
+from welfareax.orderings import _float_sum
 
 from _oracles import boundedg_blockwise, concavepoor_blockwise, rdu_blockwise
 
@@ -180,3 +181,10 @@ def test_float_values_bounds_and_refusals_are_pinned():
             digest.update(repr(result).encode())
     assert refusals >= 1000, refusals
     assert digest.hexdigest() == FLOAT_DIGEST
+
+
+def test_an_overflowing_float_sum_is_the_plain_sum_with_an_infinite_bound():
+    big = _float_sum([1e308, 1e308], [0.0, 0.0])
+    assert (big.value, big.bound) == (math.inf, math.inf)
+    opposed = _float_sum([math.inf, -math.inf], [0.0, 0.0])  # fsum refuses inf - inf
+    assert math.isnan(opposed.value) and opposed.bound == math.inf

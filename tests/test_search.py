@@ -21,7 +21,7 @@ from welfareax import (
 )
 from welfareax.axioms import generate_instances, instance_to_config
 from welfareax.errors import InfeasibleParameters
-from welfareax.search import SearchBudget, _violated, find_counterexample, shrink
+from welfareax.search import SearchBudget, Witness, _violated, find_counterexample, shrink
 
 from _oracles import search_reference
 from test_pinned_streams import STREAMS
@@ -79,6 +79,16 @@ def test_shrinking_contract():
     # idempotent at the fixpoint and never larger
     assert again.instance == witness.instance
     assert len(witness.instance.u) <= RATIO_BUDGET.populations[1]
+
+
+def test_shrinking_an_unshrunk_witness_gives_the_search_witness():
+    stream = generate_instances(
+        "ratio_aggregation", RATIO_PARAMS, populations=RATIO_BUDGET.populations, seed=1
+    )
+    first = next(r for r in (check_axiom(RDU_STEEP, inst) for inst in stream) if r.violated)
+    witness = find_counterexample(RDU_STEEP, "ratio_aggregation", RATIO_PARAMS, RATIO_BUDGET)
+    assert witness.shrink_steps > 0
+    assert shrink(Witness(first.instance, first, 0), RDU_STEEP) == witness
 
 
 def test_shrunk_witness_is_small():

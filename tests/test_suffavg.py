@@ -165,6 +165,19 @@ def test_multithreshold_example_and_empty_penalty():
     assert multithreshold_value(rich, multi) == Fraction(2, 3) * 6
 
 
+def test_multithreshold_reads_its_weights_table_by_population_size():
+    w3 = (Fraction(2, 3), Fraction(1, 3))
+    w4 = (Fraction(1, 2), Fraction(1, 2))
+    table = MultiThreshold((0,), weights_table=((3, w3), (4, w4)))
+    for levels, w in (([-5, 1, 10], w3), ([-5, 1, 10, 2], w4)):
+        u = Profile.from_levels(levels)
+        assert multithreshold_value(u, table) == multithreshold_value(
+            u, MultiThreshold((0,), weights=w)
+        )
+    with pytest.raises(MissingLambda, match="no weights tabulated for population size 2"):
+        multithreshold_value(Profile.from_levels([1, 2]), table)
+
+
 def test_multithreshold_validation():
     with pytest.raises(ConfigError):
         MultiThreshold((0, 0), weights=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))

@@ -190,15 +190,16 @@ class _Scale:
 
     The denominator covers both profiles (of one size, which each caller
     checks first) and every magnitude; ``s(x)`` is the numerator of the
-    level x, ``s.u`` and ``s.v`` the numerators of the blocks of the profiles.
+    level x, ``s.u`` and ``s.v`` the numerators of the blocks of the profiles,
+    a profile's own when its den is the common one.
     """
 
     def __init__(self, inst: "_Axiom"):
         self.profiles = u, v = inst.u, inst.v
         magnitudes = [getattr(inst, name).denominator for name in inst.magnitudes]
-        self.den = math.lcm(u.den, v.den, *magnitudes)
-        self.u = [a * (self.den // u.den) for a in u.numerators]
-        self.v = [a * (self.den // v.den) for a in v.numerators]
+        self.den = den = math.lcm(u.den, v.den, *magnitudes)
+        self.u = u.numerators if u.den == den else [a * (den // u.den) for a in u.numerators]
+        self.v = v.numerators if v.den == den else [a * (den // v.den) for a in v.numerators]
 
     def __call__(self, x: Fraction) -> int:
         return x.numerator * (self.den // x.denominator)
@@ -383,15 +384,15 @@ class PigouDalton(_DerivedV):
 
     @_cached
     def v(self) -> Profile:
-        out = self.u.with_value_at(self.i, self.u.value_at(self.i) - self.epsilon)
-        return out.with_value_at(self.j, self.u.value_at(self.j) + self.epsilon)
+        e, d = self.epsilon.as_integer_ratio()
+        return self.u.shifted({self.i: -e, self.j: e}, d)
 
     def profile_clauses(self) -> list[str]:
-        n = len(self.u)
-        failures = [] if self.epsilon > 0 else ["epsilon must be positive"]
-        if self.i == self.j or not (0 <= self.i < n and 0 <= self.j < n):
+        u, (e, d) = self.u, self.epsilon.as_integer_ratio()
+        failures = [] if e > 0 else ["epsilon must be positive"]
+        if self.i == self.j or not (0 <= self.i < u.n and 0 <= self.j < u.n):
             failures.append("need two distinct in-range indices")
-        elif self.u.value_at(self.i) - self.epsilon < self.u.value_at(self.j) + self.epsilon:
+        elif (u.numerator_at(self.i) - u.numerator_at(self.j)) * d < 2 * e * u.den:
             failures.append("transfer would reverse the order: u_i - eps >= u_j + eps fails")
         return failures
 
@@ -436,7 +437,7 @@ class ReplicationInvariance(_Axiom):
     def generate(cls, ctx):
         n = ctx.size(1)
         u, v = ctx.profile(ctx.draws(n)), ctx.profile(ctx.draws(n))
-        return ctx.build(cls, u, v, ctx.rng.randint(1, ctx.p.k_max))
+        return ctx.build(cls, u, v, ctx.between(1, ctx.p.k_max))
 
 
 @dataclass(frozen=True)
@@ -451,8 +452,11 @@ class _Donors(_Axiom):
         """Clauses on the size of M, checked before the profiles are walked."""
         return []
 
+    donor_texts = ()
+
     def donor_rule(self, s: _Scale):
-        """Function (u_j, v_j) -> failed clauses of one donor run, on numerators over s."""
+        """Function (u_j, v_j) -> whether each of the ``donor_texts`` clauses fails, in
+        their order, on numerators over s."""
         raise NotImplementedError
 
     def recipient_clauses(self, s: _Scale, u_i: int, v_i: int) -> list[str]:
@@ -484,9 +488,9 @@ class _Donors(_Axiom):
             has_i = start <= i < stop
             if has_i:
                 u_i, v_i = uval, vval
-            if m_cnt:
-                for clause in donor(uval, vval):
-                    failures.append(f"{clause} (positions {start}..{stop - 1})")
+            if m_cnt and True in (failed := donor(uval, vval)):
+                failures += [f"{text} (positions {start}..{stop - 1})"
+                             for bad, text in zip(failed, self.donor_texts) if bad]
             if count - m_cnt - has_i and uval != vval:
                 failures.append(
                     f"unaffected agents change: {format_level(Fraction(uval, s.den))} -> "
@@ -504,7 +508,7 @@ class _Donors(_Axiom):
         """Size, positions, the roles, then each donor's pair and each
         bystander's unchanged level, drawn in position order."""
         n = ctx.size(2)
-        i, M, rest = _positions(ctx.rng, n, ctx.rng.randint(1, n - 1))
+        i, M, rest = _positions(ctx, n, ctx.between(1, n - 1))
         recipient, donor, bystander = cls.roles(ctx)
         u, v = [0] * n, [0] * n
         u[i], v[i] = recipient
@@ -548,16 +552,13 @@ class MinimalNonAggregation(_Donors):
     beta: Fraction
     tag = "minimal_non_aggregation"
     magnitude_clauses = staticmethod(_thresholds_alpha_beta)
+    donor_texts = ("u_j must be (tied for) best-off in u", "u_j >= theta_r fails",
+                   "v_j must be (tied for) best-off in v", "v_j >= u_j - beta fails")
 
     def donor_rule(self, s):
         u_max, v_max = max(s.u), max(s.v)
         theta_r, beta = s(self.theta_r), s(self.beta)
-        return lambda uj, vj: _failed(
-            (uj != u_max, "u_j must be (tied for) best-off in u"),
-            (uj < theta_r, "u_j >= theta_r fails"),
-            (vj != v_max, "v_j must be (tied for) best-off in v"),
-            (vj < uj - beta, "v_j >= u_j - beta fails"),
-        )
+        return lambda uj, vj: (uj != u_max, uj < theta_r, vj != v_max, vj < uj - beta)
 
     def recipient_clauses(self, s, u_i, v_i):
         return _failed(
@@ -585,14 +586,12 @@ class StrongNonAggregation(_Donors):
     beta: Fraction
     tag = "strong_non_aggregation"
     magnitude_clauses = staticmethod(_alpha_beta)
+    donor_texts = ("u_j - beta = v_j fails", "v_j > v_i fails")
 
     def donor_rule(self, s):
-        v_i = s(self.u.value_at(self.i)) + s(self.alpha)
+        v_i = self.u.numerator_at(self.i) * (s.den // self.u.den) + s(self.alpha)
         beta = s(self.beta)
-        return lambda uj, vj: _failed(
-            (vj != uj - beta, "u_j - beta = v_j fails"),
-            (vj <= v_i, "v_j > v_i fails"),
-        )
+        return lambda uj, vj: (vj != uj - beta, vj <= v_i)
 
     def recipient_clauses(self, s, u_i, v_i):
         return [] if v_i == u_i + s(self.alpha) else ["v_i = u_i + alpha fails"]
@@ -621,13 +620,11 @@ class StrongNonAggThreshold(_Donors):
     beta: Fraction
     tag = "strong_non_aggregation_threshold"
     magnitude_clauses = staticmethod(_thresholds_alpha_beta)
+    donor_texts = ("u_j - beta = v_j fails", "v_j >= theta_r fails")
 
     def donor_rule(self, s):
         beta, theta_r = s(self.beta), s(self.theta_r)
-        return lambda uj, vj: _failed(
-            (vj != uj - beta, "u_j - beta = v_j fails"),
-            (vj < theta_r, "v_j >= theta_r fails"),
-        )
+        return lambda uj, vj: (vj != uj - beta, vj < theta_r)
 
     def recipient_clauses(self, s, u_i, v_i):
         return _failed(
@@ -658,6 +655,7 @@ class StrongerNonAggregation(_Donors):
     alpha: Fraction
     beta: Fraction
     tag = "stronger_non_aggregation"
+    donor_texts = ("v_j >= u_j - beta fails", "u_j - beta >= theta_p fails")
 
     @staticmethod
     def magnitude_clauses(p):
@@ -665,10 +663,7 @@ class StrongerNonAggregation(_Donors):
 
     def donor_rule(self, s):
         beta, theta_p = s(self.beta), s(self.theta_p)
-        return lambda uj, vj: _failed(
-            (vj < uj - beta, "v_j >= u_j - beta fails"),
-            (uj - beta < theta_p, "u_j - beta >= theta_p fails"),
-        )
+        return lambda uj, vj: (vj < uj - beta, uj - beta < theta_p)
 
     def recipient_clauses(self, s, u_i, v_i):
         return _failed(
@@ -690,7 +685,7 @@ class StrongerNonAggregation(_Donors):
 def _aggregation_pair(ctx: _GenContext, n: int, m_count: int):
     """(u, v, i, M): M gains gamma or more and i loses delta or less."""
     gamma, delta = ctx.s.gamma, ctx.s.delta
-    i, M, rest = _positions(ctx.rng, n, m_count)
+    i, M, rest = _positions(ctx, n, m_count)
     u_levels = ctx.draws(n)
     v_levels = list(u_levels)
     loss = delta if ctx.boundary() else ctx.draw(0, delta)
@@ -704,9 +699,11 @@ def _aggregation_pair(ctx: _GenContext, n: int, m_count: int):
 class _Aggregation(_Donors):
     """Members of M each gain >= gamma while i loses <= delta."""
 
+    donor_texts = ("v_j >= u_j + gamma fails",)
+
     def donor_rule(self, s):
         gamma = s(self.gamma)
-        return lambda uj, vj: [] if vj >= uj + gamma else ["v_j >= u_j + gamma fails"]
+        return lambda uj, vj: (vj < uj + gamma,)
 
     def recipient_clauses(self, s, u_i, v_i):
         return [] if v_i >= u_i - s(self.delta) else ["v_i >= u_i - delta fails"]
@@ -740,7 +737,7 @@ class QuantitativeAggregation(_Aggregation):
     def generate(cls, ctx):
         p = ctx.p
         n = ctx.size(p.m + 1)
-        m_count = p.m if ctx.boundary() else ctx.rng.randint(p.m, n - 1)
+        m_count = p.m if ctx.boundary() else ctx.between(p.m, n - 1)
         return ctx.build(cls, *_aggregation_pair(ctx, n, m_count))
 
 
@@ -778,7 +775,7 @@ class RatioAggregation(_Aggregation):
             needed = ceil_ratio(p.lam, n)
             if needed <= n - 1:
                 break
-        m_count = needed if ctx.boundary() else ctx.rng.randint(needed, n - 1)
+        m_count = needed if ctx.boundary() else ctx.between(needed, n - 1)
         return ctx.build(cls, *_aggregation_pair(ctx, n, m_count))
 
 
@@ -910,10 +907,10 @@ POPULATIONS = (2, 10)
 VALUES = (-20, 20)
 
 
-def _positions(rng: random.Random, n: int, m_count: int):
-    i_pos = rng.randrange(n)
+def _positions(ctx: _GenContext, n: int, m_count: int):
+    i_pos = ctx.between(0, n - 1)
     rest = [p for p in range(n) if p != i_pos]
-    rng.shuffle(rest)
+    ctx.rng.shuffle(rest)
     return i_pos, sorted(rest[:m_count]), sorted(rest[m_count:])
 
 
@@ -985,7 +982,7 @@ class _GenContext:
     def size(self, minimum: int = 2) -> int:
         lo = max(self.p_lo, minimum)
         _require(lo <= self.p_hi, f"population range cannot reach size {minimum}")
-        return self.rng.randint(lo, self.p_hi)
+        return self.between(lo, self.p_hi)
 
     def draw(self, lo: int, hi: int) -> int:
         """Uniform draw on a halves grid inside [lo, hi] (numerators over den)."""
@@ -997,7 +994,12 @@ class _GenContext:
         lo_k, hi_k = -(-lo // step), hi // step
         if hi_k < lo_k:
             return lo  # grid too coarse, fall back to the endpoint
-        return self.rng.randint(lo_k, hi_k) * step
+        return self.between(lo_k, hi_k) * step
+
+    def between(self, lo: int, hi: int) -> int:
+        """A uniform int in [lo, hi], hi >= lo: what ``Random.randint(lo, hi)`` draws, as
+        ``randrange`` draws ``_randbelow`` of the width, without their argument checks."""
+        return lo + self.rng._randbelow(hi - lo + 1)
 
     def at_most(self, top: int) -> int:
         """A draw at or below ``top``, the value range stretched to 5 units under it."""

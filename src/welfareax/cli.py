@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import itertools
+import os
 import re
 import sys
 from collections.abc import Mapping
@@ -392,7 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left is seen here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left: no refusal, but 128 + SIGPIPE as in `yes | head`
+        if sys.stdout is sys.__stdout__:  # pointed at devnull, so the exit flush cannot raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (WelfareaxError, OSError) as exc:
         # a refusal may echo an int of any size from the input: keep the line short
         message = re.sub(r"\d{21,}", lambda m: f"about 10^{len(m[0]) - 1}", str(exc))

@@ -15,8 +15,9 @@ Each transform is a frozen dataclass that owns its rules:
   subnormal floats, or an absolute model for the shifted log, assuming
   libm calls within one ulp and parameters that are normal floats;
 * ``check_domain(x, den=1)`` refuses levels outside its domain, exactly on
-  the ints, and construction validates its shape: builtins are increasing
-  and concave analytically, tables are checked exactly through their slopes;
+  the ints, and returns the level as the ints ``value`` reads; construction
+  validates its shape: builtins are increasing and concave analytically,
+  tables are checked exactly through their slopes;
 * ``config_fields`` names its parameters for the field codec in
   :mod:`welfareax.codec`, so ``g_to_config`` and ``g_from_config`` read
   and write every transform the same way, keyed by its ``kind``.
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 from .codec import LEVEL, Record, read_tagged
 from .errors import ConfigError, DomainError, InfeasibleParameters
-from .profiles import as_level, format_level, over_common_denominator
+from .profiles import _cached, as_level, format_level, over_common_denominator
 
 EPS = 2.0**-52  # the spacing of floats at 1
 TINY = math.ulp(0.0)  # 2**-1074, the spacing of subnormal floats
@@ -47,9 +48,8 @@ def _ints(x, den: int) -> tuple[int, int]:
     return x, den
 
 
-def _quotient(x, den: int = 1) -> float:
-    """x / den, correctly rounded; a level beyond the float range is a ``DomainError``."""
-    a, den = _ints(x, den)
+def _quotient(a: int, den: int) -> float:
+    """a / den of ints, correctly rounded; a level beyond the float range is a ``DomainError``."""
     try:
         return a / den
     except OverflowError:
@@ -72,8 +72,9 @@ class _Transform(Record):
         """A bound on |value(x, den) - g(x / den)|, given gx = value(x, den)."""
         return self.ulps * EPS * abs(gx) + self.floor
 
-    def check_domain(self, x, den: int = 1) -> None:
-        pass
+    def check_domain(self, x, den: int = 1) -> tuple[int, int]:
+        """The level x / den as ints, refused when outside the domain."""
+        return _ints(x, den)
 
     def exact_scaled(self, den, numerators):
         raise DomainError(f"{self.kind} has no exact rational evaluation")
@@ -91,7 +92,7 @@ class Identity(_Transform):
         return den, numerators
 
     def value(self, x, den: int = 1) -> float:
-        return _quotient(x, den)
+        return _quotient(*_ints(x, den))
 
 
 @dataclass(frozen=True)
@@ -99,18 +100,17 @@ class Sqrt(_Transform):
     kind = "sqrt"
     floor = 2.0**-537  # |sqrt(a) - sqrt(b)| <= sqrt(|a - b|); a subnormal level is off by 2**-1075
 
-    def check_domain(self, x, den: int = 1) -> None:
+    def check_domain(self, x, den: int = 1) -> tuple[int, int]:
         a, den = _ints(x, den)
         if a < 0:
             raise DomainError(f"sqrt undefined for negative level {format_level(Fraction(a, den))}")
+        return a, den
 
     def exact(self, x: Fraction) -> Fraction:
         raise DomainError("sqrt has no exact rational evaluation")
 
     def value(self, x, den: int = 1) -> float:
-        a, den = _ints(x, den)
-        self.check_domain(a, den)
-        return math.sqrt(_quotient(a, den))
+        return math.sqrt(_quotient(*self.check_domain(x, den)))
 
 
 @dataclass(frozen=True)
@@ -122,21 +122,21 @@ class LogShifted(_Transform):
     config_fields = {"shift": LEVEL}
     config_defaults = {"shift": 1}
 
-    def check_domain(self, x, den: int = 1) -> None:
+    def check_domain(self, x, den: int = 1) -> tuple[int, int]:
         a, den = _ints(x, den)
         if a * self.shift.denominator + self.shift.numerator * den <= 0:
             raise DomainError(
                 f"log undefined at level {format_level(Fraction(a, den))} "
                 f"with shift {format_level(self.shift)}"
             )
+        return a, den
 
     def exact(self, x: Fraction) -> Fraction:
         raise DomainError("log has no exact rational evaluation")
 
     def value(self, x, den: int = 1) -> float:
-        a, den = _ints(x, den)
-        self.check_domain(a, den)
-        s = _quotient(a, den) + _quotient(self.shift)
+        a, den = self.check_domain(x, den)
+        s = _quotient(a, den) + _quotient(*self.shift.as_integer_ratio())
         if s <= 0:
             raise DomainError(
                 f"level {format_level(Fraction(a, den))} is within float rounding of the "
@@ -149,7 +149,7 @@ class LogShifted(_Transform):
         + float(shift) is off by d = EPS (|float(x)| + |float(shift)| + a) + TINY
         or less (a subnormal level is off by 2**-1075), which moves log(a) by
         -log1p(-d / a) or less; log adds an ulp."""
-        xf, shift = _quotient(x, den), _quotient(self.shift)
+        xf, shift = _quotient(*_ints(x, den)), _quotient(*self.shift.as_integer_ratio())
         a = xf + shift
         r = (EPS * (abs(xf) + abs(shift) + a) + TINY) / a
         return EPS * abs(gx) + (-math.log1p(-r) if r < 1 else math.inf)
@@ -175,12 +175,17 @@ class SaturatingExp(_Transform):
         if self.cap <= 0 or self.scale <= 0:
             raise ConfigError("saturating_exp needs cap > 0 and scale > 0")
 
-    @property
+    @_cached
+    def _floats(self) -> tuple[float, float]:
+        """cap and scale as floats, converted on the first value."""
+        return _quotient(*self.cap.as_integer_ratio()), _quotient(*self.scale.as_integer_ratio())
+
+    @_cached
     def floor(self) -> float:
         """In units of 2**-1075, half of TINY: a subnormal rounding of the level
         moves g by up to cap / scale units, of the product (x < 0) by 1 / scale,
         of the quotient (x >= 0) by cap, of expm1 (an ulp) by 2 cap, of g by 1."""
-        cap, scale = _quotient(self.cap), _quotient(self.scale)
+        cap, scale = self._floats
         return TINY * ((cap + 1) / scale + 2 * cap + 1)
 
     @property
@@ -191,7 +196,7 @@ class SaturatingExp(_Transform):
         raise DomainError("saturating_exp has no exact rational evaluation")
 
     def value(self, x, den: int = 1) -> float:
-        xf, cap, scale = _quotient(x, den), _quotient(self.cap), _quotient(self.scale)
+        xf, (cap, scale) = _quotient(*_ints(x, den)), self._floats
         if xf < 0:
             return cap * xf / scale
         return -cap * math.expm1(-xf / scale)
@@ -267,8 +272,10 @@ class PiecewiseLinear(_Transform):
         den, (y,) = self.exact_scaled(den, (a,))
         return y, den
 
-    def check_domain(self, x, den: int = 1) -> None:
-        self._image(x, den)
+    def check_domain(self, x, den: int = 1) -> tuple[int, int]:
+        a, den = _ints(x, den)
+        self.exact_scaled(den, (a,))
+        return a, den
 
     def exact(self, x) -> Fraction:
         return Fraction(*self._image(x, 1))

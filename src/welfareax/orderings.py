@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -55,6 +56,7 @@ from .profiles import (
     CompareResult,
     Profile,
     Verdict,
+    _cached,
     as_level,
     block_runs,
     ceil_ratio,
@@ -318,6 +320,20 @@ class Rdu(_Ordering):
             return ("rho <= 1: rank discounting is reversed or absent",)
         return ()
 
+    @_cached
+    def _weights(self) -> tuple[float, float, float, float, float]:
+        """``rdu_value``'s (L, k_s, k_c, k0, expm1(L)), computed once per ordering."""
+        y = float(self.rho - 1)
+        if abs(y) < 2.0**-1022:  # flat weights, each within exp(2 n |y|) of 1
+            # dL = 4 n |y| / EPS < 2**-904 for any n <= sys.maxsize, so k0 rounds to 6 at every n
+            L, dL = 0.0, 4 * sys.maxsize * abs(y) / EPS
+        else:
+            L = -math.log1p(y) if y > -0.5 else -math.log(float(self.rho))
+            dL = 1 + abs(y / ((1 + y) * L)) / 2
+        # cond = k_s s + k_c c + k0, as |s L| + max(c L, 0) = |L| s + max(L, 0) c
+        k_s, k_c = (1 + dL) * abs(L), (1 + dL) * max(L, 0.0)
+        return L, k_s, k_c, 6 + dL * (2 + max(L, 0.0)), math.expm1(L)
+
     def value(self, u):
         return rdu_value(u, self)
 
@@ -533,16 +549,7 @@ def rdu_value(u: Profile, p: Rdu) -> FloatValue:
     ``FloatRangeError``.
     """
     try:
-        y = float(p.rho - 1)
-        if abs(y) < 2.0**-1022:  # flat weights, each within exp(2 n |y|) of 1
-            L, dL = 0.0, 4 * len(u) * abs(y) / EPS
-        else:
-            L = -math.log1p(y) if y > -0.5 else -math.log(float(p.rho))
-            dL = 1 + abs(y / ((1 + y) * L)) / 2
-        # cond = k_s s + k_c c + k0, as |s L| + max(c L, 0) = |L| s + max(L, 0) c
-        k_s, k_c = (1 + dL) * abs(L), (1 + dL) * max(L, 0.0)
-        k0 = 6 + dL * (2 + max(L, 0.0))
-        em1 = math.expm1(L)
+        L, k_s, k_c, k0, em1 = p._weights
         g = p.g
         terms, errors = [], []
         start = 0

@@ -213,21 +213,36 @@ class Profile:
         """Profile of the levels ``a / den``, each ``counts`` times (once if omitted).
 
         Adjacent equal numerators merge, zero counts drop, and the common
-        factor of den and the numerators divides out.
+        factor of den and the numerators divides out. Built field by field, size preset.
         """
         merged, merged_counts = [], []
         last = None
-        for a, c in zip(numerators, itertools.repeat(1) if counts is None else counts):
-            if a == last:
-                merged_counts[-1] += c
-            elif c:
-                merged.append(a)
-                merged_counts.append(c)
-                last = a
+        if counts is None:
+            for a in numerators:
+                if a == last:
+                    merged_counts[-1] += 1
+                else:
+                    merged.append(a)
+                    merged_counts.append(1)
+                    last = a
+        else:
+            for a, c in zip(numerators, counts):
+                if a == last:
+                    merged_counts[-1] += c
+                elif c:
+                    merged.append(a)
+                    merged_counts.append(c)
+                    last = a
         g = gcd(den, *merged)
         if g != 1:
             den, merged = den // g, [a // g for a in merged]
-        return Profile(den, tuple(merged), tuple(merged_counts))
+        p, set_field = object.__new__(Profile), object.__setattr__
+        set_field(p, "den", den)
+        set_field(p, "numerators", tuple(merged))
+        set_field(p, "counts", tuple(merged_counts))
+        set_field(p, "n", sum(merged_counts))
+        p.__post_init__()
+        return p
 
     @_cached
     def n(self) -> int:
@@ -269,8 +284,12 @@ class Profile:
                 return b, end
         raise IndexError(f"index {index} out of range for profile of size {self.n}")
 
+    def numerator_at(self, index: int) -> int:
+        """The numerator over den of the entry at ``index``."""
+        return self.numerators[self._block(index)[0]]
+
     def value_at(self, index: int) -> Fraction:
-        return Fraction(self.numerators[self._block(index)[0]], self.den)
+        return Fraction(self.numerator_at(index), self.den)
 
     def total(self) -> Fraction:
         return self.mean() * self.n
@@ -294,12 +313,19 @@ class Profile:
     def with_value_at(self, index: int, value) -> "Profile":
         """Copy with one entry replaced (used by builders and shrinking)."""
         value = as_level(value)
-        b, end = self._block(index)
-        den = lcm(self.den, value.denominator)
-        numerators = [a * (den // self.den) for a in self.numerators]
-        a, right = numerators[b], end - index - 1  # from_numerators drops the empty sides
-        numerators[b:b + 1] = a, value.numerator * (den // value.denominator), a
-        counts = self.counts[:b] + (self.counts[b] - right - 1, 1, right) + self.counts[b + 1:]
+        shift = value.numerator * self.den - self.numerator_at(index) * value.denominator
+        return self.shifted({index: shift}, self.den * value.denominator)
+
+    def shifted(self, shifts: dict[int, int], d: int = 1) -> "Profile":
+        """Copy with ``shifts[index] / d`` added to the entry at each index, over the lcm of
+        den and d: each block split around its indices, the last index first."""
+        den = lcm(self.den, d)
+        numerators, counts = [a * (den // self.den) for a in self.numerators], list(self.counts)
+        for index in sorted(shifts, reverse=True):
+            b, end = self._block(index)
+            left, a = index - (end - self.counts[b]), numerators[b]  # a later split leaves these
+            numerators[b:b + 1] = a, a + shifts[index] * (den // d), a
+            counts[b:b + 1] = left, 1, counts[b] - left - 1  # from_numerators drops the empty sides
         return Profile.from_numerators(den, numerators, counts)
 
     def without(self, index: int) -> "Profile":

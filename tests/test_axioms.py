@@ -1,7 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+import yaml
 
 from welfareax import (
     Anonymity,
@@ -24,6 +28,7 @@ from welfareax import (
     StrongNonAggThreshold,
     StrongNonAggregation,
     StrongPareto,
+    Sqrt,
     StrongerNonAggregation,
     SuffAvg,
     WeakPareto,
@@ -36,7 +41,11 @@ from welfareax import (
     validate_preconditions,
 )
 
+from welfareax import axioms
+from welfareax.axioms import _GenContext
+
 P = Profile.from_levels
+CLAUSES = Path(__file__).parent / "data" / "clauses.yaml"
 
 
 def mna(u, v, i, M, **kw):
@@ -355,6 +364,54 @@ class TestGenerators:
         assert {inst.k for inst in itertools.islice(stream, 200)} == {1, 2}
         stream = generate_instances("pigou_dalton", {"epsilon_max": "1/2"}, seed=1)
         assert {inst.epsilon for inst in itertools.islice(stream, 50)} == {Fraction(1, 2)}
+
+
+    @staticmethod
+    def _context(seed):
+        empty = SimpleNamespace()
+        return _GenContext(random.Random(seed), empty, empty, 2, -40, 40, 2, 10)
+
+    def test_empty_draw_range_is_refused(self):
+        ctx = self._context(0)
+        with pytest.raises(InfeasibleParameters, match=r"empty draw range \[5/2, 3/2\]"):
+            ctx.draw(5, 3)
+
+    def test_int_draws_are_randints(self):
+        # the one int-draw helper keeps every stream: it draws what Random.randint draws
+        ranges, ctx, reference = random.Random(11), self._context(5), random.Random(5)
+        for _ in range(10_000):
+            wide = ranges.random() < 0.1
+            lo = ranges.randint(-(2**70), 2**70) if wide else ranges.randint(-50, 50)
+            hi = lo + ranges.choice([0, 1, 2, ranges.randint(0, 100), ranges.randint(0, 2**80)])
+            assert ctx.between(lo, hi) == reference.randint(lo, hi), (lo, hi)
+
+
+class TestRunSuiteCounts:
+    """run_suite's tallies, on a stream that puts known instances in the generator's place."""
+
+    @staticmethod
+    def _run(monkeypatch, spec, instances):
+        monkeypatch.setattr(axioms, "generate_instances", lambda *args, **kw: iter(instances))
+        return run_suite(spec, instances[0].tag, {}, len(instances))
+
+    def test_unmet_counts_an_invalid_instance(self, monkeypatch):
+        cases = yaml.safe_load(CLAUSES.read_text())
+        anonymity = [c for c in cases if c["instance"]["axiom"] == "anonymity"]
+        invalid = next(c["instance"] for c in anonymity if c["failures"])
+        valid = next(c["instance"] for c in anonymity if not c["failures"])
+        instances = [instance_from_config(doc) for doc in (valid, invalid, valid)]
+        result = self._run(monkeypatch, Leximin(), instances)
+        assert (result.checked, result.satisfied, result.unmet, result.violated) == (3, 2, 1, 0)
+        assert not result.clean
+
+    def test_flagged_counts_a_numerical_tie(self, monkeypatch):
+        # 1, 2 + 10^-15, 3 - 10^-15 against 1, 2, 3: within the float bound under sqrt
+        near = P([1, Fraction(2 * 10**15 + 1, 10**15), Fraction(3 * 10**15 - 1, 10**15)])
+        tie = ReplicationInvariance(P([1, 2, 3]), near, 2)
+        plain = ReplicationInvariance(P([1, 2, 3]), P([1, 2, 4]), 2)
+        result = self._run(monkeypatch, Rdu(Fraction(101, 100), Sqrt()), [tie, plain, tie])
+        assert (result.checked, result.satisfied, result.flagged) == (3, 3, 2)
+        assert result.clean
 
 
 class TestInvariantsFromSuites:

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import re
 import subprocess
 import sys
@@ -885,3 +886,22 @@ def test_search_reports_when_it_finds_no_violation(workdir, capsys):
          "--budget", 5],
     )
     assert (code, out) == (0, "no violation found within 5 instances\n")
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has left: every write raises, and it has no file descriptor."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["plot-data", "--kind", "ratio-coefficient", "--n-to", "100000"],
+    ["replay", "--id", "4", "--profiles", "pair.txt"],
+])
+def test_a_reader_that_leaves_early_is_no_refusal(workdir, capsys, monkeypatch, argv):
+    (workdir / "pair.txt").write_text("2,3\n1,1\n")
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == 141  # 128 + SIGPIPE, as a shell reports for `yes | head`
+    assert capsys.readouterr().err == ""

@@ -69,6 +69,8 @@ def test_text_levels_read_as_levels(g):
     # float() refuses "p/q" and reads "inf", "nan" and "1e400"; every transform reads a
     # text as the level it names, which "inf" and "nan" are not, and 10^400 is no float
     assert g.value("1/2") == g.value(Fraction(1, 2))
+    # the domain check returns the level as the ints value reads
+    assert g.check_domain("1/2") == (1, 2) and g.check_domain(3, 6) == (3, 6)
     for text in ("abc", "inf", "nan", "-inf"):
         with pytest.raises(InfeasibleParameters):
             g.value(text)

@@ -434,6 +434,8 @@ def test_every_constructor_builds_the_canonical_form():
         i = rng.randrange(len(levels))
         x = Fraction(rng.randint(-20, 20), rng.randint(1, 10))
         k = rng.randint(1, 3)
+        shifts = {rng.randrange(len(levels)): rng.randint(-9, 9) for _ in range(2)}
+        shifted = [x + Fraction(shifts.get(p, 0), u.den * m) for p, x in enumerate(levels)]
         pi = list(range(len(levels)))
         rng.shuffle(pi)
         scattered = [None] * len(levels)
@@ -444,6 +446,7 @@ def test_every_constructor_builds_the_canonical_form():
             (Profile.from_levels(levels), levels),
             (Profile.from_numerators(den * m, [a * m for a in numerators], counts), levels),
             (u.with_value_at(i, x), levels[:i] + [x] + levels[i + 1:]),
+            (u.shifted(shifts, u.den * m), shifted),
             (replicate(u, k), levels * k),
             (permute(u, pi), scattered),
         ]

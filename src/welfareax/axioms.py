@@ -136,7 +136,7 @@ _MAGNITUDES = {
 # field name -> (type, encode, decode); this order is the key order of documents
 _FIELDS = {
     "u": PROFILE,
-    "pi": (tuple, list, _permutation),
+    "pi": ((), list, _permutation),  # no passthrough type: a tuple of strings is normalized too
     "v": PROFILE,
     "k": INTEGER,
     "i": INTEGER,
@@ -152,11 +152,6 @@ _FIELDS = {
 
 # ---------------------------------------------------------------------------
 # instance types
-
-
-def _failed(*clauses: tuple[bool, str]) -> list[str]:
-    """Texts of the (failed, text) clauses that failed."""
-    return [text for failed, text in clauses if failed]
 
 
 def _drop_index(index: int, p: int) -> int | None:
@@ -228,9 +223,6 @@ class _Axiom(Record):
         """Failed clauses on the magnitudes of ``p`` (an instance or decoded params)."""
         return []
 
-    def profile_clauses(self) -> list[str]:
-        raise NotImplementedError
-
     def relation(self) -> Relation:
         return Relation.WEAK
 
@@ -248,10 +240,6 @@ class _Axiom(Record):
         w, b = self.endpoint_fields
         detail = f"conclusion {b} {_SYMBOLS[relation]} {w} fails: ordering says {res.verdict.value}"
         return False, detail, res.numerically_tied
-
-    @classmethod
-    def generate(cls, ctx: "_GenContext") -> "_Axiom":
-        raise NotImplementedError
 
     def shrinks(self) -> Iterator["_Axiom"]:
         """Smaller instances to try in its place, unvalidated, in search order: each
@@ -418,10 +406,8 @@ class ReplicationInvariance(_Axiom):
     ranks_profiles = False  # it justifies the lift and descent steps themselves
 
     def profile_clauses(self) -> list[str]:
-        return _failed(
-            (len(self.u) != len(self.v), "population sizes differ"),
-            (self.k < 1, "k must be a positive integer"),
-        )
+        failures = ["population sizes differ"] if len(self.u) != len(self.v) else []
+        return failures + (["k must be a positive integer"] if self.k < 1 else [])
 
     def conclusion(self, spec):
         base = swo_compare(spec, self.u, self.v)
@@ -452,15 +438,10 @@ class _Donors(_Axiom):
         """Clauses on the size of M, checked before the profiles are walked."""
         return []
 
-    donor_texts = ()
-
-    def donor_rule(self, s: _Scale):
-        """Function (u_j, v_j) -> whether each of the ``donor_texts`` clauses fails, in
-        their order, on numerators over s."""
-        raise NotImplementedError
-
-    def recipient_clauses(self, s: _Scale, u_i: int, v_i: int) -> list[str]:
-        raise NotImplementedError
+    # each type's ``donor_rule(s)`` is a function (u_j, v_j) -> whether each of the
+    # ``donor_texts`` clauses fails, in their order, and ``recipient_rule(s, u_i, v_i)``
+    # whether each of the ``recipient_texts`` clauses does, on numerators over s
+    donor_texts = recipient_texts = ()
 
     def reverts(self):
         """Each donor j moved out of M, its level in v back to its level in u;
@@ -490,23 +471,21 @@ class _Donors(_Axiom):
                 u_i, v_i = uval, vval
             if m_cnt and True in (failed := donor(uval, vval)):
                 failures += [f"{text} (positions {start}..{stop - 1})"
-                             for bad, text in zip(failed, self.donor_texts) if bad]
+                             for text in itertools.compress(self.donor_texts, failed)]
             if count - m_cnt - has_i and uval != vval:
                 failures.append(
                     f"unaffected agents change: {format_level(Fraction(uval, s.den))} -> "
                     f"{format_level(Fraction(vval, s.den))} (positions {start}..{stop - 1})"
                 )
-        return failures + self.recipient_clauses(s, u_i, v_i)
-
-    @classmethod
-    def roles(cls, ctx: "_GenContext") -> tuple:
-        """(recipient's (u_i, v_i), donor() -> (u_j, v_j), bystander() -> level)."""
-        raise NotImplementedError
+        if True in (failed := self.recipient_rule(s, u_i, v_i)):
+            failures += itertools.compress(self.recipient_texts, failed)
+        return failures
 
     @classmethod
     def generate(cls, ctx):
-        """Size, positions, the roles, then each donor's pair and each
-        bystander's unchanged level, drawn in position order."""
+        """Size, positions, the type's ``roles(ctx)`` (the recipient's (u_i, v_i),
+        donor() -> (u_j, v_j), bystander() -> level), then each donor's pair and
+        each bystander's unchanged level, drawn in position order."""
         n = ctx.size(2)
         i, M, rest = _positions(ctx, n, ctx.between(1, n - 1))
         recipient, donor, bystander = cls.roles(ctx)
@@ -554,18 +533,16 @@ class MinimalNonAggregation(_Donors):
     magnitude_clauses = staticmethod(_thresholds_alpha_beta)
     donor_texts = ("u_j must be (tied for) best-off in u", "u_j >= theta_r fails",
                    "v_j must be (tied for) best-off in v", "v_j >= u_j - beta fails")
+    recipient_texts = ("u_i must be (tied for) worst-off in u", "v_i >= u_i + alpha fails",
+                       "theta_p >= v_i fails")
 
     def donor_rule(self, s):
         u_max, v_max = max(s.u), max(s.v)
         theta_r, beta = s(self.theta_r), s(self.beta)
         return lambda uj, vj: (uj != u_max, uj < theta_r, vj != v_max, vj < uj - beta)
 
-    def recipient_clauses(self, s, u_i, v_i):
-        return _failed(
-            (u_i != min(s.u), "u_i must be (tied for) worst-off in u"),
-            (v_i < u_i + s(self.alpha), "v_i >= u_i + alpha fails"),
-            (v_i > s(self.theta_p), "theta_p >= v_i fails"),
-        )
+    def recipient_rule(self, s, u_i, v_i):
+        return u_i != min(s.u), v_i < u_i + s(self.alpha), v_i > s(self.theta_p)
 
     @classmethod
     def roles(cls, ctx):
@@ -587,14 +564,15 @@ class StrongNonAggregation(_Donors):
     tag = "strong_non_aggregation"
     magnitude_clauses = staticmethod(_alpha_beta)
     donor_texts = ("u_j - beta = v_j fails", "v_j > v_i fails")
+    recipient_texts = ("v_i = u_i + alpha fails",)
 
     def donor_rule(self, s):
         v_i = self.u.numerator_at(self.i) * (s.den // self.u.den) + s(self.alpha)
         beta = s(self.beta)
         return lambda uj, vj: (vj != uj - beta, vj <= v_i)
 
-    def recipient_clauses(self, s, u_i, v_i):
-        return [] if v_i == u_i + s(self.alpha) else ["v_i = u_i + alpha fails"]
+    def recipient_rule(self, s, u_i, v_i):
+        return (v_i != u_i + s(self.alpha),)
 
     @classmethod
     def roles(cls, ctx):
@@ -621,16 +599,14 @@ class StrongNonAggThreshold(_Donors):
     tag = "strong_non_aggregation_threshold"
     magnitude_clauses = staticmethod(_thresholds_alpha_beta)
     donor_texts = ("u_j - beta = v_j fails", "v_j >= theta_r fails")
+    recipient_texts = ("v_i = u_i + alpha fails", "theta_p >= v_i fails")
 
     def donor_rule(self, s):
         beta, theta_r = s(self.beta), s(self.theta_r)
         return lambda uj, vj: (vj != uj - beta, vj < theta_r)
 
-    def recipient_clauses(self, s, u_i, v_i):
-        return _failed(
-            (v_i != u_i + s(self.alpha), "v_i = u_i + alpha fails"),
-            (v_i > s(self.theta_p), "theta_p >= v_i fails"),
-        )
+    def recipient_rule(self, s, u_i, v_i):
+        return v_i != u_i + s(self.alpha), v_i > s(self.theta_p)
 
     @classmethod
     def roles(cls, ctx):
@@ -656,6 +632,7 @@ class StrongerNonAggregation(_Donors):
     beta: Fraction
     tag = "stronger_non_aggregation"
     donor_texts = ("v_j >= u_j - beta fails", "u_j - beta >= theta_p fails")
+    recipient_texts = ("v_i >= u_i + alpha fails", "theta_p >= v_i fails")
 
     @staticmethod
     def magnitude_clauses(p):
@@ -665,11 +642,8 @@ class StrongerNonAggregation(_Donors):
         beta, theta_p = s(self.beta), s(self.theta_p)
         return lambda uj, vj: (vj < uj - beta, uj - beta < theta_p)
 
-    def recipient_clauses(self, s, u_i, v_i):
-        return _failed(
-            (v_i < u_i + s(self.alpha), "v_i >= u_i + alpha fails"),
-            (v_i > s(self.theta_p), "theta_p >= v_i fails"),
-        )
+    def recipient_rule(self, s, u_i, v_i):
+        return v_i < u_i + s(self.alpha), v_i > s(self.theta_p)
 
     @classmethod
     def roles(cls, ctx):
@@ -700,13 +674,14 @@ class _Aggregation(_Donors):
     """Members of M each gain >= gamma while i loses <= delta."""
 
     donor_texts = ("v_j >= u_j + gamma fails",)
+    recipient_texts = ("v_i >= u_i - delta fails",)
 
     def donor_rule(self, s):
         gamma = s(self.gamma)
         return lambda uj, vj: (vj < uj + gamma,)
 
-    def recipient_clauses(self, s, u_i, v_i):
-        return [] if v_i >= u_i - s(self.delta) else ["v_i >= u_i - delta fails"]
+    def recipient_rule(self, s, u_i, v_i):
+        return (v_i < u_i - s(self.delta),)
 
 
 @dataclass(frozen=True)

@@ -202,8 +202,9 @@ class SaturatingExp(_Transform):
         return -cap * math.expm1(-xf / scale)
 
 
+# no passthrough type: a tuple of pairs of ints or strings is normalized too
 _POINTS = (
-    tuple,
+    (),
     lambda points: [[format_level(x), format_level(y)] for x, y in points],
     lambda points: tuple((as_level(x), as_level(y)) for x, y in points),
 )
@@ -245,7 +246,7 @@ class PiecewiseLinear(_Transform):
 
     @staticmethod
     def from_pairs(pairs) -> "PiecewiseLinear":
-        return PiecewiseLinear(_POINTS[2](pairs))
+        return PiecewiseLinear(pairs)
 
     def exact_scaled(self, den, numerators):
         """The images of the levels a / den, as ints over m * den: (p_k a + q_k den) / (m den)

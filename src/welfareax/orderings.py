@@ -165,23 +165,34 @@ def _tabulated(table, n: int, what: str):
 
 
 @dataclass(frozen=True)
-class ConstantLambda:
+class ConstantLambda(Record):
     value: Fraction
+    config_fields = {"value": LEVEL}
 
     def value_for(self, n: int) -> Fraction:
         return self.value
 
 
+_LEVEL_TABLE = table(LEVEL)
+
+
 @dataclass(frozen=True)
-class TableLambda:
+class TableLambda(Record):
+    """Rows (n, weight), held sorted by n."""
+
     table: tuple[tuple[int, Fraction], ...]
+    config_fields = {"table": _LEVEL_TABLE}
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "table", tuple(sorted(self.table)))
 
     def value_for(self, n: int) -> Fraction:
         return _tabulated(self.table, n, "weight")
 
     @staticmethod
     def from_mapping(mapping: Mapping[int, object]) -> "TableLambda":
-        return TableLambda(tuple(sorted(_LEVEL_TABLE[2](mapping))))
+        return TableLambda(mapping)
 
 
 @dataclass(frozen=True)
@@ -217,14 +228,10 @@ class MidpointLambda(Record):
 
 LambdaSchedule = ConstantLambda | TableLambda | MidpointLambda
 
-_LEVEL_TABLE = table(LEVEL)
-
 # codec choice: a schedule is written under the document key of its type
 _SCHEDULE = {
-    "lambda": (
-        ConstantLambda, lambda s: format_level(s.value), lambda x: ConstantLambda(as_level(x))
-    ),
-    "lambda_table": (TableLambda, lambda s: _LEVEL_TABLE[1](s.table), TableLambda.from_mapping),
+    "lambda": (ConstantLambda, lambda s: format_level(s.value), ConstantLambda),
+    "lambda_table": (TableLambda, lambda s: _LEVEL_TABLE[1](s.table), TableLambda),
     "lambda_midpoint": (
         MidpointLambda,
         lambda s: s.encode_fields({}),
@@ -273,9 +280,6 @@ class _Ordering(Record):
     """Rules shared by the ordering dataclasses; each overrides what differs."""
 
     tag = ""
-
-    def value(self, u: Profile) -> Valuation:
-        raise NotImplementedError
 
     def compare(self, u: Profile, v: Profile, cross_size: bool) -> CompareResult:
         """Verdict on u against v; value rules depend on the population size."""
@@ -327,6 +331,8 @@ class Rdu(_Ordering):
         if abs(y) < 2.0**-1022:  # flat weights, each within exp(2 n |y|) of 1
             # dL = 4 n |y| / EPS < 2**-904 for any n <= sys.maxsize, so k0 rounds to 6 at every n
             L, dL = 0.0, 4 * sys.maxsize * abs(y) / EPS
+        elif not float(self.rho):  # rho rounds to 0.0, and its weights rho**-i are no floats
+            raise FloatRangeError(f"rho {format_level(self.rho)} is below the float range")
         else:
             L = -math.log1p(y) if y > -0.5 else -math.log(float(self.rho))
             dL = 1 + abs(y / ((1 + y) * L)) / 2

@@ -169,6 +169,13 @@ class TestValidatePreconditions:
     def test_anonymity_and_replication(self):
         assert validate_preconditions(Anonymity(P([1, 2, 3]), (2, 0, 1))).ok
         assert not validate_preconditions(Anonymity(P([1, 2, 3]), (0, 0, 1))).ok
+        # a permutation given as a tuple of floats or strings is decoded as a document's is
+        for pi in ((1.0, 0.0), (1, "0"), ["1", 0]):
+            inst = Anonymity(P([1, 2]), pi)
+            assert inst.pi == (1, 0) and instance_to_config(inst)["pi"] == [1, 0]
+            assert check_axiom(Leximin(), inst).status is CheckStatus.SATISFIED
+        with pytest.raises(ConfigError, match="bad value for pi"):
+            Anonymity(P([1, 2]), (0, "x"))
         assert validate_preconditions(ReplicationInvariance(P([1]), P([2]), 3)).ok
         assert not validate_preconditions(ReplicationInvariance(P([1]), P([2]), 0)).ok
 

@@ -547,6 +547,16 @@ QA_INSTANCE = (
             ["compare", "--ordering", "half.yaml", "--profiles", "pair.txt"],
             id="rdu-weights-beyond-float-range",
         ),
+        pytest.param(
+            {"tiny.yaml": f"ordering: rdu\nrho: '1/{10**400}'\ng: sqrt\n", "one.txt": "1,2\n"},
+            ["value", "--ordering", "tiny.yaml", "--profiles", "one.txt"],
+            id="rdu-rho-below-float-range",
+        ),
+        pytest.param(
+            {},
+            ["plot-data", "--kind", "ratio-coefficient", "--lam", "2"],
+            id="plot-data-ratio-above-one",
+        ),
         *[
             pytest.param(
                 {"p.yaml": "theta_p: 10\ntheta_r: 20\nalpha: 3\nbeta: 1\ngamma: 3\ndelta: 2\n" + counts},
@@ -771,6 +781,21 @@ def test_yaml_loads_as_the_pure_python_loader_does(where, text):
     assert got == want and repr(got) == repr(want)
 
 
+def test_an_empty_yaml_file_is_an_empty_mapping(tmp_path):
+    (tmp_path / "empty.yaml").write_text("")
+    assert _load_yaml(str(tmp_path / "empty.yaml")) == {}
+
+
+def test_donors_read_as_a_yaml_list(workdir, capsys):
+    # M as a flow list is the same set as its range text 1-3
+    results = []
+    for members in ("[1, 2, 3]", "1-3"):
+        (workdir / "inst.yaml").write_text(QA_INSTANCE + f"M: {members}\n")
+        results.append(run(capsys, ["check-axiom", "--ordering", workdir / "leximin.yaml",
+                                    "--instance", workdir / "inst.yaml"]))
+    assert results[0] == results[1] and results[0][1].startswith("status: violated"), results
+
+
 def test_yaml_loader_falls_back_without_libyaml(monkeypatch):
     used = []
 
@@ -820,8 +845,9 @@ def test_a_replication_refusal_names_a_long_count_by_its_size(workdir, capsys, b
     [
         ["--kind", "ratio-coefficient", "--rho", "1"],
         ["--kind", "lambda-interval", "--alpha", "1", "--beta", "2"],
+        ["--kind", "lambda-interval", "--gamma", "1", "--delta", "2"],
     ],
-    ids=["ratio-coefficient", "lambda-interval"],
+    ids=["ratio-coefficient", "lambda-interval", "lambda-interval-gamma-delta"],
 )
 def test_plot_data_prints_no_header_when_it_refuses(capsys, argv):
     code, out, err = run(capsys, ["plot-data", *argv])

@@ -92,6 +92,23 @@ def test_piecewise_linear_validation_and_eval():
         PiecewiseLinear.from_pairs([(0, 0), (1, 1), (2, 3)])  # convex corner
     with pytest.raises(ConfigError):
         PiecewiseLinear.from_pairs([(0, 0), (1, 0)])  # not increasing
+    with pytest.raises(ConfigError, match="at least two knots"):
+        PiecewiseLinear.from_pairs([(0, 0)])
+    with pytest.raises(ConfigError, match="strictly increasing x"):
+        PiecewiseLinear.from_pairs([(0, 0), (0, 1)])
+    # knots given as a tuple of plain pairs are decoded as a document's are
+    assert PiecewiseLinear(((0, 0), (2, "1"))) == PiecewiseLinear.from_pairs([("0", 0), (2, 1)])
+    with pytest.raises(ConfigError):
+        PiecewiseLinear(((0, 0), (2, "x")))
+
+
+@pytest.mark.parametrize(
+    "g", [Sqrt(), LogShifted(Fraction(1)), SaturatingExp(Fraction(1), Fraction(1))]
+)
+def test_inexact_transforms_refuse_an_exact_value(g):
+    assert not g.is_exact
+    with pytest.raises(DomainError, match="no exact rational evaluation"):
+        g.exact(Fraction(1))
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,8 @@ import yaml
 
 from welfareax.axioms import (
     AXIOM_TAGS,
+    _Donors,
+    _Scale,
     generate_instances,
     instance_from_config,
     instance_to_config,
@@ -182,7 +184,8 @@ def test_instance_stream_is_pinned(name):
 def test_generated_instances_match_their_decoded_documents(name):
     # generation builds instances without the codec's decode, so each field
     # must already hold what decoding gives: a Fraction level (never an int),
-    # an int index or count (never a bool), a Profile, an IndexSet, a tuple
+    # an int index or count (never a bool), a Profile, an IndexSet, a tuple (the type
+    # of pi, whose field has no passthrough type, so that decoding normalizes a tuple)
     axiom, params, keywords = STREAMS[name]
     stream = generate_instances(axiom, params, seed=SEED, **keywords)
     for inst in itertools.islice(stream, 500):
@@ -191,7 +194,7 @@ def test_generated_instances_match_their_decoded_documents(name):
         assert vars(inst).keys() == inst.__dataclass_fields__.keys(), inst
         for field, (kind, _, _) in inst.config_fields.items():
             value = getattr(inst, field)
-            assert type(value) is kind is type(getattr(decoded, field)), (field, value)
+            assert type(value) is (kind or tuple) is type(getattr(decoded, field)), (field, value)
             if field in ("i", "j", "k", "m"):
                 assert type(value) is int, (field, value)
             elif field in _MAGNITUDES:
@@ -224,6 +227,37 @@ def test_clause_fixture_covers_every_axiom_and_fractional_levels():
     assert any("/" in t.split("(")[0] for t in changes)
     assert sum(not case["failures"] for case in cases) > 0  # some mutations stay valid
     assert len(set(texts)) > 40
+
+
+def _donor_family_instances(cls):
+    """200 instances of each stream of ``cls``, then its instances in the clause fixture
+    whose sizes and recipient index let the walk reach the rules."""
+    for axiom, params, keywords in STREAMS.values():
+        if AXIOM_TAGS[axiom] is cls:
+            yield from itertools.islice(generate_instances(axiom, params, seed=SEED, **keywords), 200)
+    for case in _pinned_clauses():
+        if case["instance"]["axiom"] == cls.tag:
+            inst = instance_from_config(case["instance"])
+            if len(inst.u) == len(inst.v) and 0 <= inst.i < len(inst.u):
+                yield inst
+
+
+@pytest.mark.parametrize(
+    "cls", [cls for cls in AXIOM_TAGS.values() if issubclass(cls, _Donors)], ids=lambda c: c.tag
+)
+def test_each_clause_rule_gives_one_bool_per_text(cls):
+    # the walk pairs a rule's bools with their texts, and a pairing drops unseen a
+    # clause whose text is missing
+    checked = 0
+    for inst in _donor_family_instances(cls):
+        s = _Scale(inst)
+        donor = inst.donor_rule(s)
+        for _, _, uval, vval in s.runs():
+            for failed, texts in ((donor(uval, vval), cls.donor_texts),
+                                  (inst.recipient_rule(s, uval, vval), cls.recipient_texts)):
+                assert len(failed) == len(texts) and {type(x) for x in failed} == {bool}
+        checked += 1
+    assert checked > 200, checked
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from welfareax import (
     Profile,
     ProfileParseError,
     ReplicationInvariance,
+    SizeMismatch,
     WelfareaxError,
     as_level,
     ceil_ratio,
@@ -283,6 +284,10 @@ def test_materialize_guard():
         huge.levels()
     assert len(huge) == 10**9
     assert huge.mean() == 1
+    members = IndexSet.from_ranges([(0, MATERIALIZE_LIMIT + 1)])
+    assert len(members) == MATERIALIZE_LIMIT + 1 and MATERIALIZE_LIMIT in members
+    with pytest.raises(MaterializeError):
+        next(iter(members))
 
 
 def test_with_value_at_splits_blocks():
@@ -290,6 +295,10 @@ def test_with_value_at_splits_blocks():
     q = p.with_value_at(2, 7)
     assert q.levels() == (5, 5, 7, 5)
     assert p.levels() == (5, 5, 5, 5)
+    assert str(q) == serialize_profile(q) == "2*5,7,5"
+    for index in (-1, 4):
+        with pytest.raises(IndexError, match=f"index {index} out of range"):
+            q.value_at(index)
 
 
 def test_index_set_roundtrip_and_membership():
@@ -468,6 +477,8 @@ def test_aligned_runs_covers_mismatched_blocks():
         (2, 1, Fraction(1), Fraction(5)),
         (3, 2, Fraction(2), Fraction(5)),
     ]
+    with pytest.raises(SizeMismatch, match="sizes 5 and 4"):
+        next(aligned_runs(u, Profile.from_blocks([(1, 4)])))
 
 
 def test_bad_levels_are_package_errors():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from welfareax import (
     ConfigError,
     DomainError,
+    FloatRangeError,
     Identity,
     Profile,
     Rdu,
@@ -63,6 +64,15 @@ def test_rho_validation_and_flag():
         Rdu(Fraction(0), Sqrt())
     assert Rdu(Fraction(1, 2), Sqrt()).warnings
     assert not Rdu(Fraction(2), Sqrt()).warnings
+
+
+def test_rho_below_the_float_range_is_a_range_error():
+    # float(10^-400) is 0.0, whose log is no float: rank i weighs rho**-i
+    p, u = Rdu(Fraction(1, 10**400), Sqrt()), Profile.from_levels([1, 2])
+    with pytest.raises(FloatRangeError, match="rho"):
+        rdu_value(u, p)
+    with pytest.raises(FloatRangeError, match="rho"):
+        rdu_compare(u, Profile.from_levels([2, 2]), p)
 
 
 @given(

@@ -68,6 +68,13 @@ def test_billion_entry_block_evaluation():
 
 def test_lambda_schedules():
     table = TableLambda.from_mapping({3: "1/3"})
+    # schedules built from plain values are decoded as a document's are, rows sorted
+    assert table == TableLambda(((3, "1/3"),)) == TableLambda({"3": Fraction(1, 3)})
+    assert TableLambda(((3, 1), (2, "1/2"))).table == ((2, Fraction(1, 2)), (3, Fraction(1)))
+    assert ConstantLambda("1/2") == ConstantLambda(0.5) == HALF
+    for bad in (lambda: ConstantLambda("x"), lambda: TableLambda(((2, "x"),))):
+        with pytest.raises(ConfigError):
+            bad()
     p = SuffAvg(1, table)
     assert suffavg_value(Profile.from_levels([2, 2, 2]), p) == Fraction(4, 3)
     with pytest.raises(MissingLambda):
@@ -97,6 +104,22 @@ def test_lambda_interval_can_be_empty_even_with_matched_magnitudes():
     lower, upper, feasible = lambda_feasible_interval(20, 5, 4, 5, 4, Fraction(1, 2))
     assert not feasible
     assert lower > upper
+    midpoint = MidpointLambda(*map(Fraction, (5, 4, 5, 4)), Fraction(1, 2))
+    with pytest.raises(MissingLambda, match="feasibility interval empty at n=20"):
+        midpoint.value_for(20)
+
+
+@pytest.mark.parametrize(
+    "n, magnitudes, refusal",
+    [
+        (10, (2, 3, 10, 1), "need alpha > beta > 0"),
+        (10, (10, 1, 1, 2), "need gamma > delta > 0"),
+        (1, (10, 1, 10, 1), "interval defined for n >= 2"),
+    ],
+)
+def test_lambda_feasible_interval_refusals(n, magnitudes, refusal):
+    with pytest.raises(ConfigError, match=refusal):
+        lambda_feasible_interval(n, *magnitudes, Fraction(1, 2))
 
 
 def test_midpoint_schedule_lies_inside_interval():
@@ -183,6 +206,12 @@ def test_multithreshold_validation():
         MultiThreshold((0, 0), weights=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
     with pytest.raises(ConfigError):
         MultiThreshold((0,), weights=(Fraction(1, 4), Fraction(1, 4)))  # sum != 1
+    with pytest.raises(ConfigError, match="one weight per threshold"):
+        MultiThreshold((0,), weights=(Fraction(1),))
+    with pytest.raises(ConfigError, match=r"lie in \(0, 1\)"):
+        MultiThreshold((0,), weights=(Fraction(3, 2), Fraction(-1, 2)))
+    with pytest.raises(ConfigError, match="exactly one of weights / weights_table"):
+        MultiThreshold((0,))
     # non-decreasing weights are allowed but flagged
     flat = MultiThreshold((0, 1), weights=(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
     assert flat.warnings
@@ -215,6 +244,10 @@ def test_rankweighted_validation():
         RankWeighted(0, HALF, ((2, (Fraction(1, 4), Fraction(3, 4))),))  # increasing
     with pytest.raises(ConfigError):
         RankWeighted(0, HALF, ((2, (Fraction(3, 4), Fraction(3, 4))),))  # sum != 1
+    with pytest.raises(ConfigError, match="need 3 rank weights"):
+        RankWeighted(0, HALF, ((3, (Fraction(1, 2), Fraction(1, 2))),))
+    with pytest.raises(ConfigError, match="must be positive"):
+        RankWeighted(0, HALF, ((2, (Fraction(1), Fraction(0))),))
 
 
 def test_bounded_and_concavepoor_reduce_with_identity():
@@ -247,6 +280,11 @@ def test_boundedg_cap_limits_value():
 def test_boundedg_warns_without_bound():
     assert BoundedG(0, HALF, Identity()).warnings
     assert not BoundedG(0, HALF, SaturatingExp(Fraction(1), Fraction(1))).warnings
+
+
+def test_suffavg_warns_of_a_threshold_at_or_below_zero():
+    assert SuffAvg(0, HALF).warnings and SuffAvg(-1, HALF).warnings
+    assert not SuffAvg(1, HALF).warnings
 
 
 def test_cross_size_policy():
